@@ -1,8 +1,8 @@
 """Multiprecision numeric helpers (mpmath scalars, small dense problems).
 
 The exact modules do all identity-level work; these routines only handle the
-numeric path: kernels and ranks with explicit thresholds, projective
-normalization, and comparisons at a working precision.
+numeric path: kernels and ranks with explicit thresholds, and comparisons at
+a working precision.
 """
 
 from __future__ import annotations
@@ -24,25 +24,8 @@ def to_mpc(x, prec: int | None = None):
         return mpmath.mpc(x)
 
 
-def vec_to_mpc(v, prec: int = DEFAULT_PRECISION):
-    return tuple(to_mpc(x, prec) for x in v)
-
-
 def default_tolerance(prec: int):
     return mpmath.mpf(2) ** (-(prec // 2))
-
-
-def vec_norm(v):
-    return mpmath.sqrt(sum(abs(x) ** 2 for x in v)) if v else mpmath.mpf(0)
-
-
-def normalize_projective(v):
-    """Scale so the largest-modulus entry is exactly 1."""
-    idx = max(range(len(v)), key=lambda i: abs(v[i]))
-    lead = v[idx]
-    if lead == 0:
-        raise ZeroDivisionError("zero projective vector")
-    return tuple(x / lead for x in v)
 
 
 def kernel_numeric(rows, prec: int, rtol=None):

@@ -48,19 +48,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(u: Vec, c) -> Vec:
-    c = Q(c)
-    return tuple(c * x for x in u)
-
-
 def dot(u: Vec, v: Vec):
     return sum(x * y for x, y in zip(u, v))
 

@@ -250,7 +250,7 @@ def binary_form_rational_roots(f: MPoly) -> list[tuple[Fraction, Fraction]]:
     if inf_mult > 0:
         out.append((Fraction(1), Fraction(0)))
     for q, _m in u.squarefree_decomposition():
-        rs, _ = _rational_roots_of_squarefree(q, 160)
+        rs, _ = _rational_roots_of_squarefree(q)
         out.extend((r, Fraction(1)) for r in rs)
     return out
 
@@ -277,7 +277,7 @@ def _univariate_slice(f: MPoly, point_with_hole) -> UPoly:
 def _rational_roots_of(u: UPoly) -> list[Fraction]:
     out = []
     for q, _m in u.squarefree_decomposition():
-        rs, _ = _rational_roots_of_squarefree(q, 160)
+        rs, _ = _rational_roots_of_squarefree(q)
         out.extend(rs)
     return out
 
@@ -1402,7 +1402,7 @@ def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
             continue
         elim = elim.content_normalized()
         _a0, _inf, core = _binary_form_parts(elim)
-        squarefree = core.degree() < 1 or core.gcd(core.derivative()).degree() == 0
+        squarefree = core.is_squarefree()
         if not squarefree and clean_tries < 16:
             # a chart collision merged two shadows; try another chart
             clean_tries += 1
@@ -1477,9 +1477,12 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
                         chart_seed: int = 0) -> LinesThroughPoint:
     """All lines on the cubic f through a smooth point y (ambient P^4).
 
-    Rational eliminant roots give exact lines, the rest come back numeric at
-    the working precision, each with its residual checked against
-    2^(-prec/2).  With an instance attached every line gets a family tag.
+    Rational eliminant roots, found by the modular method of poly.roots
+    (roots mod p, Hensel lifting, exact check), give exact lines, so the
+    rational P and P-dual lines always come back exact; the rest come back
+    numeric at the working precision, each with its residual checked
+    against 2^(-prec/2).  With an instance attached every line gets a family
+    tag.
     """
     if f.nvars != 5:
         raise DetGeoError("lines_through_point expects an ambient P^4")

@@ -230,10 +230,11 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
         tol = _numeric.default_tolerance(prec)
         p0 = tuple(_numeric.to_mpc(x, prec) for x in m.p0)
         p1 = tuple(_numeric.to_mpc(x, prec) for x in m.p1)
-        scale = max(max(abs(x) for x in p0), max(abs(x) for x in p1))
+        # y is bilinear in (p0, p1), so its size is judged against both norms
+        scale = max(abs(x) for x in p0) * max(abs(x) for x in p1)
         y = tuple(p1[5] * a - p0[5] * b for a, b in zip(p0, p1))
         ynorm = max(abs(x) for x in y)
-        if ynorm <= tol * scale ** 2 * 1e6:
+        if ynorm <= tol * scale * 1e6:
             raise FourfoldError("line lies in the hyperplane section")
         y = tuple(x / ynorm for x in y)
 
@@ -389,7 +390,6 @@ def sample_line_through_scroll(four: CubicFourfold, v, seed: int = 1,
                                prec: int = 256) -> FourfoldLine:
     """A fourfold line through a smooth rational point of the scroll of v
     (planted incidence for the invariance tests)."""
-    from .detgeo import gradient as _g  # noqa: F401  (kept local import shape)
     from .detgeo import ruling_of_scroll
     rng = random.Random(f"{four.seed}:{seed}:scrollpt")
     inst = four.inst

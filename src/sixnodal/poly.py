@@ -2,8 +2,9 @@
 
 Sparse exponent-map representation, graded-lex normalization for printing.
 Carries the determinant/Jacobian/resultant machinery plus a multiprecision
-complex root finder (rational roots are extracted exactly, the rest go
-through an Aberth-style simultaneous iteration built on mpmath scalars).
+complex root finder (rational roots are extracted exactly by a modular
+method, the rest go through an Aberth-style simultaneous iteration built on
+mpmath scalars).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 
@@ -456,11 +457,25 @@ class UPoly:
             a, b = b, a.divmod(b)[1]
         return a.monic() if not a.is_zero() else a
 
+    def is_squarefree(self) -> bool:
+        """gcd(f, f') = 1: certified mod one prime when it can be, otherwise
+        decided by exact Euclid over Q."""
+        if self.degree() < 1:
+            return True
+        return (_squarefree_prime(_primitive_int_coeffs(self), 1) is not None
+                or self.gcd(self.derivative()).degree() == 0)
+
     def squarefree_decomposition(self) -> list[tuple["UPoly", int]]:
-        """Yun's algorithm: [(q_k, k)] with self ~ prod q_k^k, q_k squarefree."""
+        """[(q_k, k)] with self ~ prod q_k^k, q_k squarefree and monic.
+
+        A squarefree certificate mod one prime returns [(self.monic(), 1)] at
+        once; exact Yun over Q runs only when that test fails.
+        """
         if self.degree() < 1:
             return []
         f = self.monic()
+        if _squarefree_prime(_primitive_int_coeffs(f), 1) is not None:
+            return [(f, 1)]
         d = f.derivative()
         a = f.gcd(d)
         out = []
@@ -482,15 +497,6 @@ class UPoly:
         if b.degree() >= 1:
             out.append((b.monic(), k))
         return out
-
-    def to_mpoly(self, nvars: int, i: int) -> MPoly:
-        terms = {}
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                e = [0] * nvars
-                e[i] = k
-                terms[tuple(e)] = c
-        return MPoly(nvars, terms)
 
     def __repr__(self):
         if self.is_zero():
@@ -683,6 +689,193 @@ def _det_rational_rows(rows: list[list[Fraction]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# modular layer: dense polynomials over GF(p) as coefficient lists, low
+# degree first, with no trailing zeros
+
+
+_FIRST_PRIME = 10007
+
+
+def _next_prime(n: int) -> int:
+    n += 1
+    while any(n % k == 0 for k in range(2, int(n ** 0.5) + 1)):
+        n += 1
+    return n
+
+
+def _primitive_int_coeffs(p: UPoly) -> list[int]:
+    """Coprime integer coefficients of a nonzero rational multiple of p."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _pm_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pm_sub(a, b, prime: int) -> list[int]:
+    n = max(len(a), len(b))
+    return _pm_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % prime
+                     for i in range(n)])
+
+
+def _pm_divmod(a, b, prime: int) -> tuple[list[int], list[int]]:
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, prime)
+    q = [0] * max(0, len(r) - db)
+    while len(r) - 1 >= db:
+        c = r[-1] * inv % prime
+        k = len(r) - 1 - db
+        q[k] = c
+        if c:
+            for i, bc in enumerate(b):
+                r[k + i] = (r[k + i] - c * bc) % prime
+        r.pop()
+    return _pm_trim(q), _pm_trim(r)
+
+
+def _pm_gcd(a, b, prime: int) -> list[int]:
+    """Monic gcd over GF(prime)."""
+    while b:
+        a, b = b, _pm_divmod(a, b, prime)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, prime)
+    return [c * inv % prime for c in a]
+
+
+def _pm_mulmod(a, b, f, prime: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _pm_divmod(_pm_trim([c % prime for c in out]), f, prime)[1]
+
+
+def _pm_powmod(base, e: int, f, prime: int) -> list[int]:
+    """base^e mod f over GF(prime), deg f >= 1."""
+    result = [1]
+    base = _pm_divmod(base, f, prime)[1]
+    while e:
+        if e & 1:
+            result = _pm_mulmod(result, base, f, prime)
+        e >>= 1
+        if e:
+            base = _pm_mulmod(base, base, f, prime)
+    return result
+
+
+def _squarefree_mod(ints: list[int], prime: int) -> bool:
+    """ints mod prime is squarefree; prime must not divide the leading
+    coefficient and must exceed the degree."""
+    f = _pm_trim([c % prime for c in ints])
+    df = _pm_trim([i * c % prime for i, c in enumerate(f)][1:])
+    return len(_pm_gcd(f, df, prime)) == 1
+
+
+def _squarefree_prime(ints: list[int], tries: int | None = None) -> int | None:
+    """The first prime p >= 10007 not dividing the leading coefficient with
+    ints squarefree mod p, which certifies ints squarefree over Q (its
+    discriminant is then a unit mod p).  Gives up with None after `tries`
+    such primes fail; walks on forever when tries is None, which ends only
+    for squarefree input (finitely many primes divide lc * disc)."""
+    prime = _FIRST_PRIME
+    while tries is None or tries > 0:
+        if ints[-1] % prime:
+            if _squarefree_mod(ints, prime):
+                return prime
+            if tries is not None:
+                tries -= 1
+        prime = _next_prime(prime)
+    return None
+
+
+def _split_linear(g, prime: int) -> list[int]:
+    """Roots of a monic g over GF(prime) that is a product of distinct
+    linear factors, by equal-degree splitting with gcd((x+a)^((p-1)/2) - 1, g)
+    for a = 0, 1, 2, ... (Cantor-Zassenhaus)."""
+    if len(g) <= 1:
+        return []
+    if len(g) == 2:
+        return [-g[0] % prime]
+    for a in range(prime):
+        h = _pm_powmod([a, 1], (prime - 1) // 2, g, prime)
+        d = _pm_gcd(g, _pm_sub(h, [1], prime), prime)
+        if 1 < len(d) < len(g):
+            return (_split_linear(d, prime)
+                    + _split_linear(_pm_divmod(g, d, prime)[0], prime))
+    raise PolyError("no splitting shift found")
+
+
+def _roots_mod(ints: list[int], prime: int) -> list[int]:
+    """Roots in GF(prime) of ints, squarefree mod prime: the roots of
+    gcd(x^p - x, f)."""
+    inv = pow(ints[-1], -1, prime)
+    f = [c * inv % prime for c in ints]
+    xp = _pm_powmod([0, 1], prime, f, prime)
+    return sorted(_split_linear(_pm_gcd(f, _pm_sub(xp, [0, 1], prime), prime), prime))
+
+
+def _eval_mod(ints: list[int], x: int, m: int) -> int:
+    total = 0
+    for c in reversed(ints):
+        total = (total * x + c) % m
+    return total
+
+
+def _fraction_from_residue(r: int, m: int, nbound: int, dbound: int):
+    """(a, b) with a = r b mod m, |a| <= nbound and 0 < b <= dbound, by the
+    half extended Euclid on (m, r); unique when 2 nbound dbound < m (Wang)."""
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > nbound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > dbound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _int_rational_roots(ints: list[int]) -> list[tuple[int, int]]:
+    """(a, b) with b > 0 for every rational root a/b of a squarefree integer
+    polynomial with nonzero constant term."""
+    prime = _squarefree_prime(ints, 8)
+    if prime is None:
+        u = UPoly(ints)
+        if u.gcd(u.derivative()).degree() > 0:
+            raise PolyError("polynomial is not squarefree")
+        prime = _squarefree_prime(ints)
+    nbound, dbound = abs(ints[0]), abs(ints[-1])
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    out = []
+    for r in _roots_mod(ints, prime):
+        m = prime
+        while m <= 2 * nbound * dbound:
+            # Newton step: a simple root mod m lifts to one mod m^2
+            m *= m
+            r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        cand = _fraction_from_residue(r, m, nbound, dbound)
+        if cand is None:
+            continue
+        a, b = cand
+        total, bpow = 0, 1
+        for c in reversed(ints):     # sum c_i a^i b^(d-i), by Horner
+            total = total * a + c * bpow
+            bpow *= b
+        if total == 0:
+            out.append(cand)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # root finding
 
 
@@ -768,83 +961,39 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
         return roots
 
 
-def _rational_reconstruct(x, max_den: int) -> Fraction | None:
-    """Continued-fraction reconstruction of a nearby rational."""
-    a = x
-    num0, num1 = 1, 0
-    den0, den1 = 0, 1
-    for _ in range(64):
-        fl = mpmath.floor(a)
-        ai = int(fl)
-        num0, num1 = ai * num0 + num1, num0
-        den0, den1 = ai * den0 + den1, den0
-        if den0 > max_den:
-            return None
-        approx = Fraction(num0, den0) if den0 else None
-        if approx is not None and abs(mpmath.mpf(approx.numerator) / approx.denominator - x) < mpmath.mpf(2) ** (-mpmath.mp.prec + 8):
-            return approx
-        frac = a - fl
-        if frac == 0:
-            break
-        a = 1 / frac
-    if den0 == 0:
-        return None
-    return Fraction(num0, den0)
+def _rational_roots_of_squarefree(p: UPoly) -> tuple[list[Fraction], UPoly]:
+    """Exactly find the rational roots of a squarefree p and deflate them.
 
-
-def _coefficient_height_bits(p: UPoly) -> int:
-    return max((abs(c.numerator).bit_length() + c.denominator.bit_length()
-                for c in p.coeffs), default=1)
-
-
-def _rational_roots_of_squarefree(p: UPoly, prec: int) -> tuple[list[Fraction], UPoly]:
-    """Exactly find rational roots of a squarefree p and deflate them.
-
-    Roots are probed numerically and reconstructed by continued fractions,
-    then verified exactly; the probe precision scales with the coefficient
-    height so large rational roots are still resolvable.  Linear factors
-    are read off directly.
+    Modular method (Loos 1983): clear denominators to c_0..c_d, take the
+    first prime q >= 10007 with q not dividing c_d and c mod q squarefree,
+    find the roots mod q, Hensel-lift each to q^k > 2|c_0||c_d|, reconstruct
+    a/b with |a| <= |c_0| and 0 < b <= |c_d|, and keep a/b only if the
+    homogenized sum of c_i a^i b^(d-i) vanishes exactly.  Every rational root
+    reduces to a simple root mod q (its denominator divides c_d), so none is
+    missed; no root mod q at all certifies that there is no rational root.
+    Roots come back in increasing order with p divided by their linear
+    factors.
     """
     found = []
     remaining = p
     if remaining.coeffs and remaining.coeffs[0] == 0:
         found.append(Fraction(0))
         remaining = remaining.divmod(UPoly([0, 1]))[0]
-    if remaining.degree() == 1:
-        found.append(-remaining.coeffs[0] / remaining.coeffs[1])
-        return found, UPoly([remaining.coeffs[1]])
-    height_bits = _coefficient_height_bits(remaining)
-    max_den = 1 << (height_bits + 16)
-    # a rational root of height H needs ~2H bits to reconstruct; degrees here
-    # are tiny, so probing at the height-aware precision is cheap
-    probe_prec = min(max(192, prec, 2 * height_bits + 96), 1 << 14)
-    if remaining.degree() >= 2:
-        with mpmath.workprec(probe_prec + 64):
-            try:
-                approx = aberth_roots(list(remaining.coeffs), probe_prec)
-            except RootFindingError:
-                approx = []
-            for z in approx:
-                if abs(z.imag) > mpmath.mpf(2) ** (-probe_prec // 2):
-                    continue
-                cand = _rational_reconstruct(z.real, max_den)
-                if cand is not None and remaining(cand) == 0:
-                    found.append(cand)
-                    remaining = remaining.divmod(UPoly([-cand, 1]))[0]
-                if remaining.degree() == 1:
-                    found.append(-remaining.coeffs[0] / remaining.coeffs[1])
-                    remaining = UPoly([remaining.coeffs[1]])
-                    break
-    return found, remaining
+    if remaining.degree() >= 1:
+        for a, b in _int_rational_roots(_primitive_int_coeffs(remaining)):
+            found.append(Fraction(a, b))
+            remaining = remaining.divmod(UPoly([-found[-1], 1]))[0]
+    return sorted(found), remaining
 
 
 def roots(p: UPoly, prec: int = 256):
     """All complex roots with multiplicities.
 
-    Rational roots come back as exact Fractions (found numerically, then
-    verified and deflated exactly); the rest are ComplexMP values from the
-    Aberth iteration.  Residuals are checked against 2^(-prec/2) relative to
-    the coefficient magnitude.
+    Rational roots come back as exact Fractions, found by the modular method
+    (roots mod p, Hensel lifting, rational reconstruction, exact check) and
+    deflated exactly; the rest are ComplexMP values from the Aberth
+    iteration.  Residuals are checked against 2^(-prec/2) relative to the
+    coefficient magnitude.
     """
     if p.degree() < 1:
         raise PolyError("degree must be >= 1")
@@ -852,7 +1001,7 @@ def roots(p: UPoly, prec: int = 256):
         raise PolyError("precision below 64 bits")
     out = []
     for q, mult in p.squarefree_decomposition():
-        rational, rest = _rational_roots_of_squarefree(q, prec)
+        rational, rest = _rational_roots_of_squarefree(q)
         for r in rational:
             out.append((r, mult))
         if rest.degree() >= 1:

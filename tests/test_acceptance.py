@@ -188,6 +188,9 @@ def test_criterion_09_six_lines_per_point(instances):
             assert tags["P"] == 1 and tags["Pdual"] == 1 \
                 and tags["Scomponent"] == 4, (seed, dict(tags))
             assert res.residual_max < 1e-40
+            # P and P-dual lines are rational, so they must come back exact
+            assert all(line.exact for line, t in res.lines
+                       if t in ("P", "Pdual")), seed
     _report(9, "six lines with split 1+1+4 at 5 points per instance",
             time.time() - t0)
 

@@ -121,6 +121,16 @@ def test_iota_rejects_hyperplane_lines(four, inst1):
         iota(four, m)
 
 
+@pytest.mark.parametrize("prec", [128, 256])
+def test_iota_invariant_under_rescaled_base_point(four, prec):
+    from sixnodal.fourfold import FourfoldLine
+    m = sample_line(four, seed=2)
+    with mpmath.workprec(prec + 64):
+        p0 = tuple(x * mpmath.mpf(10) ** 22 for x in m.p0)
+    scaled = FourfoldLine(p0, m.p1, exact=False, prec=m.prec)
+    assert lines_close(iota(four, scaled, prec).line, iota(four, m, prec).line, prec)
+
+
 def test_scroll_invariance_random_pairs(four):
     rng = random.Random(19)
     for trial in range(10):

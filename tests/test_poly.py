@@ -209,30 +209,81 @@ def test_roots_exact_cube():
     assert rs == [(Fraction(1, 2), 3)]
 
 
-def test_roots_multiplicity_sum_and_rational_divisors():
+def _product(factors):
+    out = UPoly.const(1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _root_cases():
+    """(p, its rational roots, or None where only the divisor rule is
+    checked): random small polynomials, then cases aimed at the modular
+    rational-root finder."""
     rng = random.Random(23)
     for _ in range(10):
         coeffs = [Fraction(rng.randrange(-9, 10)) for _ in range(rng.randrange(3, 7))]
         if not coeffs[-1]:
             coeffs[-1] = Fraction(1)
-        p = UPoly(coeffs)
+        yield UPoly(coeffs), None
+    # roots of 300+ bits in numerator and denominator, times x^3 - 2
+    rng = random.Random(31)
+    big = [Fraction(rng.getrandbits(320) | (1 << 320), rng.getrandbits(320) | (1 << 320) | 1)
+           * rng.choice((-1, 1)) for _ in range(3)]
+    assert all(r.numerator.bit_length() >= 300 and r.denominator.bit_length() >= 300 for r in big)
+    yield _product([UPoly([-r, 1]) for r in big] + [UPoly([-2, 0, 0, 1])]), big
+    # a root mod every prime, but no rational root
+    yield _product([UPoly([-2, 0, 1]), UPoly([-3, 0, 1]), UPoly([-6, 0, 1])]), []
+    # a root mod 10007 that reconstructs to -33/2, which is no root
+    yield UPoly([47, -17, -39, 3]), []
+    # a leading coefficient divisible by the first primes the finder walks
+    lead = 10007 * 10009 * 10037 * 10039
+    yield (_product([UPoly([-3, lead]), UPoly([5, 2 * lead]), UPoly([1, 1, 1])]),
+           [Fraction(3, lead), Fraction(-5, 2 * lead)])
+
+
+def test_roots_multiplicity_sum_and_rational_divisors():
+    from math import lcm
+    for p, expected in _root_cases():
         if p.degree() < 1:
             continue
         rs = roots(p, 128)
         assert sum(m for _, m in rs) == p.degree()
+        rational = sorted(r for r, _ in rs if isinstance(r, Fraction))
+        if expected is not None:
+            assert rational == sorted(expected)
         # integer-cleared coefficients: a root a/b in lowest terms must have
         # b | leading and a | (lowest nonzero coefficient)
-        from math import lcm
         den = lcm(*[c.denominator for c in p.coeffs])
         ints = [int(c * den) for c in p.coeffs]
         lead = ints[-1]
         trail = next(c for c in ints if c != 0)
-        for r, _ in rs:
-            if isinstance(r, Fraction):
-                assert p(r) == 0
-                if r != 0:
-                    assert lead % r.denominator == 0
-                    assert trail % r.numerator == 0
+        for r in rational:
+            assert p(r) == 0
+            if r != 0:
+                assert lead % r.denominator == 0
+                assert trail % r.numerator == 0
+
+
+def test_squarefree_fast_path_matches_exact_yun(monkeypatch):
+    from sixnodal import poly
+    rng = random.Random(47)
+    cases = []
+    for _ in range(12):
+        factors = [UPoly([Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                          for _ in range(rng.randrange(2, 4))] + [rng.randrange(1, 5)])
+                   for _ in range(rng.randrange(1, 4))]
+        powers = [rng.randrange(1, 4) for _ in factors]
+        cases.append(_product([_product([f] * k) for f, k in zip(factors, powers)]))
+    fast = [(p.squarefree_decomposition(), p.is_squarefree()) for p in cases]
+    monkeypatch.setattr(poly, "_squarefree_prime", lambda ints, tries=None: None)
+    exact = [(p.squarefree_decomposition(), p.is_squarefree()) for p in cases]
+    assert fast == exact
+    assert any(len(d) > 1 or d[0][1] > 1 for d, _ in exact)
+    assert any(sq for _, sq in exact)
+    for p, (dec, sq) in zip(cases, exact):
+        assert _product([_product([q] * k) for q, k in dec]) == p.monic()
+        assert sq == all(k == 1 for _, k in dec)
 
 
 def test_complexmp_precision_floor():
