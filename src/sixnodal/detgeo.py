@@ -21,9 +21,9 @@ from . import _numeric
 from ._qlinalg import (Q, det as qdet, identity, inverse, is_zero_vec, mat,
                        mat_vec, nullspace, primitive_int_vector,
                        projectively_equal, rank, solve, transpose, vec)
-from .poly import (MPoly, UPoly, _det_generic, _rational_roots_of_squarefree,
-                   divide_exact, gradient, macaulay_resultant, poly_det,
-                   restrict_to_subspace, roots)
+from .poly import (MPoly, PolyError, UPoly, _det_generic,
+                   _rational_roots_of_squarefree, divide_exact, gradient,
+                   macaulay_nonzero, poly_det, restrict_to_subspace, roots)
 
 
 class DetGeoError(ValueError):
@@ -600,10 +600,10 @@ def _empty_rank1_certificate(perp: EndoSubspace) -> str | None:
         if any(c.is_zero() for c in combos):
             continue
         try:
-            if macaulay_resultant(combos) != 0:
+            if macaulay_nonzero(combos):
                 return ("Macaulay certificate: three random combinations of the "
                         "rank-1 minors share no projective zero")
-        except Exception:
+        except PolyError:
             continue
     return None
 
@@ -912,10 +912,10 @@ def _build_instance(seed, rng, entry_range, certify_slice) -> DeterminantalInsta
             raise DegenerateInstance("node is not an ordinary double point")
 
     try:
-        cert = macaulay_resultant(gradient(cubic_s))
-    except Exception as exc:
+        smooth = macaulay_nonzero(gradient(cubic_s))
+    except PolyError as exc:
         raise DegenerateInstance(f"surface smoothness certificate failed: {exc}")
-    if cert == 0:
+    if not smooth:
         raise DegenerateInstance("surface side is singular")
 
     inst = DeterminantalInstance(seed=seed, lam=lam, lam_perp=lam_perp,
@@ -940,9 +940,9 @@ def certify_finite_singular_locus(inst: DeterminantalInstance, rng=None) -> bool
         if sliced.is_zero():
             continue
         try:
-            if macaulay_resultant(gradient(sliced)) != 0:
+            if macaulay_nonzero(gradient(sliced)):
                 return True
-        except Exception:
+        except PolyError:
             continue
     raise DetGeoError("no smooth certifying slice found")
 
@@ -1535,9 +1535,9 @@ def _lines_from_eliminant(f, y, chart, q_chart, c_chart, elim, prec, inst):
                     dnorm = max(1, max(abs(x) for x in d3))
                     resid = max(rq / (scale_q * dnorm ** 2),
                                 rc / (scale_c * dnorm ** 3))
-                    residual_max = max(residual_max, resid)
                     if resid > tol:
                         continue
+                    residual_max = max(residual_max, resid)
                     y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
                     line = ProjLine(y_num, d, exact=False, prec=prec)
                     tag = None

@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 import mpmath
 
-from ._qlinalg import Q, int_det_bareiss, mat, rank
+from ._qlinalg import Q, det, int_det_bareiss, mat, rank
 
 
 class PolyError(ValueError):
@@ -601,13 +601,33 @@ def macaulay_resultant(forms: list[MPoly], _retries: int = 4) -> Fraction:
     """Classical Macaulay resultant of n+1 homogeneous forms in n+1 variables.
 
     Computed as D/D' with D the determinant of the Macaulay matrix at the
-    critical degree and D' the minor on non-reduced monomials.  A degenerate
+    critical degree and D' the minor on non-reduced monomials.  Each form is
+    scaled once to integer coefficients, both determinants are taken by
+    integer Bareiss, and the scaling is divided out again.  A degenerate
     minor triggers retries under shuffled variable orders, then under seeded
     generic linear changes of coordinates (which rescale the resultant by a
     nonzero factor, so the zero/nonzero verdict survives); if every attempt
     degenerates a MacaulayInconclusive is raised.  Nonzero output certifies
     the forms have no common projective zero.
     """
+    return _macaulay_attempts(forms, _retries, _macaulay_value)
+
+
+def macaulay_nonzero(forms: list[MPoly], _retries: int = 4) -> bool:
+    """Exactly ``macaulay_resultant(forms) != 0``, decided modulo a prime.
+
+    Runs the same attempts as macaulay_resultant.  In each one D' and D are
+    reduced mod a fixed prime p; nonzero residues prove D' != 0 and D != 0,
+    hence a nonzero resultant.  Exact integer Bareiss runs only on a matrix
+    whose determinant vanishes mod p, so every False, and every degenerate
+    attempt, is decided by exact arithmetic.  Raises MacaulayInconclusive
+    in the same cases as macaulay_resultant.
+    """
+    return _macaulay_attempts(forms, _retries, _macaulay_verdict)
+
+
+def _macaulay_attempts(forms: list[MPoly], retries: int, step):
+    """First non-None result of step(big, sub, scale) over the retry sequence."""
     n = len(forms)
     if n < 2:
         raise PolyError("need at least two forms")
@@ -621,21 +641,20 @@ def macaulay_resultant(forms: list[MPoly], _retries: int = 4) -> Fraction:
 
     rng = random.Random(20231114)
     perm = list(range(n))
-    for _ in range(_retries):
-        value = _macaulay_once([_permute_vars(f, perm) for f in forms],
-                               [degs[i] for i in range(n)])
+    for _ in range(retries):
+        value = step(*_macaulay_matrices([_permute_vars(f, perm) for f in forms],
+                                         degs))
         if value is not None:
             return value
         perm = list(range(n))
         rng.shuffle(perm)
     # fully symmetric inputs defeat permutations; a generic substitution does not
-    for _ in range(_retries):
+    for _ in range(retries):
         g = [[Fraction(rng.randrange(-5, 6)) for _ in range(n)] for _ in range(n)]
-        from ._qlinalg import det as _qdet, mat as _qmat
-        if _qdet(_qmat(g)) == 0:
+        if det(mat(g)) == 0:
             continue
         subs = [MPoly.linear_form(row) for row in g]
-        value = _macaulay_once([f.compose(subs) for f in forms], degs)
+        value = step(*_macaulay_matrices([f.compose(subs) for f in forms], degs))
         if value is not None:
             return value
     raise MacaulayInconclusive("degenerate Macaulay minor under all variable orders")
@@ -646,46 +665,76 @@ def _permute_vars(f: MPoly, perm: list[int]) -> MPoly:
                            for e, c in f.terms.items()})
 
 
-def _macaulay_once(forms: list[MPoly], degs: list[int]) -> Fraction | None:
+def _macaulay_matrices(forms: list[MPoly], degs: list[int]):
+    """Integer Macaulay matrix, its minor on the non-reduced monomials, and
+    the factor prod den_i^(rows_i(big) - rows_i(sub)) by which clearing the
+    denominators of form i (lcm den_i) scales det(big)/det(sub)."""
     n = len(forms)
+    dens = [lcm(*(c.denominator for c in f.terms.values())) for f in forms]
+    int_terms = [[(e, c.numerator * (den // c.denominator))
+                  for e, c in f.terms.items()] for f, den in zip(forms, dens)]
     t = sum(d - 1 for d in degs) + 1
     monos = sorted(_monomials_of_degree(n, t), key=_grlex_key)
     index = {m: i for i, m in enumerate(monos)}
-    big: list[list[Fraction]] = []
-    reduced_flags = []
+    big: list[list[int]] = []
+    non_reduced = []
+    scale = 1
     for mono in monos:
         owners = [i for i in range(n) if mono[i] >= degs[i]]
         i = owners[0]
-        reduced_flags.append(len(owners) == 1)
+        if len(owners) == 1:
+            scale *= dens[i]
+        else:
+            non_reduced.append(len(big))
         shift = list(mono)
         shift[i] -= degs[i]
-        row = [Fraction(0)] * len(monos)
-        for e, c in forms[i].terms.items():
-            target = tuple(a + b for a, b in zip(e, shift))
-            row[index[target]] += c
+        row = [0] * len(monos)
+        for e, c in int_terms[i]:
+            row[index[tuple(a + b for a, b in zip(e, shift))]] += c
         big.append(row)
-    D = _det_rational_rows(big)
-    sub_idx = [i for i, is_red in enumerate(reduced_flags) if not is_red]
-    sub = [[big[i][j] for j in sub_idx] for i in sub_idx]
-    Dp = _det_rational_rows(sub)
-    if Dp == 0:
+    sub = [[big[i][j] for j in non_reduced] for i in non_reduced]
+    return big, sub, scale
+
+
+def _macaulay_value(big, sub, scale) -> Fraction | None:
+    dp = int_det_bareiss(sub)
+    if dp == 0:
         return None
-    return D / Dp
+    return Fraction(int_det_bareiss(big), dp * scale)
 
 
-def _det_rational_rows(rows: list[list[Fraction]]) -> Fraction:
-    if not rows:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        int_rows.append([int(x * lcm) for x in row])
-        scale *= lcm
-    return Fraction(int_det_bareiss(int_rows)) / scale
+# 2^61 - 1; the verdict is exact for any prime, this one only makes an
+# unlucky zero residue (and the exact fallback it triggers) rare
+_MACAULAY_PRIME = 2 ** 61 - 1
+
+
+def _macaulay_verdict(big, sub, scale) -> bool | None:
+    prime = _MACAULAY_PRIME
+    if _det_mod(sub, prime) == 0 and int_det_bareiss(sub) == 0:
+        return None
+    return _det_mod(big, prime) != 0 or int_det_bareiss(big) != 0
+
+
+def _det_mod(rows: list[list[int]], prime: int) -> int:
+    """Determinant of an integer matrix modulo a prime (Gaussian elimination)."""
+    m = [[x % prime for x in row] for row in rows]
+    n = len(m)
+    out = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            out = -out
+        row_k = m[k]
+        out = out * row_k[k] % prime
+        inv = pow(row_k[k], -1, prime)
+        for i in range(k + 1, n):
+            f = m[i][k] * inv % prime
+            if f:
+                m[i] = [(a - f * b) % prime for a, b in zip(m[i], row_k)]
+    return out
 
 
 # ---------------------------------------------------------------------------

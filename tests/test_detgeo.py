@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sixnodal._numeric import default_tolerance
 from sixnodal._qlinalg import identity, mat, nullspace, projectively_equal, rank
 from sixnodal.detgeo import (DegenerateInstance, DetGeoError,
                              DeterminantalInstance, EndoSubspace, ProjLine,
@@ -566,6 +567,16 @@ def test_lines_through_point_split(inst1):
         assert res.residual_max < 1e-40
         assert res.eliminant.degree() == 6
         assert sum(res.multiplicities) == 6
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_residual_max_counts_only_kept_lines(inst1, prec):
+    # first point of criterion 09 for seed 1; at 128 bits some numeric lifts
+    # are rejected, and their residuals must not leak into residual_max
+    y = sample_smooth_point(inst1, random.Random(501))
+    res = lines_through_point(inst1.cubic_y, y, prec=prec, inst=inst1)
+    assert len(res.lines) == 6
+    assert res.residual_max <= default_tolerance(prec)
 
 
 def test_lines_through_point_contains_planted(inst1):

@@ -6,9 +6,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sixnodal import poly
 from sixnodal.poly import (ComplexMP, MPoly, PolyError, UPoly, divide_exact,
-                           gradient, macaulay_resultant, poly_det,
-                           restrict_to_subspace, resultant_bivariate, roots)
+                           gradient, macaulay_nonzero, macaulay_resultant,
+                           poly_det, restrict_to_subspace, resultant_bivariate,
+                           roots)
 
 
 def zero3():
@@ -127,12 +129,14 @@ def test_resultant_common_root():
 def test_macaulay_coordinate_squares():
     forms = [MPoly.var(4, i) ** 2 for i in range(4)]
     assert macaulay_resultant(forms) == 1
+    assert macaulay_nonzero(forms)
 
 
 def test_macaulay_fermat_smooth():
     fermat = sum((MPoly.var(4, i) ** 3 for i in range(4)), MPoly.zero(4))
     val = macaulay_resultant(gradient(fermat))
     assert val == 3 ** 32  # each partial carries a factor 3; Res is octic in each
+    assert macaulay_nonzero(gradient(fermat))
 
 
 def test_macaulay_cayley_singular():
@@ -144,6 +148,7 @@ def test_macaulay_cayley_singular():
     assert cayley.evaluate(node) == 0
     assert all(p.evaluate(node) == 0 for p in parts)
     assert macaulay_resultant(parts) == 0
+    assert not macaulay_nonzero(parts)
 
 
 def test_macaulay_matches_smoothness_spotchecks():
@@ -167,7 +172,10 @@ def test_macaulay_matches_smoothness_spotchecks():
         try:
             val = macaulay_resultant(gradient(f))
         except PolyError:
+            with pytest.raises(PolyError):
+                macaulay_nonzero(gradient(f))
             continue
+        assert macaulay_nonzero(gradient(f)) == (val != 0)
         sing_found = _has_singular_point(f, rng)
         if val != 0:
             smooth += 1
@@ -178,6 +186,88 @@ def test_macaulay_matches_smoothness_spotchecks():
                 # the planted point really is singular
                 assert all(g.evaluate((0, 0, 0, 1)) == 0 for g in gradient(f))
     assert smooth >= 10 and singular >= 5
+
+
+def test_macaulay_rational_coefficients():
+    x = MPoly.variables(4)
+    scales = [Fraction(1, 2), Fraction(3, 5), Fraction(1), Fraction(-1, 7)]
+    forms = [x[i] ** 2 * c for i, c in enumerate(scales)]
+    # Res is homogeneous of degree 2^3 = 8 in the coefficients of each form
+    expected = Fraction(1)
+    for c in scales:
+        expected *= c ** 8
+    assert macaulay_resultant(forms) == expected
+    assert macaulay_nonzero(forms)
+
+    rng = random.Random(23)
+    for _ in range(4):
+        f = random_homogeneous(rng, 4, 3)
+        q = Fraction(rng.choice([3, 7, 11]), rng.choice([2, 5, 13]))
+        g = f * q + random_homogeneous(rng, 4, 3) * Fraction(1, 3)
+        # each of the four partials is scaled by q, so Res scales by q^32
+        assert macaulay_resultant(gradient(f * q)) \
+            == q ** 32 * macaulay_resultant(gradient(f))
+        assert macaulay_nonzero(gradient(g)) \
+            == (macaulay_resultant(gradient(g)) != 0)
+
+
+def _macaulay_corpus():
+    x = MPoly.variables(4)
+    corpus = [[x[i] ** 2 for i in range(4)],
+              gradient(sum((x[i] ** 3 for i in range(4)), MPoly.zero(4))),
+              gradient(x[0] * x[1] * x[2] + x[0] * x[1] * x[3]
+                       + x[0] * x[2] * x[3] + x[1] * x[2] * x[3]),
+              [x[i] ** 2 * Fraction(1, i + 2) for i in range(4)]]
+    rng = random.Random(19)
+    for _ in range(12):
+        f = random_homogeneous(rng, 4, 3) * Fraction(rng.randrange(1, 9), 3)
+        if not f.is_zero():
+            corpus.append(gradient(f))
+    return corpus
+
+
+def _verdict_or_error(verdict, forms):
+    try:
+        return verdict(forms)
+    except PolyError:
+        return "inconclusive"
+
+
+def test_macaulay_verdict_exact_fallback(monkeypatch):
+    corpus = _macaulay_corpus()
+    verdicts = [_verdict_or_error(macaulay_nonzero, forms) for forms in corpus]
+    assert verdicts == [_verdict_or_error(lambda f: macaulay_resultant(f) != 0,
+                                          forms) for forms in corpus]
+    assert True in verdicts and False in verdicts
+    exact_calls = []
+    real_bareiss = poly.int_det_bareiss
+
+    def counting_bareiss(m):
+        exact_calls.append(len(m))
+        return real_bareiss(m)
+
+    # mod 3 the Fermat partials 3x^2 vanish, and so do many other residues:
+    # the verdicts must come from the exact fallback and agree
+    monkeypatch.setattr(poly, "_MACAULAY_PRIME", 3)
+    monkeypatch.setattr(poly, "int_det_bareiss", counting_bareiss)
+    assert [_verdict_or_error(macaulay_nonzero, forms) for forms in corpus] \
+        == verdicts
+    assert 56 in exact_calls
+
+
+def test_macaulay_verdict_skips_exact_determinant(monkeypatch, inst1):
+    seen = []
+    real_bareiss = poly.int_det_bareiss
+
+    def recording_bareiss(m):
+        seen.append(m)
+        return real_bareiss(m)
+
+    monkeypatch.setattr(poly, "int_det_bareiss", recording_bareiss)
+    assert macaulay_nonzero(gradient(inst1.cubic_s))
+    # exact Bareiss only ever sees matrices whose determinant vanishes mod p
+    assert all(poly._det_mod(m, poly._MACAULAY_PRIME) == 0 for m in seen)
+    assert all(len(m) < 56 for m in seen)
 
 
 def _has_singular_point(f, rng, tries=200):
