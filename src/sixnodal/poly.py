@@ -597,7 +597,7 @@ def _monomials_of_degree(nvars: int, d: int):
         yield tuple(e)
 
 
-def macaulay_resultant(forms: list[MPoly], _retries: int = 4) -> Fraction:
+def macaulay_resultant(forms: list[MPoly]) -> Fraction:
     """Classical Macaulay resultant of n+1 homogeneous forms in n+1 variables.
 
     Computed as D/D' with D the determinant of the Macaulay matrix at the
@@ -610,10 +610,10 @@ def macaulay_resultant(forms: list[MPoly], _retries: int = 4) -> Fraction:
     degenerates a MacaulayInconclusive is raised.  Nonzero output certifies
     the forms have no common projective zero.
     """
-    return _macaulay_attempts(forms, _retries, _macaulay_value)
+    return _macaulay_attempts(forms, _macaulay_value)
 
 
-def macaulay_nonzero(forms: list[MPoly], _retries: int = 4) -> bool:
+def macaulay_nonzero(forms: list[MPoly]) -> bool:
     """Exactly ``macaulay_resultant(forms) != 0``, decided modulo a prime.
 
     Runs the same attempts as macaulay_resultant.  In each one D' and D are
@@ -623,10 +623,14 @@ def macaulay_nonzero(forms: list[MPoly], _retries: int = 4) -> bool:
     attempt, is decided by exact arithmetic.  Raises MacaulayInconclusive
     in the same cases as macaulay_resultant.
     """
-    return _macaulay_attempts(forms, _retries, _macaulay_verdict)
+    return _macaulay_attempts(forms, _macaulay_verdict)
 
 
-def _macaulay_attempts(forms: list[MPoly], retries: int, step):
+# attempts per stage: variable permutations, then generic substitutions
+_MACAULAY_RETRIES = 4
+
+
+def _macaulay_attempts(forms: list[MPoly], step):
     """First non-None result of step(big, sub, scale) over the retry sequence."""
     n = len(forms)
     if n < 2:
@@ -641,7 +645,7 @@ def _macaulay_attempts(forms: list[MPoly], retries: int, step):
 
     rng = random.Random(20231114)
     perm = list(range(n))
-    for _ in range(retries):
+    for _ in range(_MACAULAY_RETRIES):
         value = step(*_macaulay_matrices([_permute_vars(f, perm) for f in forms],
                                          degs))
         if value is not None:
@@ -649,7 +653,7 @@ def _macaulay_attempts(forms: list[MPoly], retries: int, step):
         perm = list(range(n))
         rng.shuffle(perm)
     # fully symmetric inputs defeat permutations; a generic substitution does not
-    for _ in range(retries):
+    for _ in range(_MACAULAY_RETRIES):
         g = [[Fraction(rng.randrange(-5, 6)) for _ in range(n)] for _ in range(n)]
         if det(mat(g)) == 0:
             continue
