@@ -21,9 +21,9 @@ from . import _numeric
 from ._qlinalg import (Q, det as qdet, identity, inverse, is_zero_vec, mat,
                        mat_vec, nullspace, primitive_int_vector,
                        projectively_equal, rank, solve, transpose, vec)
-from .poly import (MPoly, PolyError, UPoly, _det_generic,
-                   _rational_roots_of_squarefree, divide_exact, gradient,
-                   macaulay_nonzero, poly_det, restrict_to_subspace, roots)
+from .poly import (MPoly, PolyError, UPoly, _rational_roots_of_squarefree,
+                   divide_exact, gradient, macaulay_nonzero, poly_det,
+                   restrict_to_subspace, roots, sylvester_resultant)
 
 
 class DetGeoError(ValueError):
@@ -194,26 +194,13 @@ def _coeffs_in_var(f: MPoly, elim: int) -> list[MPoly]:
 
 def binary_resultant(f: MPoly, g: MPoly, elim: int) -> MPoly:
     """Sylvester resultant of two ternary forms w.r.t. one variable; the
-    output is a binary form in the kept variables."""
+    output is a binary form in the kept variables (poly.sylvester_resultant
+    on the coefficient lists from _coeffs_in_var)."""
     fc = _coeffs_in_var(f, elim)
     gc = _coeffs_in_var(g, elim)
     if len(fc) < 2 and len(gc) < 2:
         raise DetGeoError("both forms constant in the eliminated variable")
-    m, n = len(fc) - 1, len(gc) - 1
-    zero = MPoly.zero(2)
-    rows = []
-    for i in range(n):
-        row = [zero] * (m + n)
-        for k, c in enumerate(reversed(fc)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * (m + n)
-        for k, c in enumerate(reversed(gc)):
-            row[i + k] = c
-        rows.append(row)
-    return _det_generic(rows, zero, lambda a, b: a + b, lambda a, b: a * b,
-                        lambda a: -a)
+    return sylvester_resultant(fc, gc)
 
 
 def _binary_form_parts(f: MPoly):
@@ -249,9 +236,7 @@ def binary_form_rational_roots(f: MPoly) -> list[tuple[Fraction, Fraction]]:
         out.append((Fraction(0), Fraction(1)))
     if inf_mult > 0:
         out.append((Fraction(1), Fraction(0)))
-    for q, _m in u.squarefree_decomposition():
-        rs, _ = _rational_roots_of_squarefree(q)
-        out.extend((r, Fraction(1)) for r in rs)
+    out.extend((r, Fraction(1)) for r in _rational_roots_of(u))
     return out
 
 
@@ -280,6 +265,21 @@ def _rational_roots_of(u: UPoly) -> list[Fraction]:
         rs, _ = _rational_roots_of_squarefree(q)
         out.extend(rs)
     return out
+
+
+def _slice_lifts(forms, a, b) -> list[Fraction]:
+    """Rational t with every ternary form vanishing at (a, b, t): the rational
+    roots of the gcd of the nonzero slices, each checked exactly."""
+    slices = [u for u in (_univariate_slice(m, (a, b, None)) for m in forms)
+              if not u.is_zero()]
+    if not slices:
+        return []
+    g = slices[0]
+    for u in slices[1:]:
+        g = g.gcd(u)
+    if g.degree() < 1:
+        return []
+    return [t for t in _rational_roots_of(g) if all(u(t) == 0 for u in slices)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def _kernel_vector_w(perp: EndoSubspace, v):
     return kern[0]
 
 
-def residual_rank1_point(five_matrices, _attempts: int = 12):
+def residual_rank1_point(five_matrices):
     """The sixth rank-1 point of the span of five rank-1 matrices.
 
     Strategy pinned by the degree count (the rank-1 locus has degree six):
@@ -335,10 +335,8 @@ def residual_rank1_point(five_matrices, _attempts: int = 12):
     if len(minors) < 3:
         raise DegenerateInstance("rank-1 locus of the span is not zero-dimensional")
 
-    rng = random.Random(97)
-    g = identity(3)
     last_error = "no attempt"
-    for _ in range(_attempts):
+    for g in _charts(97, 12):
         try:
             v6 = _residual_shadow_lift(minors, known_v, g)
             if v6 is not None:
@@ -354,12 +352,29 @@ def residual_rank1_point(five_matrices, _attempts: int = 12):
             last_error = "no rational residual root in this chart"
         except DegenerateInstance as exc:
             last_error = str(exc)
+    raise DegenerateInstance(f"residual root not recovered: {last_error}")
+
+
+def _charts(seed, count):
+    """The identity, then seeded random invertible integer 3x3 matrices:
+    `count` coordinate changes in all."""
+    rng = random.Random(seed)
+    g = identity(3)
+    for _ in range(count):
+        yield g
         while True:
             g = tuple(tuple(Fraction(rng.randrange(-3, 4)) for _ in range(3))
                       for _ in range(3))
             if qdet(mat(g)) != 0:
                 break
-    raise DegenerateInstance(f"residual root not recovered: {last_error}")
+
+
+def _shadow_lifts(rot, shadow_form):
+    """Common rational zeros (a, b, t) of the forms `rot`, lifted from the
+    rational roots (a : b) of their eliminant `shadow_form`."""
+    for a, b in binary_form_rational_roots(shadow_form):
+        for t in _slice_lifts(rot, a, b):
+            yield vec((a, b, t))
 
 
 def _residual_shadow_lift(minors, known_v, g):
@@ -388,20 +403,8 @@ def _residual_shadow_lift(minors, known_v, g):
     gcd_form = binary_form_gcd(res_a, res_b)
     if gcd_form.degree() < 1:
         raise DegenerateInstance("deflated resultants are coprime")
-    for (a, b) in binary_form_rational_roots(gcd_form):
-        ts = [u for u in (_univariate_slice(m, (a, b, None)) for m in rot)
-              if not u.is_zero()]
-        if not ts:
-            continue
-        gg = ts[0]
-        for u in ts[1:]:
-            gg = gg.gcd(u)
-        if gg.is_zero() or gg.degree() < 1:
-            continue
-        for t in _rational_roots_of(gg):
-            v_rot = vec((a, b, t))
-            if all(m.evaluate(v_rot) == 0 for m in rot):
-                return mat_vec(mat(g), v_rot)
+    for v_rot in _shadow_lifts(rot, gcd_form):
+        return mat_vec(mat(g), v_rot)
     return None
 
 
@@ -414,11 +417,8 @@ def find_rank1_in_span(space: EndoSubspace):
     if len(minors) < 2:
         return []
     out = []
-    rng = random.Random(11)
-    g = identity(3)
-    for _ in range(6):
+    for g in _charts(11, 6):
         try:
-            usable = None
             subs = [MPoly.linear_form(row) for row in g]
             rot = [m.compose(subs) for m in minors]
             usable = [m for m in rot if m.coefficient((0, 0, 3)) != 0]
@@ -431,37 +431,20 @@ def find_rank1_in_span(space: EndoSubspace):
                 shadow_form = res_pairs[0] if len(res_pairs) == 1 else (
                     binary_form_gcd(res_pairs[0], res_pairs[1]) if res_pairs else None)
                 if shadow_form is not None and shadow_form.degree() >= 1:
-                    for (a, b) in binary_form_rational_roots(shadow_form):
-                        ts = [u for u in (_univariate_slice(m, (a, b, None)) for m in rot)
-                              if not u.is_zero()]
-                        if not ts:
+                    for v_rot in _shadow_lifts(rot, shadow_form):
+                        v = mat_vec(mat(g), v_rot)
+                        w = _kernel_vector_w(perp, v)
+                        if w is None:
                             continue
-                        gg = ts[0]
-                        for u in ts[1:]:
-                            gg = gg.gcd(u)
-                        if gg.is_zero() or gg.degree() < 1:
-                            continue
-                        for t in _rational_roots_of(gg):
-                            v_rot = vec((a, b, t))
-                            if all(m.evaluate(v_rot) == 0 for m in rot):
-                                v = mat_vec(mat(g), v_rot)
-                                w = _kernel_vector_w(perp, v)
-                                if w is None:
-                                    continue
-                                p = rank1(v, w)
-                                if space.contains(p) and mat3_rank(p) == 1 and \
-                                        not any(projectively_equal(flatten(p), flatten(q))
-                                                for q in out):
-                                    out.append(p)
+                        p = rank1(v, w)
+                        if space.contains(p) and mat3_rank(p) == 1 and \
+                                not any(projectively_equal(flatten(p), flatten(q))
+                                        for q in out):
+                            out.append(p)
         except (DetGeoError, ZeroDivisionError):
             pass
         if out:
             return out
-        while True:
-            g = tuple(tuple(Fraction(rng.randrange(-3, 4)) for _ in range(3))
-                      for _ in range(3))
-            if qdet(mat(g)) != 0:
-                break
     return out
 
 
@@ -772,34 +755,47 @@ def linear_general_position(points) -> bool:
     return True
 
 
-def is_odp(f: MPoly, p, _return_parts: bool = False):
+def is_odp(f: MPoly, p) -> bool:
     """Ordinary double point test for a cubic hypersurface.
 
     Move p to the last coordinate point; with f = x_n^2 A1 + x_n A2 + A3 the
     point is an ODP iff A1 vanishes identically and the quadratic form A2 is
     nondegenerate (rank n in n variables).
     """
-    n = f.nvars
     p = vec(p)
     if f.evaluate(p) != 0:
         raise DetGeoError("point is not on the hypersurface")
-    pivot = next(i for i in range(n) if p[i] != 0)
-    cols = [tuple(identity(n)[i]) for i in range(n) if i != pivot] + [p]
-    basis_change = transpose(mat(cols))            # columns are the new basis
-    subs = [MPoly.linear_form([cols[k][j] for k in range(n)]) for j in range(n)]
-    g = f.compose(subs)
-    by_last = {}
-    for e, c in g.terms.items():
-        by_last.setdefault(e[n - 1], {})[e[:n - 1] + (0,)] = c
-    a1 = MPoly(n, by_last.get(2, {}))
-    a2 = MPoly(n, by_last.get(1, {}))
-    if by_last.get(3):
+    _cols, parts = _split_at_vertex(f, p)
+    if 3 in parts:
         raise DetGeoError("cubic term survived the normalization (not on f)")
-    if not a1.is_zero():
-        return (False, a1, a2) if _return_parts else False
-    m = n - 1
+    if 2 in parts:
+        return False
+    a2 = parts.get(1, MPoly.zero(f.nvars - 1))
+    return rank(mat(_gram_matrix(a2))) == a2.nvars
+
+
+def _split_at_vertex(f: MPoly, p):
+    """Move p to the last coordinate vertex and split f by powers of x_n.
+
+    Returns the new basis (p last, the other columns standard unit vectors)
+    and {k: A_k} with f(sum_j x_j cols[j]) = sum_k x_n^k A_k, each nonzero
+    A_k a polynomial in x_0..x_{n-1}.
+    """
+    n = f.nvars
+    pivot = next(i for i in range(n) if p[i] != 0)
+    cols = [tuple(identity(n)[i]) for i in range(n) if i != pivot] + [vec(p)]
+    subs = [MPoly.linear_form([cols[k][j] for k in range(n)]) for j in range(n)]
+    by_last: dict[int, dict] = {}
+    for e, c in f.compose(subs).terms.items():
+        by_last.setdefault(e[n - 1], {})[e[:n - 1]] = c
+    return cols, {k: MPoly(n - 1, terms) for k, terms in by_last.items()}
+
+
+def _gram_matrix(q: MPoly) -> list:
+    """Symmetric H with q(x) = x^T H x / 2, for a quadratic form q."""
+    m = q.nvars
     h = [[Fraction(0)] * m for _ in range(m)]
-    for e, c in a2.terms.items():
+    for e, c in q.terms.items():
         idx = [i for i in range(m) for _ in range(e[i])]
         if len(idx) != 2:
             raise DetGeoError("tangent-cone part is not quadratic")
@@ -809,8 +805,7 @@ def is_odp(f: MPoly, p, _return_parts: bool = False):
         else:
             h[i][j] += c
             h[j][i] += c
-    full = rank(mat(h)) == m
-    return (full, a1, a2) if _return_parts else full
+    return h
 
 
 def hessian_matrix(f: MPoly, p):
@@ -824,9 +819,7 @@ DEFAULT_ENTRY_RANGE = 9
 RETRY_CAP = 32
 
 
-def make_instance(seed: int, entry_range: int = DEFAULT_ENTRY_RANGE,
-                  retry_cap: int = RETRY_CAP,
-                  certify_slice: bool = False) -> DeterminantalInstance:
+def make_instance(seed: int) -> DeterminantalInstance:
     """Deterministic instance from a seed.
 
     Five random rank-1 matrices with small integer entries span a hyperplane
@@ -838,26 +831,27 @@ def make_instance(seed: int, entry_range: int = DEFAULT_ENTRY_RANGE,
     """
     rng = random.Random(seed)
     failures = []
-    for _ in range(retry_cap):
+    for _ in range(RETRY_CAP):
         try:
-            return _build_instance(seed, rng, entry_range, certify_slice)
+            return _build_instance(seed, rng)
         except DegenerateInstance as exc:
             failures.append(str(exc))
-    raise DetGeoError(f"no instance after {retry_cap} attempts: {failures[-3:]}")
+    raise DetGeoError(f"no instance after {RETRY_CAP} attempts: {failures[-3:]}")
 
 
-def _random_rank1(rng, entry_range):
+def _random_rank1(rng):
+    r = DEFAULT_ENTRY_RANGE
     while True:
-        v = tuple(Fraction(rng.randrange(-entry_range, entry_range + 1)) for _ in range(3))
-        w = tuple(Fraction(rng.randrange(-entry_range, entry_range + 1)) for _ in range(3))
+        v = tuple(Fraction(rng.randrange(-r, r + 1)) for _ in range(3))
+        w = tuple(Fraction(rng.randrange(-r, r + 1)) for _ in range(3))
         if not is_zero_vec(v) and not is_zero_vec(w):
             return v, w
 
 
-def _build_instance(seed, rng, entry_range, certify_slice) -> DeterminantalInstance:
+def _build_instance(seed, rng) -> DeterminantalInstance:
     vs, ws, bs = [], [], []
     for _ in range(5):
-        v, w = _random_rank1(rng, entry_range)
+        v, w = _random_rank1(rng)
         vs.append(v)
         ws.append(w)
         bs.append(rank1(v, w))
@@ -918,19 +912,16 @@ def _build_instance(seed, rng, entry_range, certify_slice) -> DeterminantalInsta
     if not smooth:
         raise DegenerateInstance("surface side is singular")
 
-    inst = DeterminantalInstance(seed=seed, lam=lam, lam_perp=lam_perp,
+    return DeterminantalInstance(seed=seed, lam=lam, lam_perp=lam_perp,
                                  cubic_y=cubic_y, cubic_s=cubic_s,
                                  nodes=tuple(nodes))
-    if certify_slice:
-        certify_finite_singular_locus(inst, rng)
-    return inst
 
 
-def certify_finite_singular_locus(inst: DeterminantalInstance, rng=None) -> bool:
+def certify_finite_singular_locus(inst: DeterminantalInstance) -> bool:
     """Smooth random hyperplane slice of the threefold (Macaulay certificate
     on the slice's quadric partials) proves dim Sing <= 0: a positive-
     dimensional singular locus would meet every hyperplane."""
-    rng = rng or random.Random(inst.seed + 104729)
+    rng = random.Random(inst.seed + 104729)
     for _ in range(8):
         normal = [Fraction(rng.randrange(-9, 10)) for _ in range(5)]
         basis = nullspace(mat([normal]))
@@ -1256,30 +1247,13 @@ def project_from_node(inst: DeterminantalInstance, i: int) -> NodeProjection:
     """
     if not 1 <= i <= 6:
         raise DetGeoError("node index out of range")
-    p = inst.nodes[i - 1].coords
-    pivot = next(j for j in range(5) if p[j] != 0)
-    cols = [tuple(identity(5)[j]) for j in range(5) if j != pivot] + [vec(p)]
-    t_mat = transpose(mat(cols))       # columns are the new basis
-    t_inv = inverse(t_mat)
-    subs = [MPoly.linear_form([cols[k][j] for k in range(5)]) for j in range(5)]
-    gpoly = inst.cubic_y.compose(subs)
-    by_last: dict[int, dict] = {}
-    for e, c in gpoly.terms.items():
-        by_last.setdefault(e[4], {})[e[:4]] = c
-    if by_last.get(3) or by_last.get(2):
+    cols, parts = _split_at_vertex(inst.cubic_y, inst.nodes[i - 1].coords)
+    t_inv = inverse(transpose(mat(cols)))       # columns are the new basis
+    if 3 in parts or 2 in parts:
         raise DetGeoError("node is not an ordinary double point (unexpected)")
-    a2 = MPoly(4, by_last.get(1, {}))
-    a3 = MPoly(4, by_last.get(0, {}))
-
-    h = [[Fraction(0)] * 4 for _ in range(4)]
-    for e, c in a2.terms.items():
-        idx = [k for k in range(4) for _ in range(e[k])]
-        (ii, jj) = idx
-        if ii == jj:
-            h[ii][ii] += 2 * c
-        else:
-            h[ii][jj] += c
-            h[jj][ii] += c
+    a2 = parts.get(1, MPoly.zero(4))
+    a3 = parts.get(0, MPoly.zero(4))
+    h = _gram_matrix(a2)
     quadric_rank = rank(mat(h))
 
     images = []
@@ -1416,30 +1390,14 @@ def direction_candidates(f: MPoly, y, prec: int = 256, chart_seed: int = 0,
     """Direction vectors of the lines on f through y, exact when rational.
 
     Returns (candidates, eliminant, multiplicities): each candidate is
-    (direction, exact_flag) with the direction in ambient coordinates.
+    (direction, exact_flag) with the direction in ambient coordinates, as
+    lifted by the same pass that lines_through_point uses.
     """
     chart, q_chart, c_chart, elim = direction_chart(f, y, chart_seed,
                                                     _cut_through)
-    root_list = _eliminant_roots(elim, prec)
-    out = []
-    mult_profile = []
-    with mpmath.workprec(prec + 32):
-        for (s_val, t_val), mult in root_list:
-            mult_profile.append(mult)
-            if isinstance(s_val, Fraction) and isinstance(t_val, Fraction):
-                for d3 in _lift_direction_exact(q_chart, c_chart, s_val, t_val):
-                    d = tuple(sum(Q(c) * chart[k][j] for k, c in enumerate(d3))
-                              for j in range(len(y)))
-                    out.append((d, True))
-            else:
-                for d3 in _lift_direction_numeric(q_chart, c_chart, s_val, t_val, prec):
-                    if not _numeric_direction_ok(q_chart, c_chart, d3, prec):
-                        continue
-                    d = tuple(sum(c * _numeric.to_mpc(chart[k][j], prec)
-                                  for k, c in enumerate(d3))
-                              for j in range(len(y)))
-                    out.append((d, False))
-    return out, elim, tuple(mult_profile)
+    cands, mults, _residual_max = _lift_eliminant(chart, q_chart, c_chart,
+                                                  elim, prec)
+    return cands, elim, mults
 
 
 def _eliminant_roots(elim: MPoly, prec: int):
@@ -1459,18 +1417,46 @@ def _eliminant_roots(elim: MPoly, prec: int):
     return root_list
 
 
-def _numeric_direction_ok(q_chart, c_chart, d3, prec) -> bool:
+def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
+    """Lift every root of the eliminant to directions on the chart.
+
+    Rational roots lift exactly.  The others lift numerically at prec + 32
+    bits, and a numeric lift is kept only when its residual on the conic
+    and on the cubic, relative to their coefficient scales, is within
+    default_tolerance(prec).  Returns (candidates, multiplicities,
+    residual_max): each candidate is (direction in ambient coordinates,
+    exact_flag), and residual_max is the largest residual of a kept
+    numeric lift.
+    """
+    n = len(chart[0])
+    root_list = _eliminant_roots(elim, prec)
+    out = []
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
         scale_q = max((abs(_numeric.to_mpc(c, prec)) for c in q_chart.terms.values()),
                       default=mpmath.mpf(1))
         scale_c = max((abs(_numeric.to_mpc(c, prec)) for c in c_chart.terms.values()),
                       default=mpmath.mpf(1))
-        rq = abs(_eval_numeric_poly(q_chart, d3))
-        rc = abs(_eval_numeric_poly(c_chart, d3))
-        dnorm = max(1, max(abs(x) for x in d3))
-        resid = max(rq / (scale_q * dnorm ** 2), rc / (scale_c * dnorm ** 3))
-        return resid <= tol
+        residual_max = mpmath.mpf(0)
+        for (s_val, t_val), _mult in root_list:
+            if isinstance(s_val, Fraction) and isinstance(t_val, Fraction):
+                for u in _slice_lifts((q_chart, c_chart), s_val, t_val):
+                    d3 = (s_val, t_val, u)
+                    out.append((tuple(sum(c * chart[k][j] for k, c in enumerate(d3))
+                                      for j in range(n)), True))
+                continue
+            for d3 in _lift_direction_numeric(q_chart, c_chart, s_val, t_val, prec):
+                rq = abs(q_chart.evaluate(d3))
+                rc = abs(c_chart.evaluate(d3))
+                dnorm = max(1, max(abs(x) for x in d3))
+                resid = max(rq / (scale_q * dnorm ** 2), rc / (scale_c * dnorm ** 3))
+                if resid > tol:
+                    continue
+                residual_max = max(residual_max, resid)
+                out.append((tuple(sum(c * _numeric.to_mpc(chart[k][j], prec)
+                                      for k, c in enumerate(d3))
+                                  for j in range(n)), False))
+    return out, tuple(m for _, m in root_list), residual_max
 
 
 def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
@@ -1481,22 +1467,15 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
     (roots mod p, Hensel lifting, exact check), give exact lines, so the
     rational P and P-dual lines always come back exact; the rest come back
     numeric at the working precision, each with its residual checked
-    against 2^(-prec/2).  With an instance attached every line gets a family
-    tag.
+    against 2^(-prec/2).  The directions are those of direction_candidates.
+    With an instance attached every line gets a family tag.
     """
     if f.nvars != 5:
         raise DetGeoError("lines_through_point expects an ambient P^4")
     y = vec(y)
     chart, q_chart, c_chart, elim = direction_chart(f, y, chart_seed)
-    return _lines_from_eliminant(f, y, chart, q_chart, c_chart, elim,
-                                 prec, inst)
-
-
-def _lines_from_eliminant(f, y, chart, q_chart, c_chart, elim, prec, inst):
-    found = []
-    mult_profile = []
-    residual_max = mpmath.mpf(0)
-    root_list = _eliminant_roots(elim, prec)
+    cands, mults, residual_max = _lift_eliminant(chart, q_chart, c_chart,
+                                                 elim, prec)
 
     exact_specials = {}
     if inst is not None:
@@ -1508,45 +1487,20 @@ def _lines_from_eliminant(f, y, chart, q_chart, c_chart, elim, prec, inst):
         if len(kw) == 1:
             exact_specials["Pdual"] = special_line(inst, "fromVdual", kw[0])
 
-    with mpmath.workprec(prec + 32):
-        tol = _numeric.default_tolerance(prec)
-        scale_q = max((abs(_numeric.to_mpc(c, prec)) for c in q_chart.terms.values()),
-                      default=mpmath.mpf(1))
-        scale_c = max((abs(_numeric.to_mpc(c, prec)) for c in c_chart.terms.values()),
-                      default=mpmath.mpf(1))
-        for (s_val, t_val), mult in root_list:
-            mult_profile.append(mult)
-            if isinstance(s_val, Fraction) and isinstance(t_val, Fraction):
-                for d3 in _lift_direction_exact(q_chart, c_chart, s_val, t_val):
-                    d = tuple(sum(Q(c) * chart[k][j] for k, c in enumerate(d3))
-                              for j in range(len(y)))
-                    line = ProjLine(y, d)
-                    tag = None
-                    if inst is not None:
-                        tag = _tag_line(inst, line, exact_specials)
-                    found.append((line, tag))
-            else:
-                for d3 in _lift_direction_numeric(q_chart, c_chart, s_val, t_val, prec):
-                    d = tuple(sum(c * _numeric.to_mpc(chart[k][j], prec)
-                                  for k, c in enumerate(d3))
-                              for j in range(len(y)))
-                    rq = abs(_eval_numeric_poly(q_chart, d3))
-                    rc = abs(_eval_numeric_poly(c_chart, d3))
-                    dnorm = max(1, max(abs(x) for x in d3))
-                    resid = max(rq / (scale_q * dnorm ** 2),
-                                rc / (scale_c * dnorm ** 3))
-                    if resid > tol:
-                        continue
-                    residual_max = max(residual_max, resid)
-                    y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
-                    line = ProjLine(y_num, d, exact=False, prec=prec)
-                    tag = None
-                    if inst is not None:
-                        tag = _tag_line_numeric(inst, y, y_num, d,
-                                                exact_specials, prec)
-                    found.append((line, tag))
-    return LinesThroughPoint(tuple(found), elim, tuple(mult_profile),
-                             float(residual_max))
+    y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
+    found = []
+    for d, exact in cands:
+        tag = None
+        if exact:
+            line = ProjLine(y, d)
+            if inst is not None:
+                tag = _tag_line(inst, line, exact_specials)
+        else:
+            line = ProjLine(y_num, d, exact=False, prec=prec)
+            if inst is not None:
+                tag = _tag_line_numeric(inst, y, y_num, d, exact_specials, prec)
+        found.append((line, tag))
+    return LinesThroughPoint(tuple(found), elim, mults, float(residual_max))
 
 
 def _tag_line_numeric(inst, y, y_num, d, exact_specials, prec) -> str:
@@ -1610,35 +1564,6 @@ def _numeric_s_tag(inst, y, d, prec) -> bool:
             if prod_norm > tol * snorm * snorm * pnorm * 64:
                 return False
         return True
-
-
-def _eval_numeric_poly(p: MPoly, point):
-    total = mpmath.mpc(0)
-    for e, c in p.terms.items():
-        term = _numeric.to_mpc(c)
-        for x, k in zip(point, e):
-            for _ in range(k):
-                term *= x
-        total += term
-    return total
-
-
-def _lift_direction_exact(q_chart, c_chart, s, t):
-    uq = _univariate_slice(q_chart, (s, t, None))
-    uc = _univariate_slice(c_chart, (s, t, None))
-    nonzero = [u for u in (uq, uc) if not u.is_zero()]
-    if not nonzero:
-        return []
-    g = nonzero[0]
-    for u in nonzero[1:]:
-        g = g.gcd(u)
-    if g.degree() < 1:
-        return []
-    out = []
-    for u0 in _rational_roots_of(g):
-        if uq(u0) == 0 and uc(u0) == 0:
-            out.append((s, t, u0))
-    return out
 
 
 def _lift_direction_numeric(q_chart, c_chart, s, t, prec):

@@ -18,9 +18,10 @@ from fractions import Fraction
 import mpmath
 
 from . import _numeric
-from ._qlinalg import Q, mat, transpose
-from .detgeo import (DetGeoError, DeterminantalInstance, direction_candidates,
-                     sample_smooth_point, scroll_data)
+from ._qlinalg import Q, is_zero_vec, primitive_int_vector
+from .detgeo import (DEFAULT_ENTRY_RANGE, DetGeoError, DeterminantalInstance,
+                     direction_candidates, ruling_of_scroll, sample_smooth_point,
+                     scroll_data)
 from .poly import MPoly, gradient
 
 
@@ -81,8 +82,7 @@ def _pad(v, value=Fraction(0)):
 
 
 def extend_to_fourfold(inst: DeterminantalInstance, seed: int = 1,
-                       prec: int = 256, spot_checks: int = 200,
-                       entry_range: int = 9) -> CubicFourfold:
+                       prec: int = 256, spot_checks: int = 200) -> CubicFourfold:
     """X = (threefold cubic) + x5 * Q with Q a seeded random quadric.
 
     At a node of the hyperplane section the whole gradient reduces to the
@@ -94,7 +94,7 @@ def extend_to_fourfold(inst: DeterminantalInstance, seed: int = 1,
     y_cubic6 = MPoly(6, {e + (0,): c for e, c in inst.cubic_y.terms.items()})
     x5 = MPoly.var(6, 5)
     for _ in range(64):
-        quad = _random_quadric(rng, entry_range)
+        quad = _random_quadric(rng, DEFAULT_ENTRY_RANGE)
         if any(quad.evaluate(_pad(n.coords)) == 0 for n in inst.nodes):
             continue
         four = CubicFourfold(y_cubic6 + x5 * quad, quad, inst, seed)
@@ -126,17 +126,6 @@ def _restriction_coeffs(f: MPoly, base, direc):
     return out
 
 
-def _eval_mp(p: MPoly, point):
-    total = mpmath.mpc(0)
-    for e, c in p.terms.items():
-        term = _numeric.to_mpc(c)
-        for x, k in zip(point, e):
-            for _ in range(k):
-                term *= x
-        total += term
-    return total
-
-
 def _spot_check_smooth(four: CubicFourfold, rng, prec, count):
     """Gradient must not (nearly) vanish at numeric sample points of X."""
     grads = gradient(four.cubic)
@@ -166,7 +155,7 @@ def _spot_check_smooth(four: CubicFourfold, rng, prec, count):
                 if scale == 0:
                     continue
                 pt = [x / scale for x in pt]
-                gvals = [_eval_mp(g, pt) for g in grads]
+                gvals = [g.evaluate(pt) for g in grads]
                 if max(abs(x) for x in gvals) <= tol * fscale:
                     raise FourfoldError("spot check found a (near-)singular point")
                 done += 1
@@ -240,7 +229,7 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
 
         # smoothness of the threefold at y and the unique dual-family line
         y5 = y[:5]
-        grads = [_eval_mp(g, y5) for g in gradient(four.inst.cubic_y)]
+        grads = [g.evaluate(y5) for g in gradient(four.inst.cubic_y)]
         gscale = max(abs(_numeric.to_mpc(c, prec))
                      for c in four.inst.cubic_y.terms.values())
         if max(abs(x) for x in grads) <= tol * gscale * 1e6:
@@ -370,7 +359,7 @@ def _meets_scroll(four: CubicFourfold, line: FourfoldLine, quadrics, prec):
         margin = mpmath.mpf(0)
         for q in quadrics:
             qscale = max(abs(_numeric.to_mpc(c, prec)) for c in q.terms.values())
-            val = abs(_eval_mp(q, y5)) / qscale
+            val = abs(q.evaluate(y5)) / qscale
             margin = max(margin, val)
         return bool(margin <= tol * 1e8), float(margin)
 
@@ -390,14 +379,12 @@ def sample_line_through_scroll(four: CubicFourfold, v, seed: int = 1,
                                prec: int = 256) -> FourfoldLine:
     """A fourfold line through a smooth rational point of the scroll of v
     (planted incidence for the invariance tests)."""
-    from .detgeo import ruling_of_scroll
     rng = random.Random(f"{four.seed}:{seed}:scrollpt")
     inst = four.inst
     for attempt in range(64):
         ruling = ruling_of_scroll(inst, v, index=rng.randrange(1 << 30))
         s, t = rng.randrange(1, 9), rng.randrange(1, 9)
         z = ruling.point_at(Fraction(s), Fraction(t))
-        from ._qlinalg import is_zero_vec, primitive_int_vector
         if is_zero_vec(z):
             continue
         z = primitive_int_vector(z)

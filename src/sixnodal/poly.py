@@ -509,77 +509,44 @@ class UPoly:
         return " + ".join(bits)
 
 
-def _det_generic(rows, zero, add, mul, neg):
-    """Determinant by the column-subset DP in an arbitrary commutative ring."""
-    n = len(rows)
-    states = {frozenset(): None}  # None marks the multiplicative unit
-    for i in range(n):
-        new_states = {}
-        for used, val in states.items():
-            sign_count = 0
-            for j in range(n):
-                if j in used:
-                    sign_count += 1
-                    continue
-                entry = rows[i][j]
-                term = entry if val is None else mul(val, entry)
-                if (i + sign_count) % 2:
-                    term = neg(term)
-                key = used | {j}
-                acc = new_states.get(key)
-                new_states[key] = term if acc is None else add(acc, term)
-        states = new_states
-    return states.get(frozenset(range(n)), zero)
-
-
-def sylvester_resultant_upoly(f_coeffs: list[UPoly], g_coeffs: list[UPoly]) -> UPoly:
-    """Resultant of two polynomials whose coefficients are themselves UPoly."""
+def sylvester_resultant(f_coeffs: list[MPoly], g_coeffs: list[MPoly]) -> MPoly:
+    """Resultant of two polynomials in one eliminated variable, given by
+    their coefficient lists (entry k multiplies the k-th power): the
+    determinant of the Sylvester matrix, expanded by poly_det."""
     m = len(f_coeffs) - 1
     n = len(g_coeffs) - 1
     if m < 0 or n < 0:
         raise PolyError("zero polynomial in resultant")
     if m == 0 and n == 0:
         raise PolyError("both inputs constant in the eliminated variable")
-    size = m + n
-    zero = UPoly.zero()
+    zero = MPoly.zero(f_coeffs[0].nvars)
     rows = []
-    for i in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(f_coeffs)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(g_coeffs)):
-            row[i + k] = c
-        rows.append(row)
-    return _det_generic(rows, zero, lambda a, b: a + b, lambda a, b: a * b, lambda a: -a)
+    for coeffs, shifts in ((f_coeffs, n), (g_coeffs, m)):
+        for i in range(shifts):
+            row = [zero] * (m + n)
+            for k, c in enumerate(reversed(coeffs)):
+                row[i + k] = c
+            rows.append(row)
+    return poly_det(rows)
 
 
 def resultant_bivariate(f: MPoly, g: MPoly, eliminate: int) -> UPoly:
     """Sylvester resultant of two bivariate polynomials, eliminating the given
-    variable; the output is univariate in the other one."""
+    variable; the output is univariate in the other one (sylvester_resultant
+    on the coefficients_in parts)."""
     if f.nvars != 2 or g.nvars != 2:
         raise PolyError("resultant_bivariate expects two variables")
     keep = 1 - eliminate
 
-    def upoly_coeffs(p: MPoly) -> list[UPoly]:
+    def coeff_list(p: MPoly) -> list[MPoly]:
         split = p.coefficients_in(eliminate)
-        deg = max(split, default=-1)
-        out = []
-        for k in range(deg + 1):
-            coeff = split.get(k, MPoly.zero(2))
-            cs = [Fraction(0)] * (coeff.degree() + 1 if not coeff.is_zero() else 0)
-            for e, c in coeff.terms.items():
-                cs[e[keep]] = c
-            out.append(UPoly(cs))
-        return out
+        return [split.get(k, MPoly.zero(2)) for k in range(max(split, default=-1) + 1)]
 
-    fc = upoly_coeffs(f)
-    gc = upoly_coeffs(g)
-    if len(fc) == 0 or len(gc) == 0:
-        raise PolyError("zero polynomial in resultant")
-    return sylvester_resultant_upoly(fc, gc)
+    res = sylvester_resultant(coeff_list(f), coeff_list(g))
+    dense = [Fraction(0)] * (res.degree() + 1)
+    for e, c in res.terms.items():
+        dense[e[keep]] = c
+    return UPoly(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1031,7 @@ def roots(p: UPoly, prec: int = 256):
                             for c in p.coeffs)
                 tol = mpmath.mpf(2) ** (-(prec // 2)) * max(1, scale)
                 for z in zs:
-                    resid = abs(_eval_rational_poly(p, z))
+                    resid = abs(p(z))
                     if resid > tol * max(1, abs(z)) ** p.degree():
                         raise RootFindingError(
                             f"residual {mpmath.nstr(resid, 8)} above tolerance",
@@ -1075,10 +1042,3 @@ def roots(p: UPoly, prec: int = 256):
         raise RootFindingError(f"found multiplicity total {total}, expected {p.degree()}",
                                partial=out)
     return out
-
-
-def _eval_rational_poly(p: UPoly, z):
-    total = mpmath.mpc(0)
-    for c in reversed(p.coeffs):
-        total = total * z + mpmath.mpf(c.numerator) / c.denominator
-    return total

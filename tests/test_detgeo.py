@@ -579,6 +579,26 @@ def test_residual_max_counts_only_kept_lines(inst1, prec):
     assert res.residual_max <= default_tolerance(prec)
 
 
+def test_direction_candidates_agree_with_lines_through_point(inst1):
+    # first two points of criterion 09 for seed 1
+    rng = random.Random(501)
+    tol = default_tolerance(256)
+    for _ in range(2):
+        y = sample_smooth_point(inst1, rng)
+        cands, elim, mults = direction_candidates(inst1.cubic_y, y, prec=256)
+        res = lines_through_point(inst1.cubic_y, y, prec=256)
+        assert elim == res.eliminant and mults == res.multiplicities
+        assert [exact for _, exact in cands] == [l.exact for l, _ in res.lines]
+        assert any(exact for _, exact in cands)
+        for (d, exact), (line, _) in zip(cands, res.lines):
+            if exact:
+                assert all(isinstance(x, Fraction) for x in d)
+                assert tuple(d) == tuple(line.p1)
+            else:
+                scale = max(abs(x) for x in d)
+                assert max(abs(a - b) for a, b in zip(d, line.p1)) <= tol * scale
+
+
 def test_lines_through_point_contains_planted(inst1):
     rng = random.Random(43)
     y = sample_smooth_point(inst1, rng)

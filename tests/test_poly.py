@@ -126,6 +126,40 @@ def test_resultant_common_root():
     assert resultant_bivariate(f, g, 0).is_zero()
 
 
+@pytest.mark.parametrize("df,dg", [(2, 3), (3, 3)])
+def test_binary_resultant_matches_resultant_bivariate(df, dg):
+    # both run the one Sylvester builder; with x1 = 1 in the coefficients the
+    # ternary resultant is the bivariate one, since the x2^d coefficients are
+    # nonzero constants and the degrees in x2 survive
+    from sixnodal.detgeo import binary_resultant
+    rng = random.Random(10 * df + dg)
+    checked = 0
+    while checked < 3:
+        f = random_homogeneous(rng, 3, df)
+        g = random_homogeneous(rng, 3, dg)
+        if f.coefficient((0, 0, df)) == 0 or g.coefficient((0, 0, dg)) == 0:
+            continue
+        res = binary_resultant(f, g, 2)
+        assert res.degree() == df * dg
+        dense = [Fraction(0)] * (df * dg + 1)
+        for (e0, _e1), c in res.terms.items():
+            dense[e0] += c
+
+        def dehomogenize(p):
+            return MPoly(2, {(e[0], e[2]): c for e, c in p.terms.items()})
+
+        assert resultant_bivariate(dehomogenize(f), dehomogenize(g), 1) \
+            == UPoly(dense)
+        checked += 1
+
+
+def test_binary_resultant_rejects_double_constants():
+    from sixnodal.detgeo import DetGeoError, binary_resultant
+    x = MPoly.variables(3)
+    with pytest.raises(DetGeoError):
+        binary_resultant(x[0] ** 2 + x[1] ** 2, x[0] * x[1], 2)
+
+
 def test_macaulay_coordinate_squares():
     forms = [MPoly.var(4, i) ** 2 for i in range(4)]
     assert macaulay_resultant(forms) == 1
