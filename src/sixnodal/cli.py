@@ -593,6 +593,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.json:
+            command = " ".join(filter(None, (args.command, getattr(args, "sub", None))))
+            print(json.dumps({"command": command, "seed": args.seed,
+                              "precision": args.precision, "error": str(exc)},
+                             sort_keys=True, indent=2))
         return 1
 
 

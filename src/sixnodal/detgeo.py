@@ -22,7 +22,7 @@ from ._qlinalg import (Q, det as qdet, identity, inverse, is_zero_vec, mat,
                        mat_vec, nullspace, primitive_int_vector,
                        projectively_equal, rank, solve, transpose, vec)
 from .poly import (MPoly, PolyError, UPoly, _rational_roots_of_squarefree,
-                   divide_exact, gradient, macaulay_nonzero, poly_det,
+                   gradient, macaulay_nonzero, poly_det,
                    restrict_to_subspace, roots, sylvester_resultant)
 
 
@@ -240,13 +240,6 @@ def binary_form_rational_roots(f: MPoly) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def deflate_binary_form(f: MPoly, root) -> MPoly:
-    """Divide a binary form once by the linear factor vanishing at (a : b)."""
-    a, b = Q(root[0]), Q(root[1])
-    factor = MPoly(2, {(1, 0): b, (0, 1): -a})
-    return divide_exact(f, factor)
-
-
 def _univariate_slice(f: MPoly, point_with_hole) -> UPoly:
     """Substitute constants everywhere except the single None slot."""
     hole = list(point_with_hole).index(None)
@@ -313,15 +306,24 @@ def _kernel_vector_w(perp: EndoSubspace, v):
     return kern[0]
 
 
+def _split_rank1(b):
+    """(v, w) with b = v w^T exactly: v the column of the first nonzero
+    entry of b, w its row divided by that entry."""
+    i, j = next((i, j) for i in range(3) for j in range(3) if b[i][j] != 0)
+    return (tuple(b[r][j] for r in range(3)),
+            tuple(b[i][c] / b[i][j] for c in range(3)))
+
+
 def residual_rank1_point(five_matrices):
     """The sixth rank-1 point of the span of five rank-1 matrices.
 
-    Strategy pinned by the degree count (the rank-1 locus has degree six):
-    two independent resultants of the cubic minors are deflated once by each
-    of the five known roots, their gcd isolates the shadow of the residual
-    root (rational, since all conjugates are accounted for), and the full
-    point is lifted and verified exactly.  Seeded coordinate rotations retry
-    chart degeneracies.
+    With b_k = v_k w_k^T, sum_k c_k b_k = V diag(c) W^T has rank <= 1 with
+    every c_k != 0 exactly when x_k = 1/c_k solves
+    sum_k x_k alpha_k beta_k = 0 for all alpha in ker V and beta in ker W,
+    the Gale transforms of the five v's and of the five w's.  So the sixth
+    point comes from the kernel of one 4x5 rational matrix.  It is returned
+    as the primitive integer matrix whose first nonzero entry is positive,
+    and checked exactly.
     """
     bs = [mat3(b) for b in five_matrices]
     if len(bs) != 5 or any(mat3_rank(b) != 1 for b in bs):
@@ -329,30 +331,25 @@ def residual_rank1_point(five_matrices):
     if rank(mat([flatten(b) for b in bs])) != 5:
         raise DegenerateInstance("five matrices do not span a 5-dimensional space")
     space = EndoSubspace(tuple(bs))
-    perp = trace_perp(space)
-    known_v = [mat3_image_basis(b)[0] for b in bs]
-    minors = [m for m in rank1_system_minors(perp) if not m.is_zero()]
-    if len(minors) < 3:
-        raise DegenerateInstance("rank-1 locus of the span is not zero-dimensional")
-
-    last_error = "no attempt"
-    for g in _charts(97, 12):
-        try:
-            v6 = _residual_shadow_lift(minors, known_v, g)
-            if v6 is not None:
-                w6 = _kernel_vector_w(perp, v6)
-                if w6 is None:
-                    raise DegenerateInstance("residual direction has no unique cokernel")
-                p6 = rank1(v6, w6)
-                if not space.contains(p6):
-                    raise DegenerateInstance("residual point escaped the span")
-                if any(projectively_equal(flatten(p6), flatten(b)) for b in bs):
-                    raise DegenerateInstance("residual point coincides with an input")
-                return p6
-            last_error = "no rational residual root in this chart"
-        except DegenerateInstance as exc:
-            last_error = str(exc)
-    raise DegenerateInstance(f"residual root not recovered: {last_error}")
+    vs, ws = zip(*(_split_rank1(b) for b in bs))
+    gale_v = nullspace(transpose(mat(vs)))
+    gale_w = nullspace(transpose(mat(ws)))
+    if len(gale_v) != 2 or len(gale_w) != 2:
+        raise DegenerateInstance("image or cokernel directions do not span V")
+    rows = [[alpha[k] * beta[k] for k in range(5)]
+            for alpha in gale_v for beta in gale_w]
+    kern = nullspace(mat(rows))
+    if len(kern) != 1 or any(x == 0 for x in kern[0]):
+        raise DegenerateInstance("no unique residual point off the coordinate hyperplanes")
+    p6 = space.element([1 / x for x in kern[0]])
+    p6 = mat3(unflatten(primitive_int_vector(flatten(p6))))
+    if mat3_rank(p6) != 1:
+        raise DegenerateInstance("residual point is not rank 1")
+    if not space.contains(p6):
+        raise DegenerateInstance("residual point escaped the span")
+    if any(projectively_equal(flatten(p6), flatten(b)) for b in bs):
+        raise DegenerateInstance("residual point coincides with an input")
+    return p6
 
 
 def _charts(seed, count):
@@ -377,41 +374,12 @@ def _shadow_lifts(rot, shadow_form):
             yield vec((a, b, t))
 
 
-def _residual_shadow_lift(minors, known_v, g):
-    ginv = inverse(mat(g))
-    subs = [MPoly.linear_form(row) for row in g]
-    rot = [m.compose(subs) for m in minors]      # C'(v') = C(g v')
-    kv = [mat_vec(ginv, vec(v)) for v in known_v]
-    if any(v[0] == 0 and v[1] == 0 for v in kv):
-        raise DegenerateInstance("known root at the projection center")
-    shadows = [(v[0], v[1]) for v in kv]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            if shadows[i][0] * shadows[j][1] == shadows[i][1] * shadows[j][0]:
-                raise DegenerateInstance("known roots collide in the chart")
-    usable = [m for m in rot if m.coefficient((0, 0, 3)) != 0]
-    if len(usable) < 3:
-        raise DegenerateInstance("projection center lies on the minor cubics")
-
-    res_a = binary_resultant(usable[0], usable[1], 2)
-    res_b = binary_resultant(usable[0], usable[2], 2)
-    if res_a.is_zero() or res_b.is_zero():
-        raise DegenerateInstance("identically vanishing resultant")
-    for s in shadows:
-        res_a = deflate_binary_form(res_a, s)
-        res_b = deflate_binary_form(res_b, s)
-    gcd_form = binary_form_gcd(res_a, res_b)
-    if gcd_form.degree() < 1:
-        raise DegenerateInstance("deflated resultants are coprime")
-    for v_rot in _shadow_lifts(rot, gcd_form):
-        return mat_vec(mat(g), v_rot)
-    return None
-
-
 def find_rank1_in_span(space: EndoSubspace):
-    """Rational rank-1 elements of P(space), by the same elimination (no
-    deflation; intended for the small constructed inputs of the duality
-    tests, not for generic spans)."""
+    """Rational rank-1 elements of P(space), by elimination over seeded
+    charts: the resultants of the cubic minors, their gcd, and its rational
+    roots lifted and checked exactly.  Unlike residual_rank1_point, which
+    knows five rank-1 points of a 5-dimensional span, this handles any span;
+    it is intended for the small constructed inputs of the duality tests."""
     perp = trace_perp(space)
     minors = [m for m in rank1_system_minors(perp) if not m.is_zero()]
     if len(minors) < 2:

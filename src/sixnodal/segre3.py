@@ -10,11 +10,10 @@ the two projections that must agree for a surface point off the lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ._qlinalg import Q, mat, nullspace, is_zero_vec
-from .detgeo import (DetGeoError, DeterminantalInstance, annihilator, mat3,
-                     mat3_image_basis, mat3_kernel, mat3_rank, s_circ_ok)
+from ._qlinalg import Q, mat, nullspace
+from .detgeo import (DeterminantalInstance, annihilator, mat3,
+                     mat3_image_basis, mat3_kernel, s_circ_ok)
 from .poly import MPoly, gradient
 
 

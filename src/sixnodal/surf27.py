@@ -62,11 +62,13 @@ L = PicClass(1, (0,) * 6)
 @lru_cache(maxsize=1)
 def _line_classes_cached() -> tuple[PicClass, ...]:
     out = []
-    for d in range(-1, 4):
-        for m in itertools.product(range(-2, 3), repeat=6):
-            c = PicClass(d, m)
-            if c.dot(c) == -1 and c.dot(K_CLASS) == -1:
-                out.append(c)
+    for d in range(3):
+        for m in itertools.product(range(-2, 3), repeat=5):
+            m6 = 1 - 3 * d - sum(m)          # solves C.K = -1
+            if abs(m6) <= 2:
+                c = PicClass(d, m + (m6,))
+                if c.dot(c) == -1:
+                    out.append(c)
     return tuple(out)
 
 
@@ -75,7 +77,8 @@ def line_classes() -> list[PicClass]:
 
     Brute force over a box that provably contains them: the two conditions
     give 3d + sum(m) = 1 and d^2 - sum(m^2) = -1, and Cauchy-Schwarz then
-    pins d to {0,1,2} and |m_i| <= 2.
+    pins d to {0,1,2} and |m_i| <= 2.  The first condition fixes m_6 from
+    d and m_1..m_5.
     """
     return list(_line_classes_cached())
 

@@ -56,6 +56,18 @@ def test_transfer_failure_exit_1():
     assert code == 1
 
 
+def test_transfer_failure_json_error():
+    code, out, err = run_cli(["lattice", "transfer", "--gram", "[[4,3],[3,7]]",
+                              "--json"])
+    assert code == 1
+    data = json.loads(out)
+    assert set(data) == {"command", "seed", "precision", "error"}
+    assert data["command"] == "lattice transfer"
+    assert data["seed"] == 1
+    assert "h^2" in data["error"]
+    assert "error:" in err
+
+
 def test_svg_emission(tmp_path):
     out_path = tmp_path / "cones.svg"
     code, out, _ = run_cli(["lattice", "svg", "--range", "2",

@@ -179,11 +179,22 @@ def test_residual_recovers_planted_point():
     assert all(trace_pair(a, rank1(v6, w6)) == 0 for a in perp.basis)
 
 
-def test_residual_engineered_roundtrip(inst1):
+@pytest.mark.parametrize("dropped", range(6))
+def test_residual_engineered_roundtrip(inst1, dropped):
     # drop one node of a verified instance and recover it from the other five
     mats = [n.matrix for n in inst1.nodes]
-    recovered = residual_rank1_point(mats[:4] + [mats[5]])
-    assert projectively_equal(flatten(recovered), flatten(mats[4]))
+    recovered = residual_rank1_point(mats[:dropped] + mats[dropped + 1:])
+    assert projectively_equal(flatten(recovered), flatten(mats[dropped]))
+
+
+def test_seed4_first_draw_yields_sixth_node():
+    # the first draw of seed 4 is accepted: its sixth node is rank 1 and in
+    # the span of the other five
+    from sixnodal import detgeo
+    inst = detgeo._build_instance(4, random.Random(4))
+    p6 = inst.nodes[5].matrix
+    assert mat3_rank(p6) == 1
+    assert EndoSubspace(tuple(n.matrix for n in inst.nodes[:5])).contains(p6)
 
 
 def test_residual_common_kernel_degenerates():
