@@ -49,8 +49,9 @@ def kernel_numeric(rows, prec: int, rtol=None):
             best_val = rtol * scale
             for i in range(pivots, nrows):
                 for j in range(pivots, ncols):
-                    if abs(m[i][j]) > best_val:
-                        best_val = abs(m[i][j])
+                    a = abs(m[i][j])
+                    if a > best_val:
+                        best_val = a
                         best = (i, j)
             if best is None:
                 break
@@ -84,12 +85,3 @@ def rank_numeric(rows, prec: int, rtol=None) -> int:
     ncols = len(rows[0]) if rows else 0
     return ncols - len(kernel_numeric(rows, prec, rtol))
 
-
-def lines_span_equal(p1, p2, q1, q2, prec: int, rtol=None) -> bool:
-    """Do span(p1,p2) and span(q1,q2) agree as projective lines?"""
-    rtol = rtol if rtol is not None else default_tolerance(prec)
-    with mpmath.workprec(prec + 32):
-        if rank_numeric([p1, p2], prec, rtol) != 2 or rank_numeric([q1, q2], prec, rtol) != 2:
-            return False
-        return rank_numeric([p1, p2, q1], prec, rtol) == 2 and \
-            rank_numeric([p1, p2, q2], prec, rtol) == 2

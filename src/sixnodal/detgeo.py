@@ -1401,10 +1401,11 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
     out = []
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
-        scale_q = max((abs(_numeric.to_mpc(c, prec)) for c in q_chart.terms.values()),
-                      default=mpmath.mpf(1))
-        scale_c = max((abs(_numeric.to_mpc(c, prec)) for c in c_chart.terms.values()),
-                      default=mpmath.mpf(1))
+        q_num = {e: _numeric.to_mpc(c, prec) for e, c in q_chart.terms.items()}
+        c_num = {e: _numeric.to_mpc(c, prec) for e, c in c_chart.terms.items()}
+        scale_q = max((abs(c) for c in q_num.values()), default=mpmath.mpf(1))
+        scale_c = max((abs(c) for c in c_num.values()), default=mpmath.mpf(1))
+        chart_num = [[_numeric.to_mpc(x, prec) for x in row] for row in chart]
         residual_max = mpmath.mpf(0)
         for (s_val, t_val), _mult in root_list:
             if isinstance(s_val, Fraction) and isinstance(t_val, Fraction):
@@ -1413,7 +1414,7 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
                     out.append((tuple(sum(c * chart[k][j] for k, c in enumerate(d3))
                                       for j in range(n)), True))
                 continue
-            for d3 in _lift_direction_numeric(q_chart, c_chart, s_val, t_val, prec):
+            for d3 in _lift_direction_numeric(q_num, c_num, s_val, t_val, prec):
                 rq = abs(q_chart.evaluate(d3))
                 rc = abs(c_chart.evaluate(d3))
                 dnorm = max(1, max(abs(x) for x in d3))
@@ -1421,8 +1422,7 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
                 if resid > tol:
                     continue
                 residual_max = max(residual_max, resid)
-                out.append((tuple(sum(c * _numeric.to_mpc(chart[k][j], prec)
-                                      for k, c in enumerate(d3))
+                out.append((tuple(sum(c * chart_num[k][j] for k, c in enumerate(d3))
                                   for j in range(n)), False))
     return out, tuple(m for _, m in root_list), residual_max
 
@@ -1436,7 +1436,13 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
     rational P and P-dual lines always come back exact; the rest come back
     numeric at the working precision, each with its residual checked
     against 2^(-prec/2).  The directions are those of direction_candidates.
-    With an instance attached every line gets a family tag.
+
+    With an instance attached every line gets a family tag.  An exact line
+    with direction d is P when phi(d) kills the kernel vector of phi(y),
+    P-dual when the cokernel functional of phi(y) kills phi(d), and else
+    takes classify_line's tag.  Numeric lines come only from irrational
+    eliminant roots, so they are never P or P-dual; they are Scomponent
+    when the numeric sigma test passes.
     """
     if f.nvars != 5:
         raise DetGeoError("lines_through_point expects an ambient P^4")
@@ -1445,16 +1451,11 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
     cands, mults, residual_max = _lift_eliminant(chart, q_chart, c_chart,
                                                  elim, prec)
 
-    exact_specials = {}
     if inst is not None:
         phi_y = inst.phi(y)
         kv = mat3_kernel(phi_y)
         kw = mat3_kernel(transpose(mat(phi_y)))
-        if len(kv) == 1:
-            exact_specials["P"] = special_line(inst, "fromV", kv[0])
-        if len(kw) == 1:
-            exact_specials["Pdual"] = special_line(inst, "fromVdual", kw[0])
-
+        s_test = _numeric_s_test(inst, phi_y, prec)
     y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
     found = []
     for d, exact in cands:
@@ -1462,82 +1463,95 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
         if exact:
             line = ProjLine(y, d)
             if inst is not None:
-                tag = _tag_line(inst, line, exact_specials)
+                tag = _tag_exact_line(inst, line, kv, kw)
         else:
             line = ProjLine(y_num, d, exact=False, prec=prec)
             if inst is not None:
-                tag = _tag_line_numeric(inst, y, y_num, d, exact_specials, prec)
+                tag = "Scomponent" if s_test(d) else "unclassified"
         found.append((line, tag))
     return LinesThroughPoint(tuple(found), elim, mults, float(residual_max))
 
 
-def _tag_line_numeric(inst, y, y_num, d, exact_specials, prec) -> str:
-    """Family tag for a numeric line through the rational point y."""
-    for tag, special in exact_specials.items():
-        s0 = tuple(_numeric.to_mpc(x, prec) for x in special.p0)
-        s1 = tuple(_numeric.to_mpc(x, prec) for x in special.p1)
-        if _numeric.lines_span_equal(y_num, d, s0, s1, prec):
-            return tag
-    if _numeric_s_tag(inst, y, d, prec):
-        return "Scomponent"
-    return "unclassified"
+def _tag_exact_line(inst, line: ProjLine, kv, kw) -> str:
+    """Family tag of the exact line spanned by y = line.p0 and a direction
+    line.p1, where kv and kw are the kernel and cokernel of phi(y)."""
+    phi_d = inst.phi(line.p1)
+    if len(kv) == 1 and is_zero_vec(mat_vec(phi_d, kv[0])):
+        return "P"
+    if len(kw) == 1 and is_zero_vec(mat_vec(transpose(phi_d), kw[0])):
+        return "Pdual"
+    return classify_line(inst, line)
 
 
-def _numeric_s_tag(inst, y, d, prec) -> bool:
-    """Numeric check that the line through y with direction d carries a
-    rank-2 sigma in lam with sigma phi sigma = 0 (the S family)."""
+def _numeric_s_test(inst, phi_y, prec):
+    """Numeric S-family test for lines through y, where phi(y) = phi_y: the
+    returned function of a direction d says whether the line carries a rank-2
+    sigma in lam with sigma phi sigma = 0.  Data of y are converted once."""
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
-        phi1 = [[_numeric.to_mpc(x, prec) for x in row] for row in inst.phi(y)]
+        phi1 = [[_numeric.to_mpc(x, prec) for x in row] for row in phi_y]
         basis_num = [[[_numeric.to_mpc(x, prec) for x in row] for row in b]
                      for b in inst.lam_perp.basis]
-        phi2 = [[sum(d[k] * basis_num[k][i][j] for k in range(5)) for j in range(3)]
-                for i in range(3)]
-        ann1 = _numeric.kernel_numeric([list(r) for r in zip(*phi1)], prec)
-        ann2 = _numeric.kernel_numeric([list(r) for r in zip(*phi2)], prec)
-        if len(ann1) != 1 or len(ann2) != 1:
-            return False
-        inter = _numeric.kernel_numeric([list(ann1[0]), list(ann2[0])], prec)
-        if len(inter) != 1:
-            return False
-        u0 = inter[0]
-        ann_u0 = _numeric.kernel_numeric([list(u0)], prec)
-        pre_rows = [[sum(c[i] * phi1[i][j] for i in range(3)) for j in range(3)]
-                    for c in ann_u0]
-        pre = _numeric.kernel_numeric(pre_rows, prec)
-        if len(pre) != 2:
-            return False
-        ann_pre = _numeric.kernel_numeric([list(p) for p in pre], prec)
         lam_num = [[[_numeric.to_mpc(x, prec) for x in row] for row in b]
                    for b in inst.lam.basis]
-        cond_rows = []
-        for i in range(3):  # sigma u0 = 0
-            cond_rows.append([sum(b[i][j] * u0[j] for j in range(3)) for b in lam_num])
-        for a in ann_pre:   # im sigma inside the preimage plane
-            for j in range(3):
-                cond_rows.append([sum(a[i] * b[i][j] for i in range(3)) for b in lam_num])
-        sols = _numeric.kernel_numeric(cond_rows, prec)
-        if not sols:
+        ann1 = _numeric.kernel_numeric([list(r) for r in zip(*phi1)], prec)
+
+    def carries_sigma(d) -> bool:
+        if len(ann1) != 1:
             return False
-        sigma = [[sum(sols[0][k] * lam_num[k][i][j] for k in range(4))
-                  for j in range(3)] for i in range(3)]
-        snorm = max(abs(x) for row in sigma for x in row)
-        if snorm == 0:
-            return False
-        for phi in (phi1, phi2):
-            pnorm = max(abs(x) for row in phi for x in row)
-            prod_norm = max(abs(sum(sigma[i][a] * phi[a][b] * sigma[b][j]
-                                    for a in range(3) for b in range(3)))
-                            for i in range(3) for j in range(3))
-            if prod_norm > tol * snorm * snorm * pnorm * 64:
+        with mpmath.workprec(prec + 32):
+            phi2 = [[sum(d[k] * basis_num[k][i][j] for k in range(5)) for j in range(3)]
+                    for i in range(3)]
+            ann2 = _numeric.kernel_numeric([list(r) for r in zip(*phi2)], prec)
+            if len(ann2) != 1:
                 return False
-        return True
+            inter = _numeric.kernel_numeric([list(ann1[0]), list(ann2[0])], prec)
+            if len(inter) != 1:
+                return False
+            u0 = inter[0]
+            ann_u0 = _numeric.kernel_numeric([list(u0)], prec)
+            pre_rows = [[sum(c[i] * phi1[i][j] for i in range(3)) for j in range(3)]
+                        for c in ann_u0]
+            pre = _numeric.kernel_numeric(pre_rows, prec)
+            if len(pre) != 2:
+                return False
+            ann_pre = _numeric.kernel_numeric([list(p) for p in pre], prec)
+            cond_rows = []
+            for i in range(3):  # sigma u0 = 0
+                cond_rows.append([sum(b[i][j] * u0[j] for j in range(3)) for b in lam_num])
+            for a in ann_pre:   # im sigma inside the preimage plane
+                for j in range(3):
+                    cond_rows.append([sum(a[i] * b[i][j] for i in range(3)) for b in lam_num])
+            sols = _numeric.kernel_numeric(cond_rows, prec)
+            if not sols:
+                return False
+            sigma = [[sum(sols[0][k] * lam_num[k][i][j] for k in range(4))
+                      for j in range(3)] for i in range(3)]
+            snorm = max(abs(x) for row in sigma for x in row)
+            if snorm == 0:
+                return False
+            for phi in (phi1, phi2):
+                pnorm = max(abs(x) for row in phi for x in row)
+                # (sigma phi) sigma, each term associated as in a left-to-right product
+                sp = [[[sigma[i][a] * phi[a][b] for b in range(3)] for a in range(3)]
+                      for i in range(3)]
+                prod_norm = max(abs(sum(sp[i][a][b] * sigma[b][j]
+                                        for a in range(3) for b in range(3)))
+                                for i in range(3) for j in range(3))
+                if prod_norm > tol * snorm * snorm * pnorm * 64:
+                    return False
+            return True
+
+    return carries_sigma
 
 
-def _lift_direction_numeric(q_chart, c_chart, s, t, prec):
+def _lift_direction_numeric(q_num, c_num, s, t, prec):
+    """Lifts (s, t, u) of a numeric root; q_num, c_num map exponents to mpc."""
     with mpmath.workprec(prec + 32):
-        uq = _slice_numeric(q_chart, s, t)
-        uc = _slice_numeric(c_chart, s, t)
+        s_num = s if isinstance(s, mpmath.mpc) else _numeric.to_mpc(s)
+        t_num = t if isinstance(t, mpmath.mpc) else _numeric.to_mpc(t)
+        uq = _slice_numeric(q_num, s_num, t_num)
+        uc = _slice_numeric(c_num, s_num, t_num)
         if len(uq) < 2:
             return []
         tol = _numeric.default_tolerance(prec) * max(abs(c) for c in uq + uc)
@@ -1559,22 +1573,14 @@ def _lift_direction_numeric(q_chart, c_chart, s, t, prec):
         return sols
 
 
-def _slice_numeric(p: MPoly, s, t):
+def _slice_numeric(terms, s, t):
     coeffs: dict[int, object] = {}
-    for e, c in p.terms.items():
-        term = _numeric.to_mpc(c)
-        term *= (s if isinstance(s, mpmath.mpc) else _numeric.to_mpc(s)) ** e[0]
-        term *= (t if isinstance(t, mpmath.mpc) else _numeric.to_mpc(t)) ** e[1]
-        coeffs[e[2]] = coeffs.get(e[2], mpmath.mpc(0)) + term
+    for e, c in terms.items():
+        term = c * s ** e[0]
+        term *= t ** e[1]
+        coeffs[e[2]] = coeffs[e[2]] + term if e[2] in coeffs else term
     deg = max(coeffs, default=-1)
     return [coeffs.get(k, mpmath.mpc(0)) for k in range(deg + 1)]
-
-
-def _tag_line(inst, line: ProjLine, exact_specials) -> str:
-    for tag, special in exact_specials.items():
-        if line.same_line(special):
-            return tag
-    return classify_line(inst, line)
 
 
 # ---------------------------------------------------------------------------

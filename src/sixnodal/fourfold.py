@@ -304,18 +304,19 @@ def _plane_restriction(f: MPoly, basis3, prec):
             # expand the product of len(idx)=3 linear forms over 3 basis vectors
             for i0 in range(3):
                 for i1 in range(3):
+                    prod01 = basis3[i0][idx[0]] * basis3[i1][idx[1]]
                     for i2 in range(3):
                         key = [0, 0, 0]
                         key[i0] += 1
                         key[i1] += 1
                         key[i2] += 1
-                        val = basis3[i0][idx[0]] * basis3[i1][idx[1]] * \
-                            basis3[i2][idx[2]]
+                        val = prod01 * basis3[i2][idx[2]]
                         key = tuple(key)
-                        combos[key] = combos.get(key, mpmath.mpc(0)) + val
+                        # storing a first term equals adding it to an exact zero
+                        combos[key] = combos[key] + val if key in combos else val
             cc = _numeric.to_mpc(c, prec)
             for key, val in combos.items():
-                out[key] = out.get(key, mpmath.mpc(0)) + cc * val
+                out[key] = out[key] + cc * val if key in out else cc * val
         return out
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sixnodal._numeric import default_tolerance
-from sixnodal._qlinalg import identity, mat, nullspace, projectively_equal, rank
+from sixnodal._qlinalg import (identity, mat, nullspace, projectively_equal, rank,
+                               transpose)
 from sixnodal.detgeo import (DegenerateInstance, DetGeoError,
                              DeterminantalInstance, EndoSubspace, ProjLine,
                              annihilator, classify_line, direction_candidates,
@@ -608,6 +609,31 @@ def test_direction_candidates_agree_with_lines_through_point(inst1):
             else:
                 scale = max(abs(x) for x in d)
                 assert max(abs(a - b) for a, b in zip(d, line.p1)) <= tol * scale
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_line_tags_match_classify_line(seed):
+    # first three criterion-09 points: exact lines are tagged by the kernel
+    # and cokernel vectors of phi(y); classify_line and special_line are the
+    # references
+    inst = make_instance(seed)
+    rng = random.Random(seed + 500)
+    for _ in range(3):
+        y = sample_smooth_point(inst, rng)
+        phi = inst.phi(y)
+        special = {"P": special_line(inst, "fromV", mat3_kernel(phi)[0]),
+                   "Pdual": special_line(inst, "fromVdual",
+                                         mat3_kernel(transpose(mat(phi)))[0])}
+        res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
+        exact_tags = []
+        for line, tag in res.lines:
+            if not line.exact:
+                continue
+            assert tag == classify_line(inst, line)
+            if tag in special:
+                assert line.same_line(special[tag])
+            exact_tags.append(tag)
+        assert {"P", "Pdual"} <= set(exact_tags)
 
 
 def test_lines_through_point_contains_planted(inst1):

@@ -152,6 +152,41 @@ def test_scroll_invariance_planted_incidence(four):
     assert si.margin_before < 1e-40 and si.margin_after < 1e-40
 
 
+@pytest.mark.parametrize("prec", [128, 256])
+def test_plane_restriction_matches_exact(four, inst1, prec):
+    # plane through three rational points of the fourfold: a node of the
+    # hyperplane section (smooth on the fourfold), then twice the third point
+    # of a tangent line at the last point (the other two intersections sit
+    # at the point of tangency); the last one leaves the hyperplane x5 = 0
+    from sixnodal._numeric import default_tolerance, to_mpc
+    from sixnodal.fourfold import _plane_restriction, _restriction_coeffs
+    from sixnodal.poly import restrict_to_subspace
+    grads = gradient(four.cubic)
+    rng = random.Random(7)
+    pts = [tuple(inst1.nodes[0].coords) + (Fraction(0),)]
+    while len(pts) < 3:
+        base = pts[-1]
+        grad = [g.evaluate(base) for g in grads]
+        k = max(range(6), key=lambda i: abs(grad[i]))
+        d = [Fraction(rng.randrange(-5, 6)) for _ in range(6)]
+        d[k] -= sum(a * b for a, b in zip(grad, d)) / grad[k]
+        c = _restriction_coeffs(four.cubic, base, d)
+        if c[2] == 0 or c[3] == 0:
+            continue
+        t = -c[2] / c[3]
+        pts.append(tuple(a + t * b for a, b in zip(base, d)))
+    assert all(four.cubic.evaluate(q) == 0 for q in pts) and pts[2][5] != 0
+    exact = restrict_to_subspace(four.cubic, pts)
+    with mpmath.workprec(prec + 32):
+        basis3 = [tuple(to_mpc(x, prec) for x in q) for q in pts]
+        coeffs = _plane_restriction(four.cubic, basis3, prec)
+        cmax = max(abs(to_mpc(c, prec)) for c in exact.terms.values())
+        assert set(exact.terms) <= set(coeffs)
+        for e, c in coeffs.items():
+            err = abs(c - to_mpc(exact.coefficient(e), prec))
+            assert err <= default_tolerance(prec) * cmax, e
+
+
 def test_lines_close_detects_difference(four):
     m1 = sample_line(four, seed=1)
     m2 = sample_line(four, seed=2)
