@@ -372,7 +372,8 @@ def cmd_fourfold_iota(args) -> int:
         report.check("iota is an involution", ok)
     if args.check_scroll:
         v = tuple(Fraction(x) for x in args.check_scroll.split(","))
-        si = ff.scroll_incidence_invariance(four, m, v, args.precision)
+        si = ff.scroll_incidence_invariance(four, m, v, args.precision,
+                                            image=res.line)
         report.check("scroll incidence invariant", si.invariant,
                      before=si.meets_before, after=si.meets_after)
     return _emit(report, args)
@@ -463,9 +464,10 @@ def cmd_reproduce(args) -> int:
     four = ff.extend_to_fourfold(inst, seed=args.seed, prec=args.precision,
                                  spot_checks=24)
     m = ff.sample_line(four, seed=1, prec=args.precision)
-    ok, _, _ = ff.involution_check(four, m, args.precision)
+    ok, first, _ = ff.involution_check(four, m, args.precision)
     report.check("iota is an involution", ok)
-    si = ff.scroll_incidence_invariance(four, m, (2, 3, -1), args.precision)
+    si = ff.scroll_incidence_invariance(four, m, (2, 3, -1), args.precision,
+                                        image=first.line)
     report.check("scroll incidence invariant under iota", si.invariant)
 
     report.data["cone_svg_chars"] = len(cone_svg(2))

@@ -1532,11 +1532,9 @@ def _numeric_s_test(inst, phi_y, prec):
                 return False
             for phi in (phi1, phi2):
                 pnorm = max(abs(x) for row in phi for x in row)
-                # (sigma phi) sigma, each term associated as in a left-to-right product
-                sp = [[[sigma[i][a] * phi[a][b] for b in range(3)] for a in range(3)]
+                sp = [[sum(sigma[i][a] * phi[a][b] for a in range(3)) for b in range(3)]
                       for i in range(3)]
-                prod_norm = max(abs(sum(sp[i][a][b] * sigma[b][j]
-                                        for a in range(3) for b in range(3)))
+                prod_norm = max(abs(sum(sp[i][b] * sigma[b][j] for b in range(3)))
                                 for i in range(3) for j in range(3))
                 if prod_norm > tol * snorm * snorm * pnorm * 64:
                     return False

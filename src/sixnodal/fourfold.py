@@ -294,29 +294,47 @@ def _independent_point(kernel_pair, y5, prec):
         return best
 
 
+def _plane_exponent(*idx):
+    key = [0, 0, 0]
+    for i in idx:
+        key[i] += 1
+    return tuple(key)
+
+
+# quadratic monomials s_m s_n (m <= n) in the plane coordinates, each with the
+# exponents of s_m s_n s_p for p = 0, 1, 2
+_PLANE_QUADRATIC = [(m, n, [_plane_exponent(m, n, p) for p in range(3)])
+                    for m in range(3) for n in range(m, 3)]
+
+
 def _plane_restriction(f: MPoly, basis3, prec):
-    """Coefficients of f restricted to span(basis3) in plane coordinates."""
+    """Coefficients of the cubic f restricted to span(basis3) in plane
+    coordinates.
+
+    f is grouped as the sum over i <= j of x_i x_j L_ij, where L_ij is linear
+    in the x_k with k >= j.  Each L_ij is restricted once and multiplied by
+    the quadratic l_i l_j, where l_i = (basis3[0][i], basis3[1][i],
+    basis3[2][i]) is the restriction of x_i.
+    """
     with mpmath.workprec(prec + 32):
-        out: dict = {}
+        linear: dict = {}
         for e, c in f.terms.items():
-            idx = [i for i in range(f.nvars) for _ in range(e[i])]
-            combos = {}
-            # expand the product of len(idx)=3 linear forms over 3 basis vectors
-            for i0 in range(3):
-                for i1 in range(3):
-                    prod01 = basis3[i0][idx[0]] * basis3[i1][idx[1]]
-                    for i2 in range(3):
-                        key = [0, 0, 0]
-                        key[i0] += 1
-                        key[i1] += 1
-                        key[i2] += 1
-                        val = prod01 * basis3[i2][idx[2]]
-                        key = tuple(key)
-                        # storing a first term equals adding it to an exact zero
-                        combos[key] = combos[key] + val if key in combos else val
+            i, j, k = [v for v in range(f.nvars) for _ in range(e[v])]
             cc = _numeric.to_mpc(c, prec)
-            for key, val in combos.items():
-                out[key] = out[key] + cc * val if key in out else cc * val
+            form = [cc * basis3[m][k] for m in range(3)]
+            if (i, j) in linear:
+                linear[i, j] = [a + b for a, b in zip(linear[i, j], form)]
+            else:
+                linear[i, j] = form
+        out: dict = {}
+        for (i, j), form in linear.items():
+            for m, n, keys in _PLANE_QUADRATIC:
+                q = basis3[m][i] * basis3[n][j]
+                if m != n:
+                    q += basis3[n][i] * basis3[m][j]
+                for key, lp in zip(keys, form):
+                    val = q * lp
+                    out[key] = out[key] + val if key in out else val
         return out
 
 
@@ -366,12 +384,15 @@ def _meets_scroll(four: CubicFourfold, line: FourfoldLine, quadrics, prec):
 
 
 def scroll_incidence_invariance(four: CubicFourfold, m: FourfoldLine, v,
-                                prec: int | None = None) -> ScrollIncidence:
-    """Does iota preserve incidence with the scroll of v?"""
+                                prec: int | None = None,
+                                image: FourfoldLine | None = None) -> ScrollIncidence:
+    """Does iota preserve incidence with the scroll of v?  `image` is iota(m)
+    when the caller already has it; otherwise it is computed here."""
     prec = prec or m.prec or 256
     sd = scroll_data(four.inst, v)
     before, margin_b = _meets_scroll(four, m, sd.quadrics_v, prec)
-    image = iota(four, m, prec).line
+    if image is None:
+        image = iota(four, m, prec).line
     after, margin_a = _meets_scroll(four, image, sd.quadrics_v, prec)
     return ScrollIncidence(before, after, margin_b, margin_a)
 

@@ -9,6 +9,7 @@ mpmath scalars).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import random
 from dataclasses import dataclass
@@ -936,44 +937,83 @@ def _cauchy_radius(coeffs):
     return 1 + max(abs(c) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else mpmath.mpf(1)
 
 
+def _horner(cs, z):
+    total = cs[-1]
+    for c in reversed(cs[:-1]):
+        total = total * z + c
+    return total
+
+
+def _aberth_sweep(cs, dcs, roots):
+    """One Gauss-Seidel Aberth sweep, updating roots in place; returns the
+    largest correction relative to max(1, |root|).  The arithmetic is that of
+    the entries: Python complex or mpmath mpc."""
+    moved = 0
+    for i, z in enumerate(roots):
+        dv = _horner(dcs, z)
+        if dv == 0:
+            roots[i] = z + 1 / 1024
+            moved = 1
+            continue
+        w = _horner(cs, z) / dv
+        s = 0
+        for j, zj in enumerate(roots):
+            if j != i:
+                s += 1 / (z - zj)
+        denom = 1 - w * s
+        corr = w / denom if denom != 0 else w
+        roots[i] = z - corr
+        moved = max(moved, abs(corr) / max(1, abs(roots[i])))
+    return moved
+
+
+# relative correction at which the double-precision phase hands over
+_FLOAT_TARGET = 2.0 ** -45
+
+
+def _float_start(cs, circle, max_iter):
+    """Aberth sweeps in hardware complex on the monic coefficients cs/cs[-1]
+    from the start circle; None when float cannot carry them (a ratio or a
+    start overflows, a value is not finite, or two approximations coincide)."""
+    mono = [complex(c / cs[-1]) for c in cs]
+    zs = [complex(z) for z in circle]
+    if not all(cmath.isfinite(x) for x in mono + zs):
+        return None
+    dmono = [k * mono[k] for k in range(1, len(mono))]
+    try:
+        for _ in range(max_iter):
+            if _aberth_sweep(mono, dmono, zs) < _FLOAT_TARGET:
+                break
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if not all(cmath.isfinite(z) for z in zs) or len(set(zs)) < len(zs):
+        return None
+    return zs
+
+
 def aberth_roots(coeffs, prec: int, max_iter: int = 400):
     """Simultaneous (Aberth-style) iteration for all roots of a squarefree
-    polynomial given by exact rational coefficients, low degree first."""
+    polynomial given by exact rational coefficients, low degree first.
+
+    The iteration starts in double precision: up to max_iter Gauss-Seidel
+    sweeps from the start circle, until no root moves by 2^-45 relative.  It
+    is finished by up to max_iter sweeps at prec + 64 bits, which stop once
+    no root moves by 2^-(prec+16) relative.  When double precision cannot
+    carry the polynomial, the sweeps at prec + 64 bits start from the circle.
+    """
     deg = len(coeffs) - 1
     with mpmath.workprec(prec + 64):
         cs = [mpmath.mpc(c.numerator) / mpmath.mpc(c.denominator) for c in coeffs]
         dcs = [k * cs[k] for k in range(1, deg + 1)]
-
-        def horner(zs, z):
-            total = mpmath.mpc(0)
-            for c in reversed(zs):
-                total = total * z + c
-            return total
-
         r = _cauchy_radius(cs)
         roots = [r * mpmath.exp(2j * mpmath.pi * (mpmath.mpf(k) / deg + mpmath.mpf(1) / (2 * deg) + mpmath.mpf(1) / 7))
                  for k in range(deg)]
+        start = _float_start(cs, roots, max_iter)
+        if start is not None:
+            roots = [mpmath.mpc(z) for z in start]
         target = mpmath.mpf(2) ** (-(prec + 16))
         for _ in range(max_iter):
-            moved = mpmath.mpf(0)
-            for i in range(deg):
-                z = roots[i]
-                pv = horner(cs, z)
-                dv = horner(dcs, z)
-                if dv == 0:
-                    roots[i] = z + mpmath.mpf(1) / 1024
-                    moved = mpmath.mpf(1)
-                    continue
-                w = pv / dv
-                s = mpmath.mpc(0)
-                for j in range(deg):
-                    if j != i:
-                        s += 1 / (z - roots[j])
-                denom = 1 - w * s
-                corr = w / denom if denom != 0 else w
-                roots[i] = z - corr
-                moved = max(moved, abs(corr) / max(1, abs(roots[i])))
-            if moved < target:
+            if _aberth_sweep(cs, dcs, roots) < target:
                 break
         else:
             raise RootFindingError("Aberth iteration did not converge",

@@ -152,6 +152,17 @@ def test_scroll_invariance_planted_incidence(four):
     assert si.margin_before < 1e-40 and si.margin_after < 1e-40
 
 
+def test_scroll_invariance_reuses_given_image(four):
+    v = (2, 3, -1)
+    lines = [sample_line(four, seed=s) for s in (1, 2, 3)]
+    lines.append(sample_line_through_scroll(four, v, seed=5))
+    for m in lines:
+        _, first, _ = involution_check(four, m)
+        given = scroll_incidence_invariance(four, m, v, image=first.line)
+        assert given == scroll_incidence_invariance(four, m, v)
+    assert given.meets_before and given.meets_after
+
+
 @pytest.mark.parametrize("prec", [128, 256])
 def test_plane_restriction_matches_exact(four, inst1, prec):
     # plane through three rational points of the fourfold: a node of the

@@ -461,3 +461,50 @@ def test_json_roundtrip():
     assert MPoly.from_json(f.to_json()) == f
     data = f.to_json()
     assert all(isinstance(c, str) and "/" in c for _, c in data["terms"])
+
+
+def _fourfold_eliminant(inst):
+    # the degree-6 eliminant of the first line sample_line draws on the
+    # seed-1 fourfold (base point and chart as in sample_line(four, seed=1))
+    from sixnodal.detgeo import _binary_form_parts, direction_chart, sample_smooth_point
+    from sixnodal.fourfold import extend_to_fourfold
+    four = extend_to_fourfold(inst, seed=1, spot_checks=0)
+    y = tuple(sample_smooth_point(inst, random.Random("1:1:line"))) + (Fraction(0),)
+    core = _binary_form_parts(direction_chart(four.cubic, y, "1:0")[3])[2]
+    assert core.degree() == 6
+    return list(core.coeffs)
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+@pytest.mark.parametrize("case, float_start", [
+    ("ratio_overflow", False), ("cluster", None), ("fourfold_eliminant", True)])
+def test_aberth_matches_polyroots(case, float_start, prec, inst1, monkeypatch):
+    if case == "ratio_overflow":        # x^2 - 2^1100: c_0/c_2 overflows float
+        coeffs = [Fraction(-(2 ** 1100)), Fraction(0), Fraction(1)]
+    elif case == "cluster":             # roots 1 and 1 + 2^-60, which float cannot separate
+        eps = Fraction(1, 2 ** 60)
+        coeffs = list((UPoly([-1, 1]) * UPoly([-1 - eps, 1]) * UPoly([2, 1])).coeffs)
+    else:
+        coeffs = _fourfold_eliminant(inst1)
+    starts = []
+    real_start = poly._float_start
+
+    def recording_start(*args):
+        starts.append(real_start(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(poly, "_float_start", recording_start)
+    got = poly.aberth_roots(coeffs, prec)
+    assert len(starts) == 1
+    if float_start is not None:
+        assert (starts[0] is not None) == float_start
+    with mpmath.workprec(prec + 64):
+        ref = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                for c in reversed(coeffs)],
+                               maxsteps=400, extraprec=prec + 64)
+        assert len(got) == len(ref) == len(coeffs) - 1
+        unmatched = list(got)
+        for r in ref:
+            z = min(unmatched, key=lambda w: abs(w - r))
+            assert abs(z - r) <= mpmath.mpf(2) ** -prec * abs(r), (case, r)
+            unmatched.remove(z)
