@@ -28,6 +28,12 @@ def default_tolerance(prec: int):
     return mpmath.mpf(2) ** (-(prec // 2))
 
 
+def check_tolerance(prec: int, at_256: float) -> float:
+    """Tolerance of a check at prec bits, given its value at 256 bits: the
+    same power of the working precision, at_256 ** (prec / 256)."""
+    return at_256 ** (prec / 256)
+
+
 def kernel_numeric(rows, prec: int, rtol=None):
     """Right kernel basis of a small matrix of mpc entries.
 

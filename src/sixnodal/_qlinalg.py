@@ -2,15 +2,16 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
 here is small (dimension <= 10ish) and on the hot path of the geometry
-modules, so the routines favour plain Gaussian elimination over anything
-clever.  Integer matrices destined for big determinants go through the
-fraction-free Bareiss routine instead.
+modules.  Results are exact Fractions, but the eliminations run on Python
+ints: each row is scaled once to integers over the lcm of its denominators,
+rref is fraction-free Gauss-Jordan, and det is integer Bareiss, so a
+Fraction is built only for each entry of the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple  # tuple[Fraction, ...]
 Mat = tuple  # tuple[Vec, ...]
@@ -56,33 +57,68 @@ def is_zero_vec(u: Vec) -> bool:
     return all(x == 0 for x in u)
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    m = [list(row) for row in a]
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(ints, den): den is the lcm of the denominators of the rational
+    values (ints or Fractions), and ints[i] = values[i] * den."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def primitive(ints: list[int]) -> list[int]:
+    """An integer vector divided by the gcd of its entries (zero stays zero)."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _int_rref(a: Mat) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on the rows of a scaled to integers.
+
+    Every row is kept primitive: each update row_i <- (pv/g) row_i -
+    (f/g) row_r, with g = gcd(pv, f), is divided by its content.  Returns the
+    integer rows, the first len(pivots) of them nonzero multiples of the
+    reduced rows, the rest zero, and the pivot column indices.
+    """
+    m = [primitive(clear_denominators(row)[0]) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        row_r = m[r]
+        pv = row_r[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                p, q = pv // g, f // g
+                m[i] = primitive([p * x - q * y for x, y in zip(m[i], row_r)])
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return tuple(tuple(row) for row in m), pivots
+    return m, pivots
+
+
+def rref(a: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and the pivot column indices.
+
+    The integer rows of _int_rref, each pivot row divided by its pivot once.
+    The reduced form is unique, so this is the Fraction Gauss-Jordan result.
+    """
+    m, pivots = _int_rref(a)
+    zero = Fraction(0)
+    out = tuple(tuple(Fraction(x, m[i][c]) if x else zero for x in m[i])
+                for i, c in enumerate(pivots))
+    cols = len(m[0]) if m else 0
+    return out + ((zero,) * cols,) * (len(m) - len(pivots)), pivots
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    return len(_int_rref(a)[1])
 
 
 def nullspace(a: Mat) -> list[Vec]:
@@ -117,26 +153,14 @@ def solve(a: Mat, b: Vec) -> Vec | None:
 
 
 def det(a: Mat) -> Fraction:
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [list(row) for row in a]
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        pv = m[c][c]
-        out *= pv
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * out
+    """Integer Bareiss on the rows scaled to integers, divided by the
+    product of the row denominators."""
+    rows, den = [], 1
+    for row in a:
+        ints, d = clear_denominators(row)
+        rows.append(ints)
+        den *= d
+    return Fraction(int_det_bareiss(rows), den)
 
 
 def inverse(a: Mat) -> Mat:
@@ -185,16 +209,7 @@ def projectively_equal(u: Vec, v: Vec) -> bool:
 
 def primitive_int_vector(v: Vec) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers with a sign convention."""
-    lcm = 1
-    for x in v:
-        d = Q(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Q(x) * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
+    ints = primitive(clear_denominators(v)[0])
     lead = next((x for x in ints if x != 0), 0)
     if lead < 0:
         ints = [-x for x in ints]

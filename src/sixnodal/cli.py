@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__, lattice, schubert, segre3, surf27
 from . import detgeo, fourfold as ff
-from ._numeric import DEFAULT_PRECISION
+from ._numeric import DEFAULT_PRECISION, check_tolerance
 
 
 @dataclass
@@ -454,7 +454,7 @@ def cmd_reproduce(args) -> int:
         tags = Counter(t for _, t in res.lines if t)
         splits.append(len(res.lines) == 6 and tags.get("P") == 1
                       and tags.get("Pdual") == 1 and tags.get("Scomponent") == 4
-                      and res.residual_max < 1e-40)
+                      and res.residual_max < check_tolerance(args.precision, 1e-40))
     report.check("six lines with split 1+1+4", all(splits))
 
     agree = [segre3.jmap_agree(inst, detgeo.sample_surface_point(inst, rng))

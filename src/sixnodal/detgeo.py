@@ -14,13 +14,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 
 from . import _numeric
-from ._qlinalg import (Q, det as qdet, identity, inverse, is_zero_vec, mat,
-                       mat_vec, nullspace, primitive_int_vector,
-                       projectively_equal, rank, solve, transpose, vec)
+from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
+                       is_zero_vec, mat, mat_vec, nullspace,
+                       primitive_int_vector, projectively_equal, rank, solve,
+                       transpose, vec)
 from .poly import (MPoly, PolyError, UPoly, _rational_roots_of_squarefree,
                    gradient, macaulay_nonzero, poly_det,
                    restrict_to_subspace, roots, sylvester_resultant)
@@ -44,6 +46,32 @@ def flatten(m) -> tuple:
 
 def unflatten(v) -> tuple:
     return tuple(tuple(v[3 * i + j] for j in range(3)) for i in range(3))
+
+
+def _int_flat(mats) -> tuple[list[list[int]], int]:
+    """Flattened 3x3 rational matrices as integer vectors over one common
+    denominator."""
+    flat, den = clear_denominators([x for m in mats for row in m for x in row])
+    return [flat[9 * k:9 * k + 9] for k in range(len(mats))], den
+
+
+def _int_mul3(a, b) -> list[int]:
+    """Product of two flattened 3x3 integer matrices."""
+    return [a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j] + a[3 * i + 2] * b[6 + j]
+            for i in range(3) for j in range(3)]
+
+
+def _image_rows(basis, v, transposed: bool = False) -> list[list[int]]:
+    """Integer rows, up to one common scale, of the map from coordinates c
+    to (sum_k c_k basis_k) v, or to (sum_k c_k basis_k)^T v; the scale does
+    not change the kernel."""
+    ms, _ = _int_flat(basis)
+    w, _ = clear_denominators(v)
+    if transposed:
+        return [[m[i] * w[0] + m[3 + i] * w[1] + m[6 + i] * w[2] for m in ms]
+                for i in range(3)]
+    return [[m[3 * i] * w[0] + m[3 * i + 1] * w[1] + m[3 * i + 2] * w[2] for m in ms]
+            for i in range(3)]
 
 
 def rank1(v, w):
@@ -102,13 +130,12 @@ class EndoSubspace:
         return len(self.basis)
 
     def element(self, coords):
-        out = [[Fraction(0)] * 3 for _ in range(3)]
-        for c, m in zip(coords, self.basis):
-            c = Q(c)
-            for i in range(3):
-                for j in range(3):
-                    out[i][j] += c * m[i][j]
-        return tuple(tuple(row) for row in out)
+        cs, dc = clear_denominators(coords)
+        ms, dm = _int_flat(self.basis)
+        terms = list(zip(cs, ms))
+        den = dc * dm
+        return unflatten([Fraction(sum(c * m[p] for c, m in terms), den)
+                          for p in range(9)])
 
     def coordinates_of(self, m):
         """Coordinates of a matrix in this basis, or None if outside."""
@@ -445,9 +472,13 @@ def _condition_bilinear(covector, u):
 
 
 def _solve_in_space(space: EndoSubspace, conditions):
-    rows = [[sum(cond[i][j] * b[i][j] for i in range(3) for j in range(3))
-             for b in space.basis] for cond in conditions]
-    return [space.element(s) for s in nullspace(mat(rows))]
+    # each row is scaled by its own denominator, the columns by a common one
+    ms, _ = _int_flat(space.basis)
+    rows = []
+    for cond in conditions:
+        cf, _ = clear_denominators(flatten(cond))
+        rows.append([sum(map(mul, cf, m)) for m in ms])
+    return [space.element(s) for s in nullspace(rows)]
 
 
 def linalg_duality_witness(lam: EndoSubspace, case: str, witness=None) -> DualityWitness:
@@ -918,27 +949,23 @@ def special_line(inst: DeterminantalInstance, kind: str, param) -> ProjLine:
     sigma phi sigma = 0 (sigma of rank 2 in lam, given by its coordinates or
     the matrix itself).
     """
+    # integer rows, each up to a scale that does not change the kernel
     basis = inst.lam_perp.basis
     if kind == "fromV":
-        v = vec(param)
-        rows = [[Q(mat_vec(mat(b), v)[i]) for b in basis] for i in range(3)]
+        rows = _image_rows(basis, vec(param))
     elif kind == "fromVdual":
-        vd = vec(param)
-        rows = [[Q(mat_vec(transpose(mat(b)), vd)[i]) for b in basis] for i in range(3)]
+        rows = _image_rows(basis, vec(param), transposed=True)
     elif kind == "fromS":
         sigma = _sigma_matrix(inst, param)
         if mat3_rank(sigma) != 2:
             raise DetGeoError("fromS parameter must have rank 2")
-        sig = mat(sigma)
-        rows = []
-        for i in range(3):
-            for j in range(3):
-                rows.append([sum(sig[i][a] * Q(b[a][c]) * sig[c][j]
-                                 for a in range(3) for c in range(3))
-                             for b in basis])
+        sig, _ = clear_denominators(flatten(sigma))
+        ms, _ = _int_flat(basis)
+        prods = [_int_mul3(sig, _int_mul3(m, sig)) for m in ms]
+        rows = [[p[q] for p in prods] for q in range(9)]
     else:
         raise DetGeoError(f"unknown line kind {kind!r}")
-    kernel = nullspace(mat(rows))
+    kernel = nullspace(rows)
     if len(kernel) != 2:
         raise DetGeoError(f"{kind} parameter is degenerate (solution dimension "
                           f"{len(kernel) - 1} != 1)")
@@ -1057,10 +1084,9 @@ def _preimage_of_line(phi, u0):
 
 
 def _sigma_kills(sigma, phi) -> bool:
-    prod = mat([[sum(Q(sigma[i][a]) * Q(phi[a][b]) * Q(sigma[b][j])
-                     for a in range(3) for b in range(3)) for j in range(3)]
-                for i in range(3)])
-    return all(x == 0 for row in prod for x in row)
+    sig, _ = clear_denominators(flatten(sigma))
+    ph, _ = clear_denominators(flatten(phi))
+    return not any(_int_mul3(sig, _int_mul3(ph, sig)))
 
 
 # ---------------------------------------------------------------------------
@@ -1685,9 +1711,7 @@ def sample_surface_point(inst: DeterminantalInstance, rng,
 
 def _line_in_lambda(inst, i: int):
     """The exceptional line E_i in lam: sigma with sigma v_i = 0."""
-    v = inst.nodes[i].v
-    rows = [[Q(mat_vec(mat(b), vec(v))[k]) for b in inst.lam.basis] for k in range(3)]
-    kern = nullspace(mat(rows))
+    kern = nullspace(_image_rows(inst.lam.basis, inst.nodes[i].v))
     if len(kern) != 2:
         return None
     return (inst.lam.element(kern[0]), inst.lam.element(kern[1]))

@@ -339,9 +339,12 @@ def _plane_restriction(f: MPoly, basis3, prec):
 
 
 def involution_check(four: CubicFourfold, m: FourfoldLine,
-                     prec: int | None = None, tol: float = 1e-30):
-    """Apply iota twice and compare with the input line."""
+                     prec: int | None = None, tol: float | None = None):
+    """Apply iota twice and compare with the input line, by default within
+    check_tolerance(prec, 1e-30)."""
     prec = prec or m.prec or 256
+    if tol is None:
+        tol = _numeric.check_tolerance(prec, 1e-30)
     first = iota(four, m, prec)
     second = iota(four, first.line, prec)
     return lines_close(second.line, m, prec, tol), first, second

@@ -15,10 +15,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 import mpmath
 
-from ._qlinalg import Q, det, int_det_bareiss, mat, rank
+from ._qlinalg import (Q, clear_denominators, det, int_det_bareiss, mat,
+                       primitive, rank)
 
 
 class PolyError(ValueError):
@@ -31,6 +33,28 @@ class MacaulayInconclusive(PolyError):
 
 def _grlex_key(e):
     return (sum(e), tuple(-x for x in e))
+
+
+def _int_terms(p: "MPoly") -> tuple[dict, int]:
+    """p's terms as integer numerators over one common denominator."""
+    ints, den = clear_denominators(p.terms.values())
+    return dict(zip(p.terms, ints)), den
+
+
+def _int_product(a: dict, b: dict) -> dict:
+    """Product of two integer term dicts.  A coefficient that cancels to
+    zero is dropped and re-inserted if it reappears, as Fraction sums did,
+    so the term order is that of the Fraction product."""
+    out: dict = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + x * y
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
 class MPoly:
@@ -55,6 +79,15 @@ class MPoly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict) -> "MPoly":
+        """Adopt terms that are already nonzero Fractions on exponent tuples
+        of the right arity, without __init__'s copy and checks."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
     @classmethod
     def zero(cls, nvars: int) -> "MPoly":
         return cls(nvars, {})
@@ -120,18 +153,13 @@ class MPoly:
             c = Q(other)
             if c == 0:
                 return MPoly.zero(self.nvars)
-            return MPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return MPoly._wrap(self.nvars, {e: c * v for e, v in self.terms.items()})
         other = self._coerce(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MPoly(self.nvars, out)
+        a, da = _int_terms(self)
+        b, db = _int_terms(other)
+        den = da * db
+        return MPoly._wrap(self.nvars, {e: Fraction(s, den)
+                                        for e, s in _int_product(a, b).items()})
 
     __rmul__ = __mul__
 
@@ -175,12 +203,27 @@ class MPoly:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        return MPoly(self.nvars, out)
+        return MPoly._wrap(self.nvars, out)
 
     def evaluate(self, point):
-        """Evaluate at a point; works for Fraction, mpf/mpc, or mixed scalars."""
+        """Evaluate at a point; works for Fraction, mpf/mpc, or mixed scalars.
+
+        At a rational point the sum runs on integers: with x = X/dx, each
+        term is taken over the common denominator den * dx^degree.
+        """
         if len(point) != self.nvars:
             raise PolyError("point arity mismatch")
+        if all(isinstance(x, (int, Fraction)) for x in point):
+            xs, dx = clear_denominators(point)
+            cs, den = clear_denominators(self.terms.values())
+            deg = max(self.degree(), 0)
+            total = 0
+            for e, c in zip(self.terms, cs):
+                for x, k in zip(xs, e):
+                    if k:
+                        c *= x ** k
+                total += c * dx ** (deg - sum(e))
+            return Fraction(total, den * dx ** deg)
         total = None
         for e, c in self.terms.items():
             term = c
@@ -197,21 +240,37 @@ class MPoly:
         n_out = substitutions[0].nvars if substitutions else 0
         if any(s.nvars != n_out for s in substitutions):
             raise PolyError("substitutions disagree on variable count")
-        powers: list[dict[int, MPoly]] = [dict() for _ in range(self.nvars)]
+        # powers[i][k]: substitutions[i]**k as (integer terms, denominator)
+        powers: list[dict[int, tuple]] = [dict() for _ in range(self.nvars)]
 
         def power(i, k):
             if k not in powers[i]:
-                powers[i][k] = substitutions[i] ** k
+                powers[i][k] = _int_terms(substitutions[i] ** k)
             return powers[i][k]
 
-        out = MPoly.zero(n_out)
+        # c * prod power(i, e_i) has denominator c.den * prod den(power);
+        # every term is summed as an integer over the lcm of these
+        parts = []
         for e, c in self.terms.items():
-            term = MPoly.const(n_out, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+            factors = [power(i, k) for i, k in enumerate(e) if k]
+            den = c.denominator
+            for _, d in factors:
+                den *= d
+            parts.append((c.numerator, den, [t for t, _ in factors]))
+        common = lcm(*(den for _, den, _ in parts))
+        out: dict = {}
+        for num, den, factors in parts:
+            prod = factors[0] if factors else {(0,) * n_out: 1}
+            for t in factors[1:]:
+                prod = _int_product(prod, t)
+            scale = num * (common // den)
+            for e, x in prod.items():
+                s = out.get(e, 0) + scale * x
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return MPoly._wrap(n_out, {e: Fraction(s, common) for e, s in out.items()})
 
     def coefficients_in(self, i: int) -> dict[int, "MPoly"]:
         """Split into coefficients of powers of variable i (variable i removed
@@ -228,17 +287,12 @@ class MPoly:
         """Scale so coefficients are coprime integers, leading (grlex) > 0."""
         if not self.terms:
             return self
-        lcm = 1
-        for c in self.terms.values():
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, abs(int(c * lcm)))
-        scale = Fraction(lcm, g)
-        lead = min(self.terms, key=_grlex_key)
-        if self.terms[lead] < 0:
-            scale = -scale
-        return self * scale
+        ints, _ = clear_denominators(self.terms.values())
+        g = gcd(*ints)
+        if self.terms[min(self.terms, key=_grlex_key)] < 0:
+            g = -g
+        return MPoly._wrap(self.nvars, {e: Fraction(x // g)
+                                        for e, x in zip(self.terms, ints)})
 
     # -- serialization and printing ---------------------------------------
     def to_json(self) -> dict:
@@ -642,9 +696,9 @@ def _macaulay_matrices(forms: list[MPoly], degs: list[int]):
     the factor prod den_i^(rows_i(big) - rows_i(sub)) by which clearing the
     denominators of form i (lcm den_i) scales det(big)/det(sub)."""
     n = len(forms)
-    dens = [lcm(*(c.denominator for c in f.terms.values())) for f in forms]
-    int_terms = [[(e, c.numerator * (den // c.denominator))
-                  for e, c in f.terms.items()] for f, den in zip(forms, dens)]
+    cleared = [_int_terms(f) for f in forms]
+    dens = [den for _, den in cleared]
+    int_terms = [list(terms.items()) for terms, _ in cleared]
     t = sum(d - 1 for d in degs) + 1
     monos = sorted(_monomials_of_degree(n, t), key=_grlex_key)
     index = {m: i for i, m in enumerate(monos)}
@@ -726,10 +780,7 @@ def _next_prime(n: int) -> int:
 
 def _primitive_int_coeffs(p: UPoly) -> list[int]:
     """Coprime integer coefficients of a nonzero rational multiple of p."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = gcd(*ints)
-    return [c // g for c in ints]
+    return primitive(clear_denominators(p.coeffs)[0])
 
 
 def _pm_trim(a: list[int]) -> list[int]:
@@ -937,6 +988,38 @@ def _cauchy_radius(coeffs):
     return 1 + max(abs(c) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else mpmath.mpf(1)
 
 
+def _newton_polygon_start(cs):
+    """Start points on circles from the Newton polygon of |c_i| (Bini 1996).
+
+    For each edge of the upper convex hull of (i, log2|c_i|), from i = a to
+    i = b, b - a points go on the circle of radius (|c_a|/|c_b|)^(1/(b-a)),
+    the geometric mean of that many root moduli.  A zero c_0 puts its points
+    on the innermost circle.
+    """
+    deg = len(cs) - 1
+    hull: list = []
+    for i, c in enumerate(cs):
+        if c == 0:
+            continue
+        pt = (i, mpmath.log(abs(c), 2))
+        while len(hull) >= 2 and ((hull[-1][1] - hull[-2][1]) * (i - hull[-2][0])
+                                  <= (pt[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    first = hull[0][0]
+    if len(hull) == 1:                  # c x^deg: one circle of radius 1
+        hull.insert(0, (0, hull[0][1]))
+    turn = 2j * mpmath.pi
+    roots = []
+    for (a, la), (b, lb) in zip(hull, hull[1:]):
+        radius = mpmath.mpf(2) ** ((la - lb) / (b - a))
+        lo = 0 if a == first else a
+        roots += [radius * mpmath.exp(turn * (mpmath.mpf(k) / (b - lo) + mpmath.mpf(lo) / deg
+                                              + mpmath.mpf(1) / 7))
+                  for k in range(b - lo)]
+    return roots
+
+
 def _horner(cs, z):
     total = cs[-1]
     for c in reversed(cs[:-1]):
@@ -999,7 +1082,8 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
     sweeps from the start circle, until no root moves by 2^-45 relative.  It
     is finished by up to max_iter sweeps at prec + 64 bits, which stop once
     no root moves by 2^-(prec+16) relative.  When double precision cannot
-    carry the polynomial, the sweeps at prec + 64 bits start from the circle.
+    carry the polynomial, the sweeps at prec + 64 bits start from circles
+    given by the Newton polygon of the coefficient moduli.
     """
     deg = len(coeffs) - 1
     with mpmath.workprec(prec + 64):
@@ -1011,6 +1095,8 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
         start = _float_start(cs, roots, max_iter)
         if start is not None:
             roots = [mpmath.mpc(z) for z in start]
+        else:
+            roots = _newton_polygon_start(cs)
         target = mpmath.mpf(2) ** (-(prec + 16))
         for _ in range(max_iter):
             if _aberth_sweep(cs, dcs, roots) < target:

@@ -125,3 +125,16 @@ def test_main_entry_in_process(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["data"]["g_pairings"] == [24, 48]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("prec", [96, 128, 192, 256, 512])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reproduce_passes_at_every_precision(seed, prec, capsys):
+    # the numeric checks scale their tolerances with the precision, so no
+    # verdict may flip between 96 and 512 bits
+    code = main(["reproduce", "--all", "--seed", str(seed), "--json",
+                 "--precision", str(prec)])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [c["name"] for c in data["checks"] if not c["pass"]] == []

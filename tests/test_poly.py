@@ -477,10 +477,23 @@ def _fourfold_eliminant(inst):
 
 @pytest.mark.parametrize("prec", [128, 256])
 @pytest.mark.parametrize("case, float_start", [
-    ("ratio_overflow", False), ("cluster", None), ("fourfold_eliminant", True)])
+    ("ratio_overflow", False), ("cluster", None), ("fourfold_eliminant", True),
+    ("cube_root_huge", False), ("three_huge_roots", False), ("tiny_lead", False),
+    ("huge_and_tiny_roots", False)])
 def test_aberth_matches_polyroots(case, float_start, prec, inst1, monkeypatch):
+    # the last four start from the Newton polygon: their roots are far from
+    # the circle of radius 1 + max|c_i/c_d| that the other fallback would use
     if case == "ratio_overflow":        # x^2 - 2^1100: c_0/c_2 overflows float
         coeffs = [Fraction(-(2 ** 1100)), Fraction(0), Fraction(1)]
+    elif case == "cube_root_huge":      # x^3 - 2^3000
+        coeffs = [Fraction(-(2 ** 3000)), Fraction(0), Fraction(0), Fraction(1)]
+    elif case == "three_huge_roots":    # (x - 2^1100)(x - 2^1101)(x + 2^1100)
+        coeffs = list((UPoly([-(2 ** 1100), 1]) * UPoly([-(2 ** 1101), 1])
+                       * UPoly([2 ** 1100, 1])).coeffs)
+    elif case == "tiny_lead":           # 2^-1030 x^3 + x^2 - 3
+        coeffs = [Fraction(-3), Fraction(0), Fraction(1), Fraction(1, 2 ** 1030)]
+    elif case == "huge_and_tiny_roots":  # x^3 - 2^1100 x - 1
+        coeffs = [Fraction(-1), Fraction(-(2 ** 1100)), Fraction(0), Fraction(1)]
     elif case == "cluster":             # roots 1 and 1 + 2^-60, which float cannot separate
         eps = Fraction(1, 2 ** 60)
         coeffs = list((UPoly([-1, 1]) * UPoly([-1 - eps, 1]) * UPoly([2, 1])).coeffs)
@@ -501,10 +514,117 @@ def test_aberth_matches_polyroots(case, float_start, prec, inst1, monkeypatch):
     with mpmath.workprec(prec + 64):
         ref = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
                                 for c in reversed(coeffs)],
-                               maxsteps=400, extraprec=prec + 64)
+                               maxsteps=400, extraprec=prec + 64,
+                               cleanup=False)  # keeps the root near -2^-1100
         assert len(got) == len(ref) == len(coeffs) - 1
         unmatched = list(got)
         for r in ref:
             z = min(unmatched, key=lambda w: abs(w - r))
             assert abs(z - r) <= mpmath.mpf(2) ** -prec * abs(r), (case, r)
             unmatched.remove(z)
+
+
+# ---------------------------------------------------------------------------
+# integer products against term-by-term Fraction arithmetic
+
+
+def _ref_mul_terms(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _ref_pow_terms(a: dict, k: int, n: int) -> dict:
+    # square and multiply, as MPoly.__pow__
+    out, base = {(0,) * n: Fraction(1)}, a
+    while k:
+        if k & 1:
+            out = _ref_mul_terms(out, base)
+        base = _ref_mul_terms(base, base)
+        k >>= 1
+    return out
+
+
+def _ref_compose_terms(f: MPoly, subs) -> dict:
+    n_out = subs[0].nvars
+    out = {}
+    for e, c in f.terms.items():
+        term = {(0,) * n_out: c}
+        for i, k in enumerate(e):
+            if k:
+                term = _ref_mul_terms(term, _ref_pow_terms(subs[i].terms, k, n_out))
+        for e2, c2 in term.items():
+            s = out.get(e2, Fraction(0)) + c2
+            if s == 0:
+                out.pop(e2, None)
+            else:
+                out[e2] = s
+    return out
+
+
+def _rational_poly(rng, nvars, deg, terms, bits=8):
+    out = {}
+    for _ in range(terms):
+        e = tuple(rng.randrange(0, deg + 1) for _ in range(nvars))
+        out[e] = Fraction(rng.randrange(-2 ** bits, 2 ** bits), rng.randrange(1, 2 ** bits))
+    return MPoly(nvars, out)
+
+
+def _same_terms(p: MPoly, terms: dict) -> bool:
+    # equal coefficients in the same order: numeric evaluation sums in it
+    return list(p.terms.items()) == list(terms.items()) \
+        and all(isinstance(c, Fraction) for c in p.terms.values())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mul_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    bits = 300 if seed % 3 == 0 else 8
+    f = _rational_poly(rng, 3, 3, rng.randrange(0, 8), bits)
+    g = _rational_poly(rng, 3, 3, rng.randrange(0, 8), bits)
+    assert _same_terms(f * g, _ref_mul_terms(f.terms, g.terms))
+    assert _same_terms(f * 3, {e: 3 * c for e, c in f.terms.items()})
+
+
+def test_mul_cancellation_order():
+    # x*y cancels on the way and comes back: its place in the term order is
+    # where it reappears, as with Fraction sums
+    x, y, z = MPoly.variables(3)
+    f = x + y + z
+    g = x - y + Fraction(1, 3) * z
+    h = Fraction(2, 5) * x * y - z
+    for a, b in ((f, g), (f * g, h), ((x + y) * (x - y), x + y)):
+        assert _same_terms(a * b, _ref_mul_terms(a.terms, b.terms))
+    assert (x + y) * (x - y) == x * x - y * y
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compose_matches_fraction_reference(seed):
+    rng = random.Random(100 + seed)
+    f = _rational_poly(rng, 3, 3, rng.randrange(1, 8))
+    subs = [_rational_poly(rng, 2, 2, rng.randrange(0, 4), 300 if seed % 2 else 8)
+            for _ in range(3)]
+    assert _same_terms(f.compose(subs), _ref_compose_terms(f, subs))
+    lin = [MPoly.linear_form([Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+                              for _ in range(4)]) for _ in range(3)]
+    assert _same_terms(f.compose(lin), _ref_compose_terms(f, lin))
+
+
+def test_evaluate_rational_point_matches_fraction_sum():
+    rng = random.Random(7)
+    for _ in range(6):
+        f = _rational_poly(rng, 3, 3, 6, 40)
+        pt = (Fraction(rng.randrange(-50, 50), rng.randrange(1, 50)), rng.randrange(-9, 10),
+              Fraction(rng.randrange(-50, 50), rng.randrange(1, 50)))
+        want = sum((c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2]
+                    for e, c in f.terms.items()), Fraction(0))
+        got = f.evaluate(pt)
+        assert isinstance(got, Fraction) and got == want
+    assert MPoly.zero(2).evaluate((1, 2)) == 0

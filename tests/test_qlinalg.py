@@ -1,0 +1,222 @@
+"""The integer kernel of _qlinalg against plain Fraction Gauss-Jordan."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from sixnodal._qlinalg import (_int_rref, clear_denominators, det, inverse,
+                               mat_vec, nullspace, primitive_int_vector, rank,
+                               rref, solve)
+
+
+# ---------------------------------------------------------------------------
+# reference: Gauss-Jordan and Gaussian elimination on Fractions
+
+
+def ref_rref(a):
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return tuple(tuple(row) for row in m), pivots
+
+
+def ref_det(a):
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    out = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            out = -out
+        pv = m[c][c]
+        out *= pv
+        for i in range(c + 1, n):
+            f = m[i][c] / pv
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return out
+
+
+def ref_nullspace(a):
+    cols = len(a[0])
+    r, pivots = ref_rref(a)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# seeded test matrices
+
+
+def _entry(rng, kind):
+    if kind == "int":
+        return rng.randrange(-9, 10)
+    if kind == "big":               # 300-bit denominators
+        return Fraction(rng.randrange(-2 ** 300, 2 ** 300), rng.randrange(1, 2 ** 300))
+    if kind == "mixed":
+        return rng.randrange(-9, 10) if rng.random() < 0.5 \
+            else Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
+    return Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
+
+
+def _random(rng, rows, cols, kind="small"):
+    return tuple(tuple(_entry(rng, kind) for _ in range(cols)) for _ in range(rows))
+
+
+def _product(a, b):
+    return tuple(tuple(sum(Fraction(x) * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+def _case(name):
+    rng = random.Random(name)
+    if name == "empty":
+        return ()
+    if name == "all_zero":
+        return ((0, 0, 0, 0),) * 3
+    if name == "zero_rows":
+        a = list(_random(rng, 5, 4))
+        a[1] = a[3] = (Fraction(0),) * 4
+        return tuple(a)
+    if name == "rank_deficient":        # 5x5 of rank 3
+        return _product(_random(rng, 5, 3), _random(rng, 3, 5))
+    if name == "rank_deficient_wide":   # 3x6 of rank 2
+        return _product(_random(rng, 3, 2), _random(rng, 2, 6))
+    if name == "mixed":
+        return _random(rng, 4, 4, "mixed")
+    if name == "negative_pivots":
+        a = [list(row) for row in _random(rng, 4, 4)]
+        for i in range(4):
+            a[i][i] = -abs(a[i][i]) - 1
+        return tuple(tuple(row) for row in a)
+    if name == "big_denominators":
+        return _random(rng, 4, 4, "big")
+    if name == "big_rank_deficient":
+        return _product(_random(rng, 4, 2, "big"), _random(rng, 2, 5, "big"))
+    if name == "tall":
+        return _random(rng, 6, 3)
+    if name == "wide":
+        return _random(rng, 3, 7, "mixed")
+    rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+    return _random(rng, rows, cols, rng.choice(["int", "small", "mixed"]))
+
+
+CASES = ["empty", "all_zero", "zero_rows", "rank_deficient", "rank_deficient_wide",
+         "mixed", "negative_pivots", "big_denominators", "big_rank_deficient",
+         "tall", "wide"] + [f"random{k}" for k in range(12)]
+
+
+def _all_fractions(m):
+    return all(isinstance(x, Fraction) for row in m for x in row)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_rref_rank_nullspace_match_fraction_gauss_jordan(name):
+    a = _case(name)
+    r, pivots = rref(a)
+    ref_r, ref_pivots = ref_rref(a)
+    assert (r, pivots) == (ref_r, ref_pivots)
+    assert _all_fractions(r)
+    assert rank(a) == len(ref_pivots)
+    if a:
+        kernel = nullspace(a)
+        assert kernel == ref_nullspace(a)
+        assert _all_fractions(kernel)
+        for v in kernel:
+            assert all(x == 0 for x in mat_vec(a, v))
+    else:
+        assert nullspace(a) == []
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_integer_rows_stay_primitive(name):
+    # the content division keeps every integer row coprime
+    m, pivots = _int_rref(_case(name))
+    for i, row in enumerate(m):
+        assert gcd(*row) == (1 if i < len(pivots) else 0), (name, i)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_solve_matches_reference(name):
+    a = _case(name)
+    rng = random.Random(f"{name}:rhs")
+    cols = len(a[0]) if a else 0
+    x0 = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)) for _ in range(cols)]
+    b = tuple(sum(Fraction(v) * w for v, w in zip(row, x0)) for row in a)
+    x = solve(a, b)
+    ref_r, ref_pivots = ref_rref(tuple(tuple(row) + (bi,) for row, bi in zip(a, b)))
+    want = [Fraction(0)] * cols
+    for i, p in enumerate(ref_pivots):
+        want[p] = ref_r[i][cols]
+    assert x == tuple(want)
+    assert all(isinstance(v, Fraction) for v in x)
+    assert mat_vec(a, x) == b
+
+
+@pytest.mark.parametrize("name", ["all_zero", "zero_rows", "rank_deficient",
+                                  "rank_deficient_wide", "big_rank_deficient",
+                                  "tall"])
+def test_solve_inconsistent_is_none(name):
+    a = _case(name)
+    # a right-hand side off the column space: a left-kernel vector y of a
+    # has y.b != 0 for b = y
+    left = ref_nullspace(tuple(zip(*a)))
+    assert left
+    assert solve(a, left[0]) is None
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_det_and_inverse_match_reference(name):
+    a = _case(name)
+    if a and len(a) != len(a[0]):
+        return
+    d = det(a)
+    assert isinstance(d, Fraction)
+    assert d == (ref_det(a) if a else 1)
+    if d == 0:
+        with pytest.raises(ValueError):
+            inverse(a)
+        return
+    n = len(a)
+    inv = inverse(a)
+    ref_r, _ = ref_rref(tuple(tuple(a[i]) + tuple(Fraction(int(i == j)) for j in range(n))
+                              for i in range(n)))
+    assert inv == tuple(tuple(row[n:]) for row in ref_r)
+    assert _all_fractions(inv)
+    assert _product(a, inv) == tuple(tuple(Fraction(int(i == j)) for j in range(n))
+                                     for i in range(n))
+
+
+def test_clear_denominators_and_primitive_vector():
+    ints, den = clear_denominators([Fraction(1, 6), 2, Fraction(-3, 4)])
+    assert (ints, den) == ([2, 24, -9], 12)
+    assert clear_denominators([]) == ([], 1)
+    assert primitive_int_vector((Fraction(-2, 3), Fraction(4, 9), 0)) == (3, -2, 0)
+    assert primitive_int_vector((0, 0)) == (0, 0)
