@@ -24,7 +24,7 @@ from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
                        primitive_int_vector, projectively_equal, rank, solve,
                        transpose, vec)
 from .poly import (MPoly, PolyError, UPoly, _rational_roots_of_squarefree,
-                   gradient, macaulay_nonzero, poly_det,
+                   gradient, irreducibility_prime, macaulay_nonzero, poly_det,
                    restrict_to_subspace, roots, sylvester_resultant)
 
 
@@ -1389,9 +1389,9 @@ def direction_candidates(f: MPoly, y, prec: int = 256, chart_seed: int = 0,
     """
     chart, q_chart, c_chart, elim = direction_chart(f, y, chart_seed,
                                                     _cut_through)
-    cands, mults, _residual_max = _lift_eliminant(chart, q_chart, c_chart,
-                                                  elim, prec)
-    return cands, elim, mults
+    cands, root_list, _residual_max, _single = _lift_eliminant(
+        chart, q_chart, c_chart, elim, prec)
+    return cands, elim, tuple(m for _, m in root_list)
 
 
 def _eliminant_roots(elim: MPoly, prec: int):
@@ -1417,10 +1417,11 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
     Rational roots lift exactly.  The others lift numerically at prec + 32
     bits, and a numeric lift is kept only when its residual on the conic
     and on the cubic, relative to their coefficient scales, is within
-    default_tolerance(prec).  Returns (candidates, multiplicities,
-    residual_max): each candidate is (direction in ambient coordinates,
-    exact_flag), and residual_max is the largest residual of a kept
-    numeric lift.
+    default_tolerance(prec).  Returns (candidates, root_list, residual_max,
+    single_lifts): each candidate is (direction in ambient coordinates,
+    exact_flag), root_list is that of _eliminant_roots, residual_max is the
+    largest residual of a kept numeric lift, and single_lifts says whether
+    every irrational root kept exactly one numeric lift.
     """
     n = len(chart[0])
     root_list = _eliminant_roots(elim, prec)
@@ -1433,6 +1434,7 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
         scale_c = max((abs(c) for c in c_num.values()), default=mpmath.mpf(1))
         chart_num = [[_numeric.to_mpc(x, prec) for x in row] for row in chart]
         residual_max = mpmath.mpf(0)
+        single_lifts = True
         for (s_val, t_val), _mult in root_list:
             if isinstance(s_val, Fraction) and isinstance(t_val, Fraction):
                 for u in _slice_lifts((q_chart, c_chart), s_val, t_val):
@@ -1440,6 +1442,7 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
                     out.append((tuple(sum(c * chart[k][j] for k, c in enumerate(d3))
                                       for j in range(n)), True))
                 continue
+            kept = 0
             for d3 in _lift_direction_numeric(q_num, c_num, s_val, t_val, prec):
                 rq = abs(q_chart.evaluate(d3))
                 rc = abs(c_chart.evaluate(d3))
@@ -1448,9 +1451,27 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
                 if resid > tol:
                     continue
                 residual_max = max(residual_max, resid)
+                kept += 1
                 out.append((tuple(sum(c * chart_num[k][j] for k, c in enumerate(d3))
                                   for j in range(n)), False))
-    return out, tuple(m for _, m in root_list), residual_max
+            single_lifts = single_lifts and kept == 1
+    return out, root_list, residual_max, single_lifts
+
+
+def _irrational_roots_conjugate(elim: MPoly, root_list) -> bool:
+    """Whether the irrational roots of the eliminant are one Galois orbit
+    over Q: its core is squarefree, and the core divided by the linear
+    factors of its rational roots in root_list (exact roots, so the
+    divisions are exact) has an irreducibility certificate."""
+    _a0, _inf, core = _binary_form_parts(elim)
+    if not core.is_squarefree():
+        return False
+    rest = core
+    for (s_val, t_val), _mult in root_list:
+        # (0:1) and (1:0) were split off the core, which has no root at 0
+        if isinstance(s_val, Fraction) and t_val == 1 and s_val != 0:
+            rest = rest.divmod(UPoly([-s_val, 1]))[0]
+    return rest.degree() >= 2 and irreducibility_prime(rest) is not None
 
 
 def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
@@ -1469,21 +1490,32 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
     takes classify_line's tag.  Numeric lines come only from irrational
     eliminant roots, so they are never P or P-dual; they are Scomponent
     when the numeric sigma test passes.
+
+    The sigma test runs once per Galois orbit when it can.  y, lam,
+    lam_perp and phi are rational, so the sigma conditions on a direction
+    are polynomial over Q, and conjugate lines share the verdict.  When the
+    eliminant core is squarefree, its irrational part has an irreducibility
+    certificate mod a prime (poly.irreducibility_prime), and each irrational
+    root kept exactly one numeric lift, the numeric lines are one orbit: the
+    first is tested and its tag goes to all.  Otherwise every numeric line
+    is tested on its own.
     """
     if f.nvars != 5:
         raise DetGeoError("lines_through_point expects an ambient P^4")
     y = vec(y)
     chart, q_chart, c_chart, elim = direction_chart(f, y, chart_seed)
-    cands, mults, residual_max = _lift_eliminant(chart, q_chart, c_chart,
-                                                 elim, prec)
+    cands, root_list, residual_max, single_lifts = _lift_eliminant(
+        chart, q_chart, c_chart, elim, prec)
 
     if inst is not None:
         phi_y = inst.phi(y)
         kv = mat3_kernel(phi_y)
         kw = mat3_kernel(transpose(mat(phi_y)))
         s_test = _numeric_s_test(inst, phi_y, prec)
+        one_orbit = single_lifts and _irrational_roots_conjugate(elim, root_list)
     y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
     found = []
+    orbit_tag = None
     for d, exact in cands:
         tag = None
         if exact:
@@ -1493,9 +1525,12 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
         else:
             line = ProjLine(y_num, d, exact=False, prec=prec)
             if inst is not None:
-                tag = "Scomponent" if s_test(d) else "unclassified"
+                tag = orbit_tag or ("Scomponent" if s_test(d) else "unclassified")
+                if one_orbit:
+                    orbit_tag = tag
         found.append((line, tag))
-    return LinesThroughPoint(tuple(found), elim, mults, float(residual_max))
+    return LinesThroughPoint(tuple(found), elim,
+                             tuple(m for _, m in root_list), float(residual_max))
 
 
 def _tag_exact_line(inst, line: ProjLine, kv, kw) -> str:
@@ -1507,6 +1542,12 @@ def _tag_exact_line(inst, line: ProjLine, kv, kw) -> str:
     if len(kw) == 1 and is_zero_vec(mat_vec(transpose(phi_d), kw[0])):
         return "Pdual"
     return classify_line(inst, line)
+
+
+# multiple of default_tolerance(prec) in the sigma phi sigma = 0 check;
+# absorbs the nine-term sums per entry and the error sigma inherits from its
+# chain of numeric kernels
+_SIGMA_SLACK = 64
 
 
 def _numeric_s_test(inst, phi_y, prec):
@@ -1562,7 +1603,7 @@ def _numeric_s_test(inst, phi_y, prec):
                       for i in range(3)]
                 prod_norm = max(abs(sum(sp[i][b] * sigma[b][j] for b in range(3)))
                                 for i in range(3) for j in range(3))
-                if prod_norm > tol * snorm * snorm * pnorm * 64:
+                if prod_norm > tol * snorm * snorm * pnorm * _SIGMA_SLACK:
                     return False
             return True
 

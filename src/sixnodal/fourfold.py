@@ -29,6 +29,15 @@ class FourfoldError(ValueError):
     pass
 
 
+# multiples of default_tolerance(prec) in the numeric checks of iota:
+# near-zero guard; absorbs the cancellation in forming y = m cap {x5 = 0}
+# from two points of m, and in the gradient evaluated at y
+_NEAR_ZERO_SLACK = 1e6
+# residual bound of the plane factoring and scroll incidence; absorbs the
+# error of the numeric kernels (cokernel, dual line, residual factor) before it
+_KERNEL_CHAIN_SLACK = 1e8
+
+
 @dataclass(frozen=True)
 class CubicFourfold:
     cubic: MPoly              # six variables; restriction to x5=0 is the threefold
@@ -223,7 +232,7 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
         scale = max(abs(x) for x in p0) * max(abs(x) for x in p1)
         y = tuple(p1[5] * a - p0[5] * b for a, b in zip(p0, p1))
         ynorm = max(abs(x) for x in y)
-        if ynorm <= tol * scale * 1e6:
+        if ynorm <= tol * scale * _NEAR_ZERO_SLACK:
             raise FourfoldError("line lies in the hyperplane section")
         y = tuple(x / ynorm for x in y)
 
@@ -232,7 +241,7 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
         grads = [g.evaluate(y5) for g in gradient(four.inst.cubic_y)]
         gscale = max(abs(_numeric.to_mpc(c, prec))
                      for c in four.inst.cubic_y.terms.values())
-        if max(abs(x) for x in grads) <= tol * gscale * 1e6:
+        if max(abs(x) for x in grads) <= tol * gscale * _NEAR_ZERO_SLACK:
             raise FourfoldError("hyperplane point is singular on the threefold")
         basis_num = [[[_numeric.to_mpc(x, prec) for x in row] for row in b]
                      for b in four.inst.lam_perp.basis]
@@ -262,7 +271,7 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
         cmax = max(abs(c) for c in coeffs.values())
         bad = max((abs(c) for e, c in coeffs.items() if e not in allowed),
                   default=mpmath.mpf(0))
-        if cmax == 0 or bad > tol * cmax * 1e8:
+        if cmax == 0 or bad > tol * cmax * _KERNEL_CHAIN_SLACK:
             raise FourfoldError("plane restriction does not factor (residual "
                                 f"{mpmath.nstr(bad / max(cmax, 1), 6)})")
         lam_s = coeffs.get((1, 1, 1), mpmath.mpc(0))
@@ -383,7 +392,7 @@ def _meets_scroll(four: CubicFourfold, line: FourfoldLine, quadrics, prec):
             qscale = max(abs(_numeric.to_mpc(c, prec)) for c in q.terms.values())
             val = abs(q.evaluate(y5)) / qscale
             margin = max(margin, val)
-        return bool(margin <= tol * 1e8), float(margin)
+        return bool(margin <= tol * _KERNEL_CHAIN_SLACK), float(margin)
 
 
 def scroll_incidence_invariance(four: CubicFourfold, m: FourfoldLine, v,

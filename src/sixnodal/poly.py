@@ -742,7 +742,11 @@ def _macaulay_verdict(big, sub, scale) -> bool | None:
 
 
 def _det_mod(rows: list[list[int]], prime: int) -> int:
-    """Determinant of an integer matrix modulo a prime (Gaussian elimination)."""
+    """Determinant of an integer matrix modulo a prime (Gaussian elimination).
+
+    Entries left of column k are already zero in rows k and below, so each
+    row update touches only columns k onward.
+    """
     m = [[x % prime for x in row] for row in rows]
     n = len(m)
     out = 1
@@ -753,13 +757,14 @@ def _det_mod(rows: list[list[int]], prime: int) -> int:
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             out = -out
-        row_k = m[k]
-        out = out * row_k[k] % prime
-        inv = pow(row_k[k], -1, prime)
+        tail_k = m[k][k:]
+        out = out * tail_k[0] % prime
+        inv = pow(tail_k[0], -1, prime)
         for i in range(k + 1, n):
-            f = m[i][k] * inv % prime
+            row_i = m[i]
+            f = row_i[k] * inv % prime
             if f:
-                m[i] = [(a - f * b) % prime for a, b in zip(m[i], row_k)]
+                row_i[k:] = [(a - f * b) % prime for a, b in zip(row_i[k:], tail_k)]
     return out
 
 
@@ -866,6 +871,41 @@ def _squarefree_prime(ints: list[int], tries: int | None = None) -> int | None:
                 return prime
             if tries is not None:
                 tries -= 1
+        prime = _next_prime(prime)
+    return None
+
+
+# primes tried by irreducibility_prime before it gives up; by Chebotarev an
+# irreducible quartic with Galois group S4 or D4 stays irreducible mod a
+# quarter of all primes (its 4-cycles), so 16 tries miss about 1 % of them
+_IRREDUCIBLE_TRIES = 16
+
+
+def irreducibility_prime(g: UPoly) -> int | None:
+    """A prime q certifying g (degree k >= 2) irreducible over Q, or None.
+
+    Tries the first 16 primes from 10007 up.  q certifies g when it does not
+    divide the leading coefficient, g is squarefree mod q, and gcd(g,
+    x^(q^d) - x) = 1 mod q for every d <= k/2, so that g has no factor of
+    degree <= k/2 mod q.  Then g is irreducible mod q at full degree, hence
+    irreducible over Q (Gauss's lemma).  None is no verdict: some irreducible
+    polynomials, such as x^4 + 1, factor mod every prime.
+    """
+    if g.degree() < 2:
+        raise PolyError("degree must be >= 2")
+    ints = _primitive_int_coeffs(g)
+    prime = _FIRST_PRIME
+    for _ in range(_IRREDUCIBLE_TRIES):
+        if ints[-1] % prime and _squarefree_mod(ints, prime):
+            inv = pow(ints[-1], -1, prime)
+            f = [c * inv % prime for c in ints]
+            h = [0, 1]
+            for _d in range(g.degree() // 2):
+                h = _pm_powmod(h, prime, f, prime)      # x^(q^d) mod f
+                if len(_pm_gcd(f, _pm_sub(h, [0, 1], prime), prime)) > 1:
+                    break
+            else:
+                return prime
         prime = _next_prime(prime)
     return None
 

@@ -1,10 +1,13 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from sixnodal.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(args):
@@ -125,6 +128,43 @@ def test_main_entry_in_process(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["data"]["g_pairings"] == [24, 48]
+
+
+def test_reproduce_seed1_output_is_pinned(capsys):
+    # the reproduce JSON is a contract: byte-identical to the committed
+    # output on every supported Python version and after every change that
+    # claims the same behaviour
+    code = main(["reproduce", "--all", "--seed", "1", "--json",
+                 "--precision", "256"])
+    assert code == 0
+    golden = (DATA / "reproduce_seed1.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_broken_pipe_exits_1_quietly(tmp_path, capsys, monkeypatch):
+    # `sixnodal ... --json | head`: the reader is gone, so nothing more is
+    # written, no traceback is printed and the exit code is 1
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w", encoding="utf-8") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = main(["lattice", "orbit", "--kind", "alpha", "--count", "2",
+                     "--json"])
+        monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.slow

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sixnodal import detgeo
 from sixnodal._numeric import default_tolerance
 from sixnodal._qlinalg import (identity, mat, nullspace, projectively_equal, rank,
                                transpose)
@@ -634,6 +635,74 @@ def test_exact_line_tags_match_classify_line(seed):
                 assert line.same_line(special[tag])
             exact_tags.append(tag)
         assert {"P", "Pdual"} <= set(exact_tags)
+
+
+def _criterion09_points(seed, count=3):
+    inst = make_instance(seed)
+    rng = random.Random(seed + 500)
+    return inst, [sample_smooth_point(inst, rng) for _ in range(count)]
+
+
+def _counting_s_test(monkeypatch):
+    """Count the sigma tests lines_through_point runs."""
+    calls = []
+    real = detgeo._numeric_s_test
+
+    def counting(inst, phi_y, prec):
+        test = real(inst, phi_y, prec)
+
+        def carries_sigma(d):
+            calls.append(d)
+            return test(d)
+        return carries_sigma
+
+    monkeypatch.setattr(detgeo, "_numeric_s_test", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_orbit_tag_matches_each_line_sigma_test(seed):
+    # the verdict of the first numeric line goes to its Galois orbit; every
+    # conjugate line's own sigma test must agree
+    inst, points = _criterion09_points(seed)
+    for y in points:
+        res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
+        s_test = detgeo._numeric_s_test(inst, inst.phi(y), 256)
+        numeric = [(line, tag) for line, tag in res.lines if not line.exact]
+        assert len(numeric) == 4
+        for line, tag in numeric:
+            assert tag == ("Scomponent" if s_test(line.p1) else "unclassified")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_orbit_tag_runs_one_sigma_test_per_point(seed, monkeypatch):
+    inst, points = _criterion09_points(seed)
+    calls = _counting_s_test(monkeypatch)
+    orbit = [lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
+             for y in points]
+    assert len(calls) == len(points)
+    # without a certificate every numeric line is tested, with the same tags
+    del calls[:]
+    monkeypatch.setattr(detgeo, "irreducibility_prime", lambda g: None)
+    per_line = [lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
+                for y in points]
+    assert len(calls) == sum(not l.exact for r in per_line for l, _ in r.lines)
+    assert len(calls) == 4 * len(points)
+    for a, b in zip(orbit, per_line):
+        assert [(repr(l), t) for l, t in a.lines] == [(repr(l), t) for l, t in b.lines]
+
+
+def test_orbit_tag_needs_one_lift_per_root(monkeypatch):
+    # a root that keeps two numeric lifts breaks the one-line-per-conjugate
+    # picture, so every numeric line is tested on its own
+    inst, (y,) = _criterion09_points(1, count=1)
+    calls = _counting_s_test(monkeypatch)
+    real_lift = detgeo._lift_direction_numeric
+    monkeypatch.setattr(detgeo, "_lift_direction_numeric",
+                        lambda *args: 2 * real_lift(*args))
+    res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
+    assert sum(not l.exact for l, _ in res.lines) == 8
+    assert len(calls) == 8
 
 
 def test_lines_through_point_contains_planted(inst1):

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from sixnodal import poly
 from sixnodal.poly import (ComplexMP, MPoly, PolyError, UPoly, divide_exact,
-                           gradient, macaulay_nonzero, macaulay_resultant,
-                           poly_det, restrict_to_subspace, resultant_bivariate,
-                           roots)
+                           gradient, irreducibility_prime, macaulay_nonzero,
+                           macaulay_resultant, poly_det, restrict_to_subspace,
+                           resultant_bivariate, roots)
+from sixnodal._qlinalg import int_det_bareiss
 
 
 def zero3():
@@ -412,6 +413,98 @@ def test_squarefree_fast_path_matches_exact_yun(monkeypatch):
     for p, (dec, sq) in zip(cases, exact):
         assert _product([_product([q] * k) for q, k in dec]) == p.monic()
         assert sq == all(k == 1 for _, k in dec)
+
+
+def _no_root_mod(ints, q):
+    return all(sum(c * pow(x, i, q) for i, c in enumerate(ints)) % q
+               for x in range(q))
+
+
+@pytest.mark.parametrize("coeffs", [[-2, 0, 0, 0, 1], [1, 1, 0, 0, 1]],
+                         ids=["x^4-2", "x^4+x+1"])
+def test_irreducibility_prime_certifies(coeffs):
+    q = irreducibility_prime(UPoly(coeffs))
+    assert q is not None and q >= 10007
+    assert all(q % k for k in range(2, int(q ** 0.5) + 1))
+    assert _no_root_mod(coeffs, q)
+
+
+def test_irreducibility_prime_certifies_seed1_lines_quartic(inst1):
+    # the irrational part of the eliminant at the first criterion-09 point
+    from sixnodal.detgeo import _binary_form_parts, direction_chart, sample_smooth_point
+    y = sample_smooth_point(inst1, random.Random(501))
+    core = _binary_form_parts(direction_chart(inst1.cubic_y, y)[3])[2]
+    _rational, quartic = poly._rational_roots_of_squarefree(core)
+    assert quartic.degree() == 4
+    assert irreducibility_prime(quartic) is not None
+
+
+@pytest.mark.parametrize("g", [
+    _product([UPoly([-2, 0, 1]), UPoly([-3, 0, 1])]),
+    _product([UPoly([-1, 1]), UPoly([-2, 0, 0, 1])]),
+    _product([UPoly([1, 0, 1]), UPoly([1, 0, 1]), UPoly([-2, 0, 0, 1])]),
+    # irreducible over Q, but it factors mod every prime
+    UPoly([1, 0, 0, 0, 1]),
+], ids=["(x^2-2)(x^2-3)", "(x-1)(x^3-2)", "not_squarefree", "x^4+1"])
+def test_irreducibility_prime_gives_up(g, monkeypatch):
+    tried = []
+    real_next_prime = poly._next_prime
+
+    def counting_next_prime(n):
+        tried.append(n)
+        return real_next_prime(n)
+
+    monkeypatch.setattr(poly, "_next_prime", counting_next_prime)
+    assert irreducibility_prime(g) is None
+    assert len(tried) == poly._IRREDUCIBLE_TRIES
+
+
+def test_irreducibility_prime_skips_prime_dividing_leading_coefficient():
+    # mod 10007 this is x^3 + x + 1, which has no root there and so would
+    # pass the factor test at the wrong degree
+    assert _no_root_mod([1, 1, 0, 1], 10007)
+    q = irreducibility_prime(UPoly([1, 1, 0, 1, 10007]))
+    assert q is not None and q > 10007
+
+
+def _det_mod_cases(monkeypatch):
+    rng = random.Random(67)
+    cases = []
+    for n in range(1, 9):        # random, a third of the entries zero
+        cases.append([[rng.choice((0, rng.randrange(-50, 51))) for _ in range(n)]
+                      for _ in range(n)])
+    for n in (3, 5):             # 300-bit entries
+        cases.append([[rng.getrandbits(300) - (1 << 299) for _ in range(n)]
+                      for _ in range(n)])
+    # singular: a repeated row, a zero column, a zero determinant mod 10007
+    cases.append([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
+    cases.append([[0, 1, 2], [0, 3, 4], [0, 5, 7]])
+    cases.append([[10007, 0], [0, 1]])
+    # pivot swaps: zero diagonals, anti-diagonal, a pivot that vanishes late
+    cases.append([[0, 1], [1, 0]])
+    cases.append([[int(i + j == 4) * (i + 2) for j in range(5)] for i in range(5)])
+    cases.append([[1, 1, 1], [1, 1, 2], [1, 2, 2]])
+    # the Macaulay matrices of the seed-1 instance
+    seen = []
+    real_det_mod = poly._det_mod
+
+    def recording_det_mod(rows, prime):
+        seen.append([list(r) for r in rows])
+        return real_det_mod(rows, prime)
+
+    monkeypatch.setattr(poly, "_det_mod", recording_det_mod)
+    from sixnodal.detgeo import make_instance
+    make_instance(1)
+    monkeypatch.undo()
+    assert seen and any(len(m) == 56 for m in seen)
+    return cases + seen
+
+
+def test_det_mod_matches_bareiss(monkeypatch):
+    for rows in _det_mod_cases(monkeypatch):
+        exact = int_det_bareiss(rows)
+        for prime in (3, 10007, poly._MACAULAY_PRIME):
+            assert poly._det_mod(rows, prime) == exact % prime, (rows, prime)
 
 
 def test_complexmp_precision_floor():
