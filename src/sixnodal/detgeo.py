@@ -24,8 +24,9 @@ from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
                        primitive_int_vector, projectively_equal, rank, solve,
                        transpose, vec)
 from .poly import (MPoly, PolyError, UPoly, _rational_roots_of_squarefree,
-                   gradient, irreducibility_prime, macaulay_nonzero, poly_det,
-                   restrict_to_subspace, roots, sylvester_resultant)
+                   evaluate_terms, gradient, irreducibility_prime,
+                   macaulay_nonzero, poly_det, restrict_to_subspace, roots,
+                   sylvester_resultant)
 
 
 class DetGeoError(ValueError):
@@ -1416,7 +1417,8 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
 
     Rational roots lift exactly.  The others lift numerically at prec + 32
     bits, and a numeric lift is kept only when its residual on the conic
-    and on the cubic, relative to their coefficient scales, is within
+    and on the cubic (their coefficients converted to mpc once per call),
+    relative to their coefficient scales, is within
     default_tolerance(prec).  Returns (candidates, root_list, residual_max,
     single_lifts): each candidate is (direction in ambient coordinates,
     exact_flag), root_list is that of _eliminant_roots, residual_max is the
@@ -1444,10 +1446,7 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
                 continue
             kept = 0
             for d3 in _lift_direction_numeric(q_num, c_num, s_val, t_val, prec):
-                rq = abs(q_chart.evaluate(d3))
-                rc = abs(c_chart.evaluate(d3))
-                dnorm = max(1, max(abs(x) for x in d3))
-                resid = max(rq / (scale_q * dnorm ** 2), rc / (scale_c * dnorm ** 3))
+                resid = _lift_residual(q_num, c_num, scale_q, scale_c, d3)
                 if resid > tol:
                     continue
                 residual_max = max(residual_max, resid)
@@ -1456,6 +1455,14 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
                                   for j in range(n)), False))
             single_lifts = single_lifts and kept == 1
     return out, root_list, residual_max, single_lifts
+
+
+def _lift_residual(q_num, c_num, scale_q, scale_c, d3):
+    """Residual of a numeric lift d3 on the conic and the cubic of the chart,
+    given as {exponents: mpc}, relative to their coefficient scales."""
+    dnorm = max(1, max(abs(x) for x in d3))
+    return max(abs(evaluate_terms(q_num, d3)) / (scale_q * dnorm ** 2),
+               abs(evaluate_terms(c_num, d3)) / (scale_c * dnorm ** 3))
 
 
 def _irrational_roots_conjugate(elim: MPoly, root_list) -> bool:

@@ -12,7 +12,7 @@ numeric path at an explicit working precision.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -22,7 +22,7 @@ from ._qlinalg import Q, is_zero_vec, primitive_int_vector
 from .detgeo import (DEFAULT_ENTRY_RANGE, DetGeoError, DeterminantalInstance,
                      direction_candidates, ruling_of_scroll, sample_smooth_point,
                      scroll_data)
-from .poly import MPoly, gradient
+from .poly import MPoly, evaluate_terms, gradient
 
 
 class FourfoldError(ValueError):
@@ -39,16 +39,49 @@ _KERNEL_CHAIN_SLACK = 1e8
 
 
 @dataclass(frozen=True)
+class NumericForms:
+    """The exact forms iota reads, converted to mpc at prec + 32 bits."""
+
+    linear: dict        # (i, j) -> [(k, c)]: the cubic as sum x_i x_j L_ij, i <= j <= k
+    gradient: list      # gradient of the threefold cubic, each {exponents: mpc}
+    gradient_scale: object  # largest coefficient modulus of the threefold cubic
+    lam_perp: list      # the lam_perp basis as 3x3 mpc matrices
+
+
+@dataclass(frozen=True)
 class CubicFourfold:
     cubic: MPoly              # six variables; restriction to x5=0 is the threefold
     quadric: MPoly            # the extension quadric
     inst: DeterminantalInstance
     seed: int
+    # NumericForms by precision, built on first use
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rest = MPoly(5, {e[:5]: c for e, c in self.cubic.terms.items() if e[5] == 0})
         if rest != self.inst.cubic_y:
             raise FourfoldError("restriction to the hyperplane is not the threefold")
+
+    def numeric(self, prec: int) -> NumericForms:
+        """The forms at prec + 32 bits, converted once per precision."""
+        if prec not in self._views:
+            self._views[prec] = _numeric_forms(self, prec)
+        return self._views[prec]
+
+
+def _numeric_forms(four: CubicFourfold, prec: int) -> NumericForms:
+    cubic_y = four.inst.cubic_y
+    with mpmath.workprec(prec + 32):
+        linear: dict = {}
+        for e, c in four.cubic.terms.items():
+            i, j, k = [v for v in range(four.cubic.nvars) for _ in range(e[v])]
+            linear.setdefault((i, j), []).append((k, _numeric.to_mpc(c, prec)))
+        grads = [{e: _numeric.to_mpc(c, prec) for e, c in g.terms.items()}
+                 for g in gradient(cubic_y)]
+        gscale = max(abs(_numeric.to_mpc(c, prec)) for c in cubic_y.terms.values())
+        basis = [[[_numeric.to_mpc(x, prec) for x in row] for row in b]
+                 for b in four.inst.lam_perp.basis]
+    return NumericForms(linear, grads, gscale, basis)
 
 
 @dataclass(frozen=True)
@@ -238,13 +271,11 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
 
         # smoothness of the threefold at y and the unique dual-family line
         y5 = y[:5]
-        grads = [g.evaluate(y5) for g in gradient(four.inst.cubic_y)]
-        gscale = max(abs(_numeric.to_mpc(c, prec))
-                     for c in four.inst.cubic_y.terms.values())
-        if max(abs(x) for x in grads) <= tol * gscale * _NEAR_ZERO_SLACK:
+        forms = four.numeric(prec)
+        grads = [evaluate_terms(g, y5) for g in forms.gradient]
+        if max(abs(x) for x in grads) <= tol * forms.gradient_scale * _NEAR_ZERO_SLACK:
             raise FourfoldError("hyperplane point is singular on the threefold")
-        basis_num = [[[_numeric.to_mpc(x, prec) for x in row] for row in b]
-                     for b in four.inst.lam_perp.basis]
+        basis_num = forms.lam_perp
         phi = [[sum(y5[k] * basis_num[k][i][j] for k in range(5))
                 for j in range(3)] for i in range(3)]
         coker = _numeric.kernel_numeric([list(r) for r in zip(*phi)], prec)
@@ -266,7 +297,7 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
         if _numeric.rank_numeric([list(y), list(a6), list(b6)], prec) != 3:
             raise FourfoldError("plane through m and the dual line is degenerate")
 
-        coeffs = _plane_restriction(four.cubic, (y, a6, b6), prec)
+        coeffs = _plane_restriction(forms.linear, (y, a6, b6), prec)
         allowed = {(1, 1, 1), (0, 2, 1), (0, 1, 2)}
         cmax = max(abs(c) for c in coeffs.values())
         bad = max((abs(c) for e, c in coeffs.items() if e not in allowed),
@@ -316,27 +347,19 @@ _PLANE_QUADRATIC = [(m, n, [_plane_exponent(m, n, p) for p in range(3)])
                     for m in range(3) for n in range(m, 3)]
 
 
-def _plane_restriction(f: MPoly, basis3, prec):
-    """Coefficients of the cubic f restricted to span(basis3) in plane
+def _plane_restriction(linear, basis3, prec):
+    """Coefficients of a cubic restricted to span(basis3) in plane
     coordinates.
 
-    f is grouped as the sum over i <= j of x_i x_j L_ij, where L_ij is linear
-    in the x_k with k >= j.  Each L_ij is restricted once and multiplied by
-    the quadratic l_i l_j, where l_i = (basis3[0][i], basis3[1][i],
+    The cubic is given as linear = NumericForms.linear, the sum over i <= j
+    of x_i x_j L_ij.  Each L_ij is restricted once and multiplied by the
+    quadratic l_i l_j, where l_i = (basis3[0][i], basis3[1][i],
     basis3[2][i]) is the restriction of x_i.
     """
     with mpmath.workprec(prec + 32):
-        linear: dict = {}
-        for e, c in f.terms.items():
-            i, j, k = [v for v in range(f.nvars) for _ in range(e[v])]
-            cc = _numeric.to_mpc(c, prec)
-            form = [cc * basis3[m][k] for m in range(3)]
-            if (i, j) in linear:
-                linear[i, j] = [a + b for a, b in zip(linear[i, j], form)]
-            else:
-                linear[i, j] = form
         out: dict = {}
-        for (i, j), form in linear.items():
+        for (i, j), terms in linear.items():
+            form = [sum(c * basis3[m][k] for k, c in terms) for m in range(3)]
             for m, n, keys in _PLANE_QUADRATIC:
                 q = basis3[m][i] * basis3[n][j]
                 if m != n:

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add
 
 import mpmath
@@ -55,6 +55,20 @@ def _int_product(a: dict, b: dict) -> dict:
             else:
                 del out[e]
     return out
+
+
+def evaluate_terms(terms: dict, point):
+    """The sum over terms {exponents: c} of c times the monomial at point, in
+    term order and in the arithmetic of the scalars, so the coefficients may
+    be mpc values converted once from an MPoly; Fraction(0) for no terms."""
+    total = None
+    for e, c in terms.items():
+        term = c
+        for x, k in zip(point, e):
+            for _ in range(k):
+                term = term * x
+        total = term if total is None else total + term
+    return Fraction(0) if total is None else total
 
 
 class MPoly:
@@ -224,14 +238,7 @@ class MPoly:
                         c *= x ** k
                 total += c * dx ** (deg - sum(e))
             return Fraction(total, den * dx ** deg)
-        total = None
-        for e, c in self.terms.items():
-            term = c
-            for x, k in zip(point, e):
-                for _ in range(k):
-                    term = term * x
-            total = term if total is None else total + term
-        return Fraction(0) if total is None else total
+        return evaluate_terms(self.terms, point)
 
     def compose(self, substitutions: list["MPoly"]) -> "MPoly":
         """Substitute substitutions[i] for variable i."""
@@ -927,13 +934,14 @@ def _split_linear(g, prime: int) -> list[int]:
     raise PolyError("no splitting shift found")
 
 
-def _roots_mod(ints: list[int], prime: int) -> list[int]:
-    """Roots in GF(prime) of ints, squarefree mod prime: the roots of
-    gcd(x^p - x, f)."""
+def _linear_part_mod(ints: list[int], prime: int) -> list[int]:
+    """gcd(f, x^p - x) over GF(prime) for f = ints made monic, ints
+    squarefree mod prime: the product of x - r over the roots r of f mod
+    prime, so its degree counts them."""
     inv = pow(ints[-1], -1, prime)
     f = [c * inv % prime for c in ints]
     xp = _pm_powmod([0, 1], prime, f, prime)
-    return sorted(_split_linear(_pm_gcd(f, _pm_sub(xp, [0, 1], prime), prime), prime))
+    return _pm_gcd(f, _pm_sub(xp, [0, 1], prime), prime)
 
 
 def _eval_mod(ints: list[int], x: int, m: int) -> int:
@@ -956,19 +964,47 @@ def _fraction_from_residue(r: int, m: int, nbound: int, dbound: int):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
+# primes at which _int_rational_roots counts the roots mod q before it lifts
+# any: one count of 0 ends the search, and more primes pay a count per call
+# even when rational roots exist
+_COUNT_PRIMES = 4
+
+
 def _int_rational_roots(ints: list[int]) -> list[tuple[int, int]]:
     """(a, b) with b > 0 for every rational root a/b of a squarefree integer
-    polynomial with nonzero constant term."""
+    polynomial with nonzero constant term.
+
+    A rational root a/b has b | c_d, so it reduces to a simple root mod every
+    prime q >= 10007 that does not divide c_d and keeps the polynomial
+    squarefree; the roots mod any one such q contain all rational roots.  The
+    roots mod q are counted, as the degree of gcd(f, x^q - x) mod q, at up to
+    _COUNT_PRIMES such primes: a count of 0 proves that there is no rational
+    root.  Otherwise the roots mod the prime with the fewest are Hensel-lifted
+    to q^k > 2 |c_0| |c_d|, reconstructed as a/b with |a| <= |c_0| and 0 < b
+    <= |c_d|, and kept when they are roots exactly.
+    """
     prime = _squarefree_prime(ints, 8)
     if prime is None:
         u = UPoly(ints)
         if u.gcd(u.derivative()).degree() > 0:
             raise PolyError("polynomial is not squarefree")
         prime = _squarefree_prime(ints)
+    fewest = None
+    for count in range(_COUNT_PRIMES):
+        if count:
+            prime = _next_prime(prime)
+            while not (ints[-1] % prime and _squarefree_mod(ints, prime)):
+                prime = _next_prime(prime)
+        g = _linear_part_mod(ints, prime)
+        if len(g) == 1:
+            return []
+        if fewest is None or len(g) < len(fewest[1]):
+            fewest = (prime, g)
+    prime, g = fewest
     nbound, dbound = abs(ints[0]), abs(ints[-1])
     deriv = [i * c for i, c in enumerate(ints)][1:]
     out = []
-    for r in _roots_mod(ints, prime):
+    for r in sorted(_split_linear(g, prime)):
         m = prime
         while m <= 2 * nbound * dbound:
             # Newton step: a simple root mod m lifts to one mod m^2
@@ -1092,21 +1128,30 @@ def _aberth_sweep(cs, dcs, roots):
 
 # relative correction at which the double-precision phase hands over
 _FLOAT_TARGET = 2.0 ** -45
+# below this relative correction, a sweep that moves the roots no less than
+# the sweep before has reached the rounding floor of double precision, which
+# lies above _FLOAT_TARGET on many polynomials: the phase hands over there
+_FLOAT_STALL = 2.0 ** -30
 
 
 def _float_start(cs, circle, max_iter):
     """Aberth sweeps in hardware complex on the monic coefficients cs/cs[-1]
-    from the start circle; None when float cannot carry them (a ratio or a
-    start overflows, a value is not finite, or two approximations coincide)."""
+    from the start circle, until the largest correction is below 2^-45, or
+    below 2^-30 and no smaller than that of the sweep before; None when
+    float cannot carry them (a ratio or a start overflows, a value is not
+    finite, or two approximations coincide)."""
     mono = [complex(c / cs[-1]) for c in cs]
     zs = [complex(z) for z in circle]
     if not all(cmath.isfinite(x) for x in mono + zs):
         return None
     dmono = [k * mono[k] for k in range(1, len(mono))]
     try:
+        before = inf
         for _ in range(max_iter):
-            if _aberth_sweep(mono, dmono, zs) < _FLOAT_TARGET:
+            moved = _aberth_sweep(mono, dmono, zs)
+            if moved < _FLOAT_TARGET or _FLOAT_STALL > moved >= before:
                 break
+            before = moved
     except (ZeroDivisionError, OverflowError):
         return None
     if not all(cmath.isfinite(z) for z in zs) or len(set(zs)) < len(zs):
@@ -1119,11 +1164,13 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
     polynomial given by exact rational coefficients, low degree first.
 
     The iteration starts in double precision: up to max_iter Gauss-Seidel
-    sweeps from the start circle, until no root moves by 2^-45 relative.  It
-    is finished by up to max_iter sweeps at prec + 64 bits, which stop once
-    no root moves by 2^-(prec+16) relative.  When double precision cannot
-    carry the polynomial, the sweeps at prec + 64 bits start from circles
-    given by the Newton polygon of the coefficient moduli.
+    sweeps from the start circle, until no root moves by 2^-45 relative, or
+    the phase stalls at the rounding floor (the largest move is below 2^-30
+    and no smaller than in the sweep before).  It is finished by up to
+    max_iter sweeps at prec + 64 bits, which stop once no root moves by
+    2^-(prec+16) relative.  When double precision cannot carry the
+    polynomial, the sweeps at prec + 64 bits start from circles given by the
+    Newton polygon of the coefficient moduli.
     """
     deg = len(coeffs) - 1
     with mpmath.workprec(prec + 64):
@@ -1150,15 +1197,16 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
 def _rational_roots_of_squarefree(p: UPoly) -> tuple[list[Fraction], UPoly]:
     """Exactly find the rational roots of a squarefree p and deflate them.
 
-    Modular method (Loos 1983): clear denominators to c_0..c_d, take the
-    first prime q >= 10007 with q not dividing c_d and c mod q squarefree,
-    find the roots mod q, Hensel-lift each to q^k > 2|c_0||c_d|, reconstruct
-    a/b with |a| <= |c_0| and 0 < b <= |c_d|, and keep a/b only if the
-    homogenized sum of c_i a^i b^(d-i) vanishes exactly.  Every rational root
-    reduces to a simple root mod q (its denominator divides c_d), so none is
-    missed; no root mod q at all certifies that there is no rational root.
-    Roots come back in increasing order with p divided by their linear
-    factors.
+    Modular method (Loos 1983): clear denominators to c_0..c_d and count the
+    roots mod each of the first four primes q >= 10007 with q not dividing
+    c_d and c mod q squarefree.  Every rational root reduces to a simple root
+    mod each such q (its denominator divides c_d), so a count of 0 at any of
+    them certifies that there is no rational root, and the roots mod any one
+    of them miss none.  Otherwise take the prime with the fewest roots,
+    Hensel-lift each root to q^k > 2|c_0||c_d|, reconstruct a/b with |a| <=
+    |c_0| and 0 < b <= |c_d|, and keep a/b only if the homogenized sum of
+    c_i a^i b^(d-i) vanishes exactly.  Roots come back in increasing order
+    with p divided by their linear factors.
     """
     found = []
     remaining = p
@@ -1176,10 +1224,12 @@ def roots(p: UPoly, prec: int = 256):
     """All complex roots with multiplicities.
 
     Rational roots come back as exact Fractions, found by the modular method
-    (roots mod p, Hensel lifting, rational reconstruction, exact check) and
-    deflated exactly; the rest are ComplexMP values from the Aberth
-    iteration.  Residuals are checked against 2^(-prec/2) relative to the
-    coefficient magnitude.
+    (root counts mod up to four primes, where a count of 0 proves there is
+    none; else Hensel lifting of the roots mod the prime with the fewest,
+    rational reconstruction, exact check) and deflated exactly; the rest are
+    ComplexMP values from the Aberth iteration, whose double-precision phase
+    also stops when it stalls at the rounding floor.  Residuals are checked
+    against 2^(-prec/2) relative to the coefficient magnitude.
     """
     if p.degree() < 1:
         raise PolyError("degree must be >= 1")

@@ -363,8 +363,12 @@ def _root_cases():
     yield _product([UPoly([-r, 1]) for r in big] + [UPoly([-2, 0, 0, 1])]), big
     # a root mod every prime, but no rational root
     yield _product([UPoly([-2, 0, 1]), UPoly([-3, 0, 1]), UPoly([-6, 0, 1])]), []
-    # a root mod 10007 that reconstructs to -33/2, which is no root
+    # a root mod 10007 that reconstructs to -33/2, which is no root; the
+    # count of 0 roots mod 10009 rules it out first
     yield UPoly([47, -17, -39, 3]), []
+    # roots mod each of the first four usable primes, and a root mod the one
+    # with the fewest reconstructs to -36, which is no root
+    yield UPoly([54, 2, 41, 5]), []
     # a leading coefficient divisible by the first primes the finder walks
     lead = 10007 * 10009 * 10037 * 10039
     yield (_product([UPoly([-3, lead]), UPoly([5, 2 * lead]), UPoly([1, 1, 1])]),
@@ -392,6 +396,93 @@ def test_roots_multiplicity_sum_and_rational_divisors():
             if r != 0:
                 assert lead % r.denominator == 0
                 assert trail % r.numerator == 0
+
+
+def _single_prime_rational_roots(ints):
+    # the rational-root probe before root counts: lift every root mod the
+    # first usable prime, reconstruct, check exactly
+    prime = poly._squarefree_prime(ints)
+    nbound, dbound = abs(ints[0]), abs(ints[-1])
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    out = []
+    for r in sorted(poly._split_linear(poly._linear_part_mod(ints, prime), prime)):
+        m = prime
+        while m <= 2 * nbound * dbound:
+            m *= m
+            r = (r - poly._eval_mod(ints, r, m)
+                 * pow(poly._eval_mod(deriv, r, m), -1, m)) % m
+        cand = poly._fraction_from_residue(r, m, nbound, dbound)
+        if cand is not None and UPoly(ints)(Fraction(*cand)) == 0:
+            out.append(Fraction(*cand))
+    return sorted(out)
+
+
+def _recording_reconstruction(monkeypatch):
+    calls = []
+    real = poly._fraction_from_residue
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poly, "_fraction_from_residue", recording)
+    return calls
+
+
+def test_rational_probe_lifts_when_every_prime_has_roots(monkeypatch):
+    # one of 2, 3, 6 is a square mod every prime, so each count is positive
+    ints = poly._primitive_int_coeffs(
+        _product([UPoly([-2, 0, 1]), UPoly([-3, 0, 1]), UPoly([-6, 0, 1])]))
+    calls = _recording_reconstruction(monkeypatch)
+    assert poly._int_rational_roots(ints) == []
+    assert calls
+
+
+def test_rational_probe_finds_roots_beside_an_irreducible_cubic():
+    # x^3 - 2 is irreducible over Q and has a root mod 10007 (10007 = 2 mod 3)
+    cubic = [-2, 0, 0, 1]
+    assert len(poly._linear_part_mod(cubic, 10007)) == 2
+    ints = poly._primitive_int_coeffs(
+        _product([UPoly([-3, 7]), UPoly([5, 1]), UPoly(cubic)]))
+    got = poly._int_rational_roots(ints)
+    assert sorted(Fraction(a, b) for a, b in got) == [-5, Fraction(3, 7)]
+
+
+def test_rational_probe_rules_out_roots_without_lifting(monkeypatch, inst1):
+    # x^2 + 1 has no root mod 10007 = 3 mod 4; the fourfold eliminant behind
+    # sample_line(four, seed=2) has 2 roots mod 10007 and 10009, none mod 10037
+    eliminant = poly._primitive_int_coeffs(UPoly(_fourfold_eliminant(inst1, line_seed=2)))
+    assert [len(poly._linear_part_mod(eliminant, q)) - 1
+            for q in (10007, 10009, 10037)] == [2, 2, 0]
+
+    def no_lifting(*args):
+        raise AssertionError("a root was lifted")
+
+    monkeypatch.setattr(poly, "_fraction_from_residue", no_lifting)
+    for ints in ([1, 0, 1], eliminant):
+        assert poly._int_rational_roots(ints) == []
+
+
+def test_rational_probe_matches_single_prime_reference():
+    rng = random.Random(59)
+    checked = 0
+    while checked < 200:
+        roots_planted = {Fraction(rng.randrange(-30, 31), rng.randrange(1, 8))
+                         for _ in range(rng.randrange(0, 4))} - {0}
+        factors = [UPoly([-r, 1]) for r in roots_planted]
+        for _ in range(rng.randrange(0 if factors else 1, 3)):
+            # x^2 + bx + c with a discriminant that is no square: no rational root
+            b, c = rng.randrange(-20, 21), rng.randrange(-40, 41)
+            disc = b * b - 4 * c
+            if c and (disc < 0 or int(disc ** 0.5 + 0.5) ** 2 != disc):
+                factors.append(UPoly([c, b, 1]))
+        p = _product(factors)
+        if p.degree() < 1 or p.gcd(p.derivative()).degree() > 0:
+            continue
+        ints = poly._primitive_int_coeffs(p)
+        got = sorted(Fraction(a, b) for a, b in poly._int_rational_roots(ints))
+        assert got == _single_prime_rational_roots(ints) == sorted(roots_planted), ints
+        checked += 1
 
 
 def test_squarefree_fast_path_matches_exact_yun(monkeypatch):
@@ -556,14 +647,14 @@ def test_json_roundtrip():
     assert all(isinstance(c, str) and "/" in c for _, c in data["terms"])
 
 
-def _fourfold_eliminant(inst):
+def _fourfold_eliminant(inst, line_seed=1):
     # the degree-6 eliminant of the first line sample_line draws on the
-    # seed-1 fourfold (base point and chart as in sample_line(four, seed=1))
+    # seed-1 fourfold (base point and chart as in sample_line(four, line_seed))
     from sixnodal.detgeo import _binary_form_parts, direction_chart, sample_smooth_point
     from sixnodal.fourfold import extend_to_fourfold
     four = extend_to_fourfold(inst, seed=1, spot_checks=0)
-    y = tuple(sample_smooth_point(inst, random.Random("1:1:line"))) + (Fraction(0),)
-    core = _binary_form_parts(direction_chart(four.cubic, y, "1:0")[3])[2]
+    y = tuple(sample_smooth_point(inst, random.Random(f"1:{line_seed}:line"))) + (Fraction(0),)
+    core = _binary_form_parts(direction_chart(four.cubic, y, f"{line_seed}:0")[3])[2]
     assert core.degree() == 6
     return list(core.coeffs)
 
@@ -572,7 +663,7 @@ def _fourfold_eliminant(inst):
 @pytest.mark.parametrize("case, float_start", [
     ("ratio_overflow", False), ("cluster", None), ("fourfold_eliminant", True),
     ("cube_root_huge", False), ("three_huge_roots", False), ("tiny_lead", False),
-    ("huge_and_tiny_roots", False)])
+    ("huge_and_tiny_roots", False), ("float_stall", True)])
 def test_aberth_matches_polyroots(case, float_start, prec, inst1, monkeypatch):
     # the last four start from the Newton polygon: their roots are far from
     # the circle of radius 1 + max|c_i/c_d| that the other fallback would use
@@ -590,20 +681,32 @@ def test_aberth_matches_polyroots(case, float_start, prec, inst1, monkeypatch):
     elif case == "cluster":             # roots 1 and 1 + 2^-60, which float cannot separate
         eps = Fraction(1, 2 ** 60)
         coeffs = list((UPoly([-1, 1]) * UPoly([-1 - eps, 1]) * UPoly([2, 1])).coeffs)
+    elif case == "float_stall":         # float corrections cycle near 1e-13
+        coeffs = _fourfold_eliminant(inst1, line_seed=2)
     else:
         coeffs = _fourfold_eliminant(inst1)
     starts = []
     real_start = poly._float_start
+    float_sweeps = []
+    real_sweep = poly._aberth_sweep
 
     def recording_start(*args):
         starts.append(real_start(*args))
         return starts[-1]
 
+    def recording_sweep(cs, dcs, zs):
+        if isinstance(zs[0], complex):
+            float_sweeps.append(zs)
+        return real_sweep(cs, dcs, zs)
+
     monkeypatch.setattr(poly, "_float_start", recording_start)
+    monkeypatch.setattr(poly, "_aberth_sweep", recording_sweep)
     got = poly.aberth_roots(coeffs, prec)
     assert len(starts) == 1
     if float_start is not None:
         assert (starts[0] is not None) == float_start
+    if case == "float_stall":           # it used to run all 400 float sweeps
+        assert len(float_sweeps) <= 64
     with mpmath.workprec(prec + 64):
         ref = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
                                 for c in reversed(coeffs)],
