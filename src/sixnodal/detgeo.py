@@ -14,19 +14,19 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 import mpmath
 
 from . import _numeric
 from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
-                       is_zero_vec, mat, mat_vec, nullspace,
-                       primitive_int_vector, projectively_equal, rank, solve,
-                       transpose, vec)
-from .poly import (MPoly, PolyError, UPoly, _rational_roots_of_squarefree,
-                   evaluate_terms, gradient, irreducibility_prime,
-                   macaulay_nonzero, poly_det, restrict_to_subspace, roots,
-                   sylvester_resultant)
+                       is_zero_vec, mat, mat_mul, mat_vec, nullspace,
+                       primitive_int_vector, projectively_equal, rank, rref,
+                       solve, transpose, vec)
+from .poly import (MPoly, PolyError, UPoly, _int_terms, _monomials_of_degree,
+                   _rational_roots_of_squarefree, evaluate_terms, gradient,
+                   irreducibility_prime, macaulay_nonzero, poly_det,
+                   restrict_to_subspace, roots, sylvester_resultant)
 
 
 class DetGeoError(ValueError):
@@ -206,7 +206,7 @@ def determinant_on_subspace(space: EndoSubspace) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# binary-form elimination helpers
+# binary forms, slices and the common zeros of ternary forms
 
 
 def _coeffs_in_var(f: MPoly, elim: int) -> list[MPoly]:
@@ -244,30 +244,6 @@ def _binary_form_parts(f: MPoly):
     return a, d - b, UPoly(dense)
 
 
-def binary_form_gcd(f: MPoly, g: MPoly) -> MPoly:
-    af, inf_f, uf = _binary_form_parts(f)
-    ag, inf_g, ug = _binary_form_parts(g)
-    u = uf.gcd(ug)
-    shared_u, shared_v = min(af, ag), min(inf_f, inf_g)
-    du = u.degree()
-    terms = {}
-    for k, c in enumerate(u.coeffs):
-        if c != 0:
-            terms[(k + shared_u, du - k + shared_v)] = c
-    return MPoly(2, terms)
-
-
-def binary_form_rational_roots(f: MPoly) -> list[tuple[Fraction, Fraction]]:
-    a, inf_mult, u = _binary_form_parts(f)
-    out = []
-    if a > 0:
-        out.append((Fraction(0), Fraction(1)))
-    if inf_mult > 0:
-        out.append((Fraction(1), Fraction(0)))
-    out.extend((r, Fraction(1)) for r in _rational_roots_of(u))
-    return out
-
-
 def _univariate_slice(f: MPoly, point_with_hole) -> UPoly:
     """Substitute constants everywhere except the single None slot."""
     hole = list(point_with_hole).index(None)
@@ -303,6 +279,93 @@ def _slice_lifts(forms, a, b) -> list[Fraction]:
     return [t for t in _rational_roots_of(g) if all(u(t) == 0 for u in slices)]
 
 
+# Degree cap of the Macaulay null-space solve.  Up to six points of P^2 (the
+# degree of the rank-1 locus) impose independent conditions on forms of
+# degree >= 5, so the nullity of a finite zero set settles well below it; a
+# nullity still growing at the cap belongs to a positive-dimensional one.
+_MACAULAY_MAX_DEGREE = 10
+
+# (a, b) of the forms h = x0 + a x1 + b x2 tried in turn; no three are
+# collinear, so one common zero rules out at most two of them.
+_SHADOW_CHARTS = ((0, 0), (1, 0), (1, 2), (2, -3), (-3, 5))
+
+
+def _macaulay_null(forms, degree):
+    """The degree-`degree` monomials of P^2 as column indices, and a basis of
+    the right kernel of the Macaulay matrix, whose rows are the x^s f with
+    |s| = degree - deg f."""
+    cols = {m: i for i, m in enumerate(_monomials_of_degree(3, degree))}
+    rows = []
+    for f in forms:
+        terms, _ = _int_terms(f)
+        for s in _monomials_of_degree(3, degree - f.degree()):
+            row = [0] * len(cols)
+            for e, c in terms.items():
+                row[cols[tuple(map(add, e, s))]] = c
+            rows.append(row)
+    return cols, nullspace(rows)
+
+
+def _rational_common_zeros(forms) -> list:
+    """The rational common zeros in P^2 of ternary forms, each once, by the
+    Macaulay null space (Stetter, Numerical Polynomial Algebra, 2004;
+    Dreesen, Batselier and De Moor).
+
+    The vector of monomial values (m(p))_m of any common zero p over the
+    algebraic closure lies in the kernel of the Macaulay matrix at every
+    degree, so a kernel of dimension 0 proves that there is no common zero.
+    That is the only case that returns [].  Otherwise the degree rises until
+    the nullity k repeats; DetGeoError is raised if it is still growing past
+    _MACAULAY_MAX_DEGREE (the zero set is not finite).  On the kernel rows of
+    the monomials h m and x1 m, m of one degree less, the first h = x0 + a x1
+    + b x2 of _SHADOW_CHARTS whose rows have rank k (so no zero has h = 0)
+    gives a k x k rational matrix whose eigenvalues are the ratios x1/h at
+    the zeros.  Each rational root of its characteristic polynomial is lifted
+    by _slice_lifts in the coordinates (h, x1, x2).  Every point is checked
+    exactly on every form before it is returned, so each is an exact common
+    zero.  DetGeoError is also raised when no common zero is rational.
+    """
+    forms = [f for f in forms if not f.is_zero()]
+    if not forms:
+        raise DetGeoError("no nonzero form: every point is a common zero")
+    degree = max(f.degree() for f in forms)
+    cols, null = _macaulay_null(forms, degree)
+    while null:
+        k = len(null)
+        degree += 1
+        if degree > _MACAULAY_MAX_DEGREE:
+            raise DetGeoError("the common zeros of the forms are not finite")
+        cols, null = _macaulay_null(forms, degree)
+        if len(null) == k:
+            break
+    if not null:
+        return []
+    shifts = [[[z[cols[tuple(e + (i == j) for i, e in enumerate(m))]] for z in null]
+               for m in _monomials_of_degree(3, degree - 1)] for j in range(3)]
+    for a, b in _SHADOW_CHARTS:
+        rows_h = [[z0 + a * z1 + b * z2 for z0, z1, z2 in zip(*r)] for r in zip(*shifts)]
+        pivots = rref(transpose(rows_h))[1]
+        if len(pivots) == k:
+            break
+    else:
+        raise DetGeoError("no chart h = x0 + a x1 + b x2 gives kernel rows of rank k")
+    ratio = mat_mul(inverse([rows_h[i] for i in pivots]), [shifts[1][i] for i in pivots])
+    lam = MPoly.var(1, 0)
+    char = poly_det([[lam * int(i == j) - ratio[i][j] for j in range(k)] for i in range(k)])
+    y = MPoly.variables(3)
+    moved = [f.compose([y[0] - a * y[1] - b * y[2], y[1], y[2]]) for f in forms]
+    out = []
+    for r in _rational_roots_of(UPoly([char.coefficient((d,)) for d in range(k + 1)])):
+        for t in _slice_lifts(moved, 1, r):
+            p = vec((1 - a * r - b * t, r, t))
+            if any(f.evaluate(p) != 0 for f in forms):
+                raise DetGeoError("lifted point is not a common zero (unexpected)")
+            out.append(p)
+    if not out:
+        raise DetGeoError("the forms have common zeros, but none is rational")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the rank-1 locus of a 5-dimensional span and the residual sixth point
 
@@ -326,12 +389,10 @@ def rank1_system_minors(perp: EndoSubspace) -> list[MPoly]:
 
 
 def _kernel_vector_w(perp: EndoSubspace, v):
-    """The w with v w^T orthogonal to perp: kernel of the stacked (A_j v)."""
+    """A w with v w^T orthogonal to perp: the first kernel vector of the
+    stacked (A_j v).  When the kernel is a pencil, every w in it will do."""
     rows = [mat_vec(mat(a), vec(v)) for a in perp.basis]
-    kern = nullspace(mat([list(r) for r in rows]))
-    if len(kern) != 1:
-        return None
-    return kern[0]
+    return nullspace(mat([list(r) for r in rows]))[0]
 
 
 def _split_rank1(b):
@@ -380,68 +441,14 @@ def residual_rank1_point(five_matrices):
     return p6
 
 
-def _charts(seed, count):
-    """The identity, then seeded random invertible integer 3x3 matrices:
-    `count` coordinate changes in all."""
-    rng = random.Random(seed)
-    g = identity(3)
-    for _ in range(count):
-        yield g
-        while True:
-            g = tuple(tuple(Fraction(rng.randrange(-3, 4)) for _ in range(3))
-                      for _ in range(3))
-            if qdet(mat(g)) != 0:
-                break
-
-
-def _shadow_lifts(rot, shadow_form):
-    """Common rational zeros (a, b, t) of the forms `rot`, lifted from the
-    rational roots (a : b) of their eliminant `shadow_form`."""
-    for a, b in binary_form_rational_roots(shadow_form):
-        for t in _slice_lifts(rot, a, b):
-            yield vec((a, b, t))
-
-
 def find_rank1_in_span(space: EndoSubspace):
-    """Rational rank-1 elements of P(space), by elimination over seeded
-    charts: the resultants of the cubic minors, their gcd, and its rational
-    roots lifted and checked exactly.  Unlike residual_rank1_point, which
-    knows five rank-1 points of a 5-dimensional span, this handles any span;
-    it is intended for the small constructed inputs of the duality tests."""
+    """Rational rank-1 elements v w^T of P(space), one for each rational
+    common zero v of the cubic minors of the rank-1 system (see
+    _rational_common_zeros).  [] proves that P(space) misses the rank-1
+    locus; DetGeoError when the v's are not finite or none is rational."""
     perp = trace_perp(space)
-    minors = [m for m in rank1_system_minors(perp) if not m.is_zero()]
-    if len(minors) < 2:
-        return []
-    out = []
-    for g in _charts(11, 6):
-        try:
-            subs = [MPoly.linear_form(row) for row in g]
-            rot = [m.compose(subs) for m in minors]
-            usable = [m for m in rot if m.coefficient((0, 0, 3)) != 0]
-            if len(usable) >= 2:
-                res_pairs = []
-                for other in usable[1:3]:
-                    r = binary_resultant(usable[0], other, 2)
-                    if not r.is_zero():
-                        res_pairs.append(r)
-                shadow_form = res_pairs[0] if len(res_pairs) == 1 else (
-                    binary_form_gcd(res_pairs[0], res_pairs[1]) if res_pairs else None)
-                if shadow_form is not None and shadow_form.degree() >= 1:
-                    for v_rot in _shadow_lifts(rot, shadow_form):
-                        v = mat_vec(mat(g), v_rot)
-                        w = _kernel_vector_w(perp, v)
-                        if w is None:
-                            continue
-                        p = rank1(v, w)
-                        if space.contains(p) and mat3_rank(p) == 1 and \
-                                not any(projectively_equal(flatten(p), flatten(q))
-                                        for q in out):
-                            out.append(p)
-        except (DetGeoError, ZeroDivisionError):
-            pass
-        if out:
-            return out
-    return out
+    return [rank1(v, _kernel_vector_w(perp, v))
+            for v in _rational_common_zeros(rank1_system_minors(perp))]
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +492,19 @@ def _solve_in_space(space: EndoSubspace, conditions):
 def linalg_duality_witness(lam: EndoSubspace, case: str, witness=None) -> DualityWitness:
     """Transfer a degeneracy of a 4-plane in End(V) to its trace-perp.
 
-    case 'meetsSigma1': a rank-1 element of lam (supplied, or discovered by
-    elimination) produces B in the perp with the perp tangent to the rank-2
-    locus at B (B of rank 2) or tangent to the rank-1 locus (B of rank 1).
+    case 'meetsSigma1': a rank-1 element of lam (supplied, or the first one
+    find_rank1_in_span returns) produces B in the perp with the perp tangent
+    to the rank-2 locus at B (B of rank 2) or tangent to the rank-1 locus (B
+    of rank 1).
 
     case 'tangentSigma2': a supplied smooth rank-2 tangency point A0 yields
     the annihilator B0 (rank 1, in the perp) plus an independent B1 in the
     perp meeting the tangent space of the rank-1 locus at B0.
 
-    A generic lam has neither degeneracy: status 'clean', with a Macaulay
-    certificate that the rank-1 locus misses P(lam) when one is obtainable.
+    With no witness supplied, status 'clean' always carries a certificate:
+    the Macaulay kernel of the rank-1 minors is zero, which proves that
+    P(lam) misses the rank-1 locus (a generic lam).  DetGeoError is raised
+    when that locus is not finite in its v's or has no rational point.
     """
     if lam.dim != 4:
         raise DetGeoError("duality statement is about 4-dimensional subspaces")
@@ -504,8 +514,9 @@ def linalg_duality_witness(lam: EndoSubspace, case: str, witness=None) -> Dualit
         if witness is None:
             found = find_rank1_in_span(lam)
             if not found:
-                return DualityWitness("clean", case,
-                                      certificate=_empty_rank1_certificate(perp))
+                return DualityWitness("clean", case, certificate=(
+                    "the Macaulay matrix of the rank-1 minors has a zero "
+                    "kernel: P(lam) misses the rank-1 locus"))
             a0 = found[0]
         else:
             a0 = mat3(witness)
@@ -559,36 +570,6 @@ def linalg_duality_witness(lam: EndoSubspace, case: str, witness=None) -> Dualit
                               dual_case="perp tangent to the rank-1 locus at B0")
 
     raise DetGeoError(f"unknown case {case!r}")
-
-
-def _empty_rank1_certificate(perp: EndoSubspace) -> str | None:
-    """Macaulay certificate that the minor system has no projective zero.
-
-    Any three raw minors share two rows and hence forced common zeros, so
-    the certificate works with seeded random combinations of all minors:
-    their common zeros contain the rank-drop locus, and a nonzero resultant
-    rules even those out.
-    """
-    minors = [m for m in rank1_system_minors(perp) if not m.is_zero()]
-    if len(minors) < 3:
-        return None
-    rng = random.Random(353)
-    for _ in range(6):
-        combos = []
-        for _ in range(3):
-            combo = MPoly.zero(3)
-            for m in minors:
-                combo = combo + m * rng.randrange(-5, 6)
-            combos.append(combo)
-        if any(c.is_zero() for c in combos):
-            continue
-        try:
-            if macaulay_nonzero(combos):
-                return ("Macaulay certificate: three random combinations of the "
-                        "rank-1 minors share no projective zero")
-        except PolyError:
-            continue
-    return None
 
 
 def _second_sigma1_direction(perp: EndoSubspace, b):

@@ -293,10 +293,6 @@ def word_isometry(word: str) -> Isometry:
     return out
 
 
-def apply_isometry(iso: Isometry, v: LatticeClass) -> LatticeClass:
-    return iso.apply(v)
-
-
 # ---------------------------------------------------------------------------
 # orbits of the reflection group on the named class families
 
@@ -325,8 +321,6 @@ def orbit_classes(kind: str, count: int, ctx: GramContext = J12) -> list[Lattice
 
 # ---------------------------------------------------------------------------
 # positive cone and chambers
-
-MEMBERSHIP_VALUES = ("interior_P", "boundary_P", "interior_negP", "boundary_negP", "outside")
 
 
 def positive_cone_membership(v: LatticeClass) -> str:

@@ -1205,15 +1205,20 @@ def _rational_roots_of_squarefree(p: UPoly) -> tuple[list[Fraction], UPoly]:
     of them miss none.  Otherwise take the prime with the fewest roots,
     Hensel-lift each root to q^k > 2|c_0||c_d|, reconstruct a/b with |a| <=
     |c_0| and 0 < b <= |c_d|, and keep a/b only if the homogenized sum of
-    c_i a^i b^(d-i) vanishes exactly.  Roots come back in increasing order
-    with p divided by their linear factors.
+    c_i a^i b^(d-i) vanishes exactly.  What is left of degree 1 after the
+    root 0 is taken out has its root -c_0/c_1 read off, with no probe.
+    Roots come back in increasing order with p divided by their linear
+    factors.
     """
     found = []
     remaining = p
     if remaining.coeffs and remaining.coeffs[0] == 0:
         found.append(Fraction(0))
         remaining = remaining.divmod(UPoly([0, 1]))[0]
-    if remaining.degree() >= 1:
+    if remaining.degree() == 1:
+        found.append(-remaining.coeffs[0] / remaining.coeffs[1])
+        remaining = UPoly([remaining.coeffs[1]])
+    elif remaining.degree() > 1:
         for a, b in _int_rational_roots(_primitive_int_coeffs(remaining)):
             found.append(Fraction(a, b))
             remaining = remaining.divmod(UPoly([-found[-1], 1]))[0]

@@ -7,8 +7,8 @@ import pytest
 
 from sixnodal import detgeo
 from sixnodal._numeric import default_tolerance
-from sixnodal._qlinalg import (identity, mat, nullspace, projectively_equal, rank,
-                               transpose)
+from sixnodal._qlinalg import (identity, mat, nullspace, primitive_int_vector,
+                               projectively_equal, rank, transpose)
 from sixnodal.detgeo import (DegenerateInstance, DetGeoError,
                              DeterminantalInstance, EndoSubspace, ProjLine,
                              annihilator, classify_line, direction_candidates,
@@ -21,7 +21,7 @@ from sixnodal.detgeo import (DegenerateInstance, DetGeoError,
                              sample_surface_point, scroll_data, special_line,
                              tangent_sigma2_contains, trace_pair, trace_perp,
                              twisted_quartic_check)
-from sixnodal.poly import MPoly, gradient, macaulay_resultant
+from sixnodal.poly import MPoly, UPoly, gradient, macaulay_resultant
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,102 @@ def test_duality_witness_generic_clean():
     report = linalg_duality_witness(lam, "meetsSigma1")
     assert report.status == "clean"
     assert report.certificate is not None          # Macaulay certificate found
+
+
+def _zeros_of_span(planted, seed):
+    """Rational common zeros of the rank-1 minors of a 4-plane grown from the
+    planted v w^T, as primitive integer vectors in the order returned."""
+    lam = _subspace_containing([rank1(v, w) for v, w in planted], random.Random(seed))
+    zeros = detgeo._rational_common_zeros(detgeo.rank1_system_minors(trace_perp(lam)))
+    return [primitive_int_vector(p) for p in zeros]
+
+
+@pytest.mark.parametrize("planted", [
+    # (0, 1, 2) lies on the first chart's h = x0
+    [((0, 1, 2), (1, -1, 3)), ((1, 1, 1), (2, 0, -1))],
+    # (1, 2, 3) and (1, 2, -1) share x1/x0 = 2
+    [((1, 2, 3), (1, 0, 2)), ((1, 2, -1), (3, -2, 1)), ((2, -1, 1), (0, 1, 1))],
+    # a non-reduced zero: two planted matrices share their image (1, -1, 2)
+    [((1, -1, 2), (1, 2, 0)), ((1, -1, 2), (0, 1, -3)), ((3, 1, 1), (1, 1, 1))],
+], ids=["x0_zero", "same_ratio", "common_image"])
+def test_rational_common_zeros_recovers_planted_points(planted):
+    zeros = _zeros_of_span(planted, 7)
+    assert len(zeros) == len(set(zeros))
+    assert set(zeros) == {primitive_int_vector(v) for v, _ in planted}
+
+
+def test_rational_common_zeros_empty_pencil_and_irrational():
+    lam = _subspace_containing([], random.Random(33))
+    assert detgeo._rational_common_zeros(detgeo.rank1_system_minors(trace_perp(lam))) == []
+    # common w: every (s v1 + t v2) w^T lies in the span, a line of v's
+    with pytest.raises(DetGeoError, match="not finite"):
+        _zeros_of_span([((1, 0, 2), (1, 1, -1)), ((0, 1, -1), (1, 1, -1))], 5)
+    # (+-sqrt 2, 1, 0) with x1/x0 irrational, and (+-sqrt 2, 0, 1) with x1/x0 = 0
+    x = MPoly.variables(3)
+    for forms in ([x[0] ** 2 - 2 * x[1] ** 2, x[2]], [x[0] ** 2 - 2 * x[2] ** 2, x[1]]):
+        with pytest.raises(DetGeoError, match="none is rational"):
+            detgeo._rational_common_zeros(forms)
+
+
+def _planted_corpus_span(t):
+    """1 + t % 4 planted v w^T with entries in [-4, 4]: one coordinate of each
+    v zeroed when t % 3 == 0, v2 on the x0:x1 ratio of v1 when t % 5 == 0,
+    v2 = v1 when t % 7 == 0; the span grown to dimension 4."""
+    rng = random.Random(5000 + t)
+    vs, ws = [], []
+    for _ in range(1 + t % 4):
+        v, w = [0] * 3, [0] * 3
+        while not any(v) or not any(w):
+            v = [rng.randrange(-4, 5) for _ in range(3)]
+            w = [rng.randrange(-4, 5) for _ in range(3)]
+        if t % 3 == 0:
+            v[rng.randrange(3)] = 0
+            v[0] += not any(v)
+        vs.append(v)
+        ws.append(w)
+    if len(vs) > 1 and t % 5 == 0:
+        s = rng.choice([2, -1, 3])
+        vs[1] = [s * vs[0][0], s * vs[0][1], rng.randrange(-4, 5)]
+        vs[1][2] += not any(vs[1])
+    if len(vs) > 1 and t % 7 == 0:
+        vs[1] = list(vs[0])
+    return _subspace_containing([rank1(v, w) for v, w in zip(vs, ws)], rng), vs
+
+
+def _v_locus_meets_line(lam, p, q):
+    """Whether the rank-1 minors have a common zero on the line p + s q, over
+    the algebraic closure: the gcd of their restrictions has a root."""
+    s = MPoly.var(1, 0)
+    line = [MPoly.const(1, p[i]) + q[i] * s for i in range(3)]
+    g = UPoly([])
+    for minor in detgeo.rank1_system_minors(trace_perp(lam)):
+        u = minor.compose(line)
+        g = g.gcd(UPoly([u.coefficient((d,)) for d in range(u.degree() + 1)]))
+    return g.degree() >= 1
+
+
+def test_duality_witness_planted_corpus():
+    # 'clean' only with a proof; a rank-1 witness otherwise, or DetGeoError
+    # exactly where the v's of the rank-1 locus form a curve (which meets
+    # every line, while these finite loci miss the line used)
+    raised = []
+    for t in range(60):
+        lam, vs = _planted_corpus_span(t)
+        try:
+            found = detgeo.find_rank1_in_span(lam)
+        except DetGeoError:
+            raised.append(t)
+            with pytest.raises(DetGeoError):
+                linalg_duality_witness(lam, "meetsSigma1")
+            assert _v_locus_meets_line(lam, (1, 2, -3), (2, -1, 5)), t
+            continue
+        assert not _v_locus_meets_line(lam, (1, 2, -3), (2, -1, 5)), t
+        images = {primitive_int_vector(mat3_image_basis(p)[0]) for p in found}
+        assert images == {primitive_int_vector(v) for v in vs}, t
+        assert all(mat3_rank(p) == 1 and lam.contains(p) for p in found), t
+        report = linalg_duality_witness(lam, "meetsSigma1")
+        assert report.status == "witness" and report.primal_point == found[0], t
+    assert raised == [15, 27]
 
 
 # ---------------------------------------------------------------------------

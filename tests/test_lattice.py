@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sixnodal.lattice import (IDENTITY, J12, K12, GramContext, Isometry,
                               LatticeClass, LatticeError, QuadExtScalar, R1,
-                              R2, R3, apply_isometry, chamber_locate,
-                              chamber_ray, divisibility, eval_form, g_class,
+                              R2, R3, chamber_locate, chamber_ray,
+                              divisibility, eval_form, g_class,
                               is_isometry, isotropic_generators, nef_test,
                               orbit_classes, positive_cone_membership,
                               represents, special_discriminant, square,

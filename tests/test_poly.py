@@ -463,6 +463,19 @@ def test_rational_probe_rules_out_roots_without_lifting(monkeypatch, inst1):
         assert poly._int_rational_roots(ints) == []
 
 
+def test_linear_rational_root_skips_the_probe(monkeypatch):
+    def no_probe(ints):
+        raise AssertionError("a linear polynomial went to the probe")
+
+    monkeypatch.setattr(poly, "_int_rational_roots", no_probe)
+    c0, c1 = 3 ** 190 + 7, -(2 ** 300 + 1)
+    root = Fraction(-c0, c1)
+    for p, expected in ((UPoly([c0, c1]), [root]), (UPoly([0, c0, c1]), [0, root])):
+        found, rest = poly._rational_roots_of_squarefree(p)
+        assert found == sorted(expected)
+        assert rest == UPoly([c1])
+
+
 def test_rational_probe_matches_single_prime_reference():
     rng = random.Random(59)
     checked = 0
