@@ -122,9 +122,10 @@ def rank(a: Mat) -> int:
 
 
 def nullspace(a: Mat) -> list[Vec]:
-    """Basis of the right kernel; free variables set to 1 in turn."""
+    """Basis of the right kernel; free variables set to 1 in turn.  With no
+    rows the kernel is the whole space, of unknown dimension: ValueError."""
     if not a:
-        return []
+        raise ValueError("nullspace of a matrix with no rows")
     cols = len(a[0])
     r, pivots = rref(a)
     free = [c for c in range(cols) if c not in pivots]

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 import mpmath
 
@@ -23,10 +23,10 @@ from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
                        is_zero_vec, mat, mat_mul, mat_vec, nullspace,
                        primitive_int_vector, projectively_equal, rank, rref,
                        solve, transpose, vec)
-from .poly import (MPoly, PolyError, UPoly, _int_terms, _monomials_of_degree,
+from .poly import (MPoly, UPoly, _monomials_of_degree,
                    _rational_roots_of_squarefree, evaluate_terms, gradient,
-                   irreducibility_prime, macaulay_nonzero, poly_det,
-                   restrict_to_subspace, roots, sylvester_resultant)
+                   irreducibility_prime, macaulay_matrix, macaulay_nonzero,
+                   poly_det, restrict_to_subspace, roots, sylvester_resultant)
 
 
 class DetGeoError(ValueError):
@@ -294,15 +294,7 @@ def _macaulay_null(forms, degree):
     """The degree-`degree` monomials of P^2 as column indices, and a basis of
     the right kernel of the Macaulay matrix, whose rows are the x^s f with
     |s| = degree - deg f."""
-    cols = {m: i for i, m in enumerate(_monomials_of_degree(3, degree))}
-    rows = []
-    for f in forms:
-        terms, _ = _int_terms(f)
-        for s in _monomials_of_degree(3, degree - f.degree()):
-            row = [0] * len(cols)
-            for e, c in terms.items():
-                row[cols[tuple(map(add, e, s))]] = c
-            rows.append(row)
+    cols, rows = macaulay_matrix(forms, degree)
     return cols, nullspace(rows)
 
 
@@ -886,11 +878,7 @@ def _build_instance(seed, rng) -> DeterminantalInstance:
         if not is_odp(cubic_y, c):
             raise DegenerateInstance("node is not an ordinary double point")
 
-    try:
-        smooth = macaulay_nonzero(gradient(cubic_s))
-    except PolyError as exc:
-        raise DegenerateInstance(f"surface smoothness certificate failed: {exc}")
-    if not smooth:
+    if not macaulay_nonzero(gradient(cubic_s)):
         raise DegenerateInstance("surface side is singular")
 
     return DeterminantalInstance(seed=seed, lam=lam, lam_perp=lam_perp,
@@ -911,11 +899,8 @@ def certify_finite_singular_locus(inst: DeterminantalInstance) -> bool:
         sliced = restrict_to_subspace(inst.cubic_y, basis)
         if sliced.is_zero():
             continue
-        try:
-            if macaulay_nonzero(gradient(sliced)):
-                return True
-        except PolyError:
-            continue
+        if macaulay_nonzero(gradient(sliced)):
+            return True
     raise DetGeoError("no smooth certifying slice found")
 
 

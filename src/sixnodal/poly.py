@@ -626,59 +626,88 @@ def _monomials_of_degree(nvars: int, d: int):
         yield tuple(e)
 
 
+def macaulay_matrix(forms: list[MPoly], degree: int):
+    """The degree-`degree` monomials as column indices, and the integer rows
+    x^s f of the Macaulay matrix, for each form f and each |s| = degree -
+    deg f, with f scaled once to integer coefficients."""
+    n = forms[0].nvars
+    cols = {m: i for i, m in enumerate(_monomials_of_degree(n, degree))}
+    rows = []
+    for f in forms:
+        terms = _int_terms(f)[0].items()
+        for s in _monomials_of_degree(n, degree - f.degree()):
+            row = [0] * len(cols)
+            for e, c in terms:
+                row[cols[tuple(map(add, e, s))]] = c
+            rows.append(row)
+    return cols, rows
+
+
+def _check_square_system(forms: list[MPoly]) -> None:
+    if len(forms) < 2:
+        raise PolyError("need at least two forms")
+    if any(f.nvars != len(forms) or not f.is_homogeneous() for f in forms):
+        raise PolyError("need n+1 homogeneous forms in n+1 variables")
+
+
 def macaulay_resultant(forms: list[MPoly]) -> Fraction:
     """Classical Macaulay resultant of n+1 homogeneous forms in n+1 variables.
 
-    Computed as D/D' with D the determinant of the Macaulay matrix at the
-    critical degree and D' the minor on non-reduced monomials.  Each form is
-    scaled once to integer coefficients, both determinants are taken by
-    integer Bareiss, and the scaling is divided out again.  A degenerate
-    minor triggers retries under shuffled variable orders, then under seeded
-    generic linear changes of coordinates (which rescale the resultant by a
-    nonzero factor, so the zero/nonzero verdict survives); if every attempt
-    degenerates a MacaulayInconclusive is raised.  Nonzero output certifies
-    the forms have no common projective zero.
+    Computed as D/D' with D the determinant of the square Macaulay matrix at
+    the critical degree and D' the minor on non-reduced monomials.  Both
+    are taken by integer Bareiss on the rows of macaulay_matrix, and the
+    denominators cleared from the forms are divided out again.  This is the
+    only Macaulay path that retries: a degenerate minor triggers retries
+    under shuffled variable orders, then under seeded generic linear changes
+    of coordinates (which rescale the resultant by a nonzero factor, so the
+    zero/nonzero verdict survives); if every attempt degenerates a
+    MacaulayInconclusive is raised.  Nonzero output certifies the forms have
+    no common projective zero.
     """
-    return _macaulay_attempts(forms, _macaulay_value)
+    _check_square_system(forms)
+    if any(f.is_zero() for f in forms):
+        raise PolyError("forms must be nonzero")
+    degs = [f.degree() for f in forms]
+    for attempt in _macaulay_attempts(forms):
+        big, sub, scale = _macaulay_matrices(attempt, degs)
+        dp = int_det_bareiss(sub)
+        if dp:
+            return Fraction(int_det_bareiss(big), dp * scale)
+    raise MacaulayInconclusive("degenerate Macaulay minor under all variable orders")
 
 
 def macaulay_nonzero(forms: list[MPoly]) -> bool:
-    """Exactly ``macaulay_resultant(forms) != 0``, decided modulo a prime.
+    """Whether n homogeneous forms in n variables have no common projective
+    zero over the algebraic closure (a nonzero resultant): full column rank
+    of macaulay_matrix at D = sum(d_i - 1) + 1.
 
-    Runs the same attempts as macaulay_resultant.  In each one D' and D are
-    reduced mod a fixed prime p; nonzero residues prove D' != 0 and D != 0,
-    hence a nonzero resultant.  Exact integer Bareiss runs only on a matrix
-    whose determinant vanishes mod p, so every False, and every degenerate
-    attempt, is decided by exact arithmetic.  Raises MacaulayInconclusive
-    in the same cases as macaulay_resultant.
+    The monomial values of a common zero lie in the kernel.  Conversely,
+    forms with no common zero are a complete intersection whose quotient has
+    Hilbert series prod(1 - t^d_i) / (1 - t)^n, of degree D - 1, so the rows
+    span every monomial of degree D.  The rank mod _MACAULAY_PRIME is at
+    most the rank over Q, so a full one proves True; only a deficit mod p
+    runs the exact rank, so every False is exact.  No minor can degenerate,
+    so nothing is retried.  A zero form adds nothing to D, and the other
+    forms, fewer than n, share a zero: the verdict is False.
     """
-    return _macaulay_attempts(forms, _macaulay_verdict)
+    _check_square_system(forms)
+    degree = sum(f.degree() - 1 for f in forms if not f.is_zero()) + 1
+    cols, rows = macaulay_matrix(forms, degree)
+    return _rank_mod(rows, _MACAULAY_PRIME) == len(cols) or rank(rows) == len(cols)
 
 
 # attempts per stage: variable permutations, then generic substitutions
 _MACAULAY_RETRIES = 4
 
 
-def _macaulay_attempts(forms: list[MPoly], step):
-    """First non-None result of step(big, sub, scale) over the retry sequence."""
+def _macaulay_attempts(forms: list[MPoly]):
+    """The forms under each variable order, then each seeded substitution,
+    that macaulay_resultant tries in turn."""
     n = len(forms)
-    if n < 2:
-        raise PolyError("need at least two forms")
-    if any(f.nvars != n for f in forms):
-        raise PolyError("need n+1 forms in n+1 variables")
-    degs = []
-    for f in forms:
-        if f.is_zero() or not f.is_homogeneous():
-            raise PolyError("forms must be nonzero and homogeneous")
-        degs.append(f.degree())
-
     rng = random.Random(20231114)
     perm = list(range(n))
     for _ in range(_MACAULAY_RETRIES):
-        value = step(*_macaulay_matrices([_permute_vars(f, perm) for f in forms],
-                                         degs))
-        if value is not None:
-            return value
+        yield [_permute_vars(f, perm) for f in forms]
         perm = list(range(n))
         rng.shuffle(perm)
     # fully symmetric inputs defeat permutations; a generic substitution does not
@@ -687,10 +716,7 @@ def _macaulay_attempts(forms: list[MPoly], step):
         if det(mat(g)) == 0:
             continue
         subs = [MPoly.linear_form(row) for row in g]
-        value = step(*_macaulay_matrices([f.compose(subs) for f in forms], degs))
-        if value is not None:
-            return value
-    raise MacaulayInconclusive("degenerate Macaulay minor under all variable orders")
+        yield [f.compose(subs) for f in forms]
 
 
 def _permute_vars(f: MPoly, perm: list[int]) -> MPoly:
@@ -699,80 +725,63 @@ def _permute_vars(f: MPoly, perm: list[int]) -> MPoly:
 
 
 def _macaulay_matrices(forms: list[MPoly], degs: list[int]):
-    """Integer Macaulay matrix, its minor on the non-reduced monomials, and
-    the factor prod den_i^(rows_i(big) - rows_i(sub)) by which clearing the
-    denominators of form i (lcm den_i) scales det(big)/det(sub)."""
+    """Square integer Macaulay matrix, its minor on the non-reduced
+    monomials, and the factor prod den_i^(rows_i(big) - rows_i(sub)) by
+    which clearing the denominators of form i (lcm den_i) scales
+    det(big)/det(sub).  The row of a monomial m is the row x^s f_i of
+    macaulay_matrix with x^s x_i^d_i = m and i the first index with
+    m_i >= d_i, placed at the column index of m."""
     n = len(forms)
-    cleared = [_int_terms(f) for f in forms]
-    dens = [den for _, den in cleared]
-    int_terms = [list(terms.items()) for terms, _ in cleared]
     t = sum(d - 1 for d in degs) + 1
-    monos = sorted(_monomials_of_degree(n, t), key=_grlex_key)
-    index = {m: i for i, m in enumerate(monos)}
-    big: list[list[int]] = []
+    cols, rows = macaulay_matrix(forms, t)
+    dens = [_int_terms(f)[1] for f in forms]
+    shifts = [(i, s) for i, d in enumerate(degs) for s in _monomials_of_degree(n, t - d)]
+    big: list = [None] * len(cols)
     non_reduced = []
     scale = 1
-    for mono in monos:
-        owners = [i for i in range(n) if mono[i] >= degs[i]]
-        i = owners[0]
-        if len(owners) == 1:
-            scale *= dens[i]
+    for (i, s), row in zip(shifts, rows):
+        if any(s[j] >= degs[j] for j in range(i)):
+            continue
+        mono = cols[s[:i] + (s[i] + degs[i],) + s[i + 1:]]
+        big[mono] = row
+        if any(s[j] >= degs[j] for j in range(i + 1, n)):
+            non_reduced.append(mono)
         else:
-            non_reduced.append(len(big))
-        shift = list(mono)
-        shift[i] -= degs[i]
-        row = [0] * len(monos)
-        for e, c in int_terms[i]:
-            row[index[tuple(a + b for a, b in zip(e, shift))]] += c
-        big.append(row)
+            scale *= dens[i]
     sub = [[big[i][j] for j in non_reduced] for i in non_reduced]
     return big, sub, scale
 
 
-def _macaulay_value(big, sub, scale) -> Fraction | None:
-    dp = int_det_bareiss(sub)
-    if dp == 0:
-        return None
-    return Fraction(int_det_bareiss(big), dp * scale)
+# the largest prime below 2^30, so a residue is one digit of a Python int; the
+# verdict is exact for any prime, a large one makes an unlucky deficit rare
+_MACAULAY_PRIME = 2 ** 30 - 35
 
 
-# 2^61 - 1; the verdict is exact for any prime, this one only makes an
-# unlucky zero residue (and the exact fallback it triggers) rare
-_MACAULAY_PRIME = 2 ** 61 - 1
-
-
-def _macaulay_verdict(big, sub, scale) -> bool | None:
-    prime = _MACAULAY_PRIME
-    if _det_mod(sub, prime) == 0 and int_det_bareiss(sub) == 0:
-        return None
-    return _det_mod(big, prime) != 0 or int_det_bareiss(big) != 0
-
-
-def _det_mod(rows: list[list[int]], prime: int) -> int:
-    """Determinant of an integer matrix modulo a prime (Gaussian elimination).
-
-    Entries left of column k are already zero in rows k and below, so each
-    row update touches only columns k onward.
-    """
-    m = [[x % prime for x in row] for row in rows]
-    n = len(m)
-    out = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            out = -out
-        tail_k = m[k][k:]
-        out = out * tail_k[0] % prime
-        inv = pow(tail_k[0], -1, prime)
-        for i in range(k + 1, n):
-            row_i = m[i]
-            f = row_i[k] * inv % prime
-            if f:
-                row_i[k:] = [(a - f * b) % prime for a, b in zip(row_i[k:], tail_k)]
-    return out
+def _rank_mod(rows: list[list[int]], prime: int) -> int:
+    """Rank mod a prime.  Each row, as a dict {column: residue}, is reduced
+    against monic pivot rows keyed by leading column until its leading
+    column is new; stops once the rank is the column count."""
+    ncols = len(rows[0]) if rows else 0
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(pivots) == ncols:
+            break
+        r = {j: x % prime for j, x in enumerate(row) if x % prime}
+        while r:
+            lead = min(r)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(r[lead], -1, prime)
+                pivots[lead] = {j: x * inv % prime for j, x in r.items()}
+                break
+            f = r[lead]
+            for j, x in pivot.items():
+                y = (r.get(j, 0) - f * x) % prime
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

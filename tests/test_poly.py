@@ -11,7 +11,6 @@ from sixnodal.poly import (ComplexMP, MPoly, PolyError, UPoly, divide_exact,
                            gradient, irreducibility_prime, macaulay_nonzero,
                            macaulay_resultant, poly_det, restrict_to_subspace,
                            resultant_bivariate, roots)
-from sixnodal._qlinalg import int_det_bareiss
 
 
 def zero3():
@@ -204,13 +203,12 @@ def test_macaulay_matches_smoothness_spotchecks():
             lift_q = MPoly(4, {e + (0,): v for e, v in q.terms.items()})
             lift_c = MPoly(4, {e + (0,): v for e, v in c.terms.items()})
             f = MPoly.var(4, 3) * lift_q + lift_c
+        verdict = macaulay_nonzero(gradient(f))
         try:
             val = macaulay_resultant(gradient(f))
         except PolyError:
-            with pytest.raises(PolyError):
-                macaulay_nonzero(gradient(f))
             continue
-        assert macaulay_nonzero(gradient(f)) == (val != 0)
+        assert verdict == (val != 0)
         sing_found = _has_singular_point(f, rng)
         if val != 0:
             smooth += 1
@@ -265,48 +263,65 @@ def _macaulay_corpus():
     return corpus
 
 
-def _verdict_or_error(verdict, forms):
-    try:
-        return verdict(forms)
-    except PolyError:
-        return "inconclusive"
-
-
 def test_macaulay_verdict_exact_fallback(monkeypatch):
     corpus = _macaulay_corpus()
-    verdicts = [_verdict_or_error(macaulay_nonzero, forms) for forms in corpus]
-    assert verdicts == [_verdict_or_error(lambda f: macaulay_resultant(f) != 0,
-                                          forms) for forms in corpus]
+    # no corpus case raises: the rank verdict has nothing to retry
+    verdicts = [macaulay_nonzero(forms) for forms in corpus]
+    assert verdicts == [macaulay_resultant(forms) != 0 for forms in corpus]
     assert True in verdicts and False in verdicts
     exact_calls = []
-    real_bareiss = poly.int_det_bareiss
+    real_rank = poly.rank
 
-    def counting_bareiss(m):
-        exact_calls.append(len(m))
-        return real_bareiss(m)
+    def counting_rank(m):
+        r = real_rank(m)
+        exact_calls.append((len(m), len(m[0]), r))
+        return r
 
     # mod 3 the Fermat partials 3x^2 vanish, and so do many other residues:
-    # the verdicts must come from the exact fallback and agree
+    # the verdicts must come from the exact rank and agree
     monkeypatch.setattr(poly, "_MACAULAY_PRIME", 3)
-    monkeypatch.setattr(poly, "int_det_bareiss", counting_bareiss)
-    assert [_verdict_or_error(macaulay_nonzero, forms) for forms in corpus] \
-        == verdicts
-    assert 56 in exact_calls
+    monkeypatch.setattr(poly, "rank", counting_rank)
+    assert [macaulay_nonzero(forms) for forms in corpus] == verdicts
+    # a deficit mod 3 that the exact rank overturns: the 80 x 56 matrix of
+    # the Fermat partials has full column rank over Q
+    assert (80, 56, 56) in exact_calls
 
 
-def test_macaulay_verdict_skips_exact_determinant(monkeypatch, inst1):
-    seen = []
-    real_bareiss = poly.int_det_bareiss
+def test_macaulay_verdict_skips_exact_rank(monkeypatch, inst1):
+    def no_exact(m):
+        raise AssertionError("exact arithmetic ran")
 
-    def recording_bareiss(m):
-        seen.append(m)
-        return real_bareiss(m)
-
-    monkeypatch.setattr(poly, "int_det_bareiss", recording_bareiss)
+    monkeypatch.setattr(poly, "rank", no_exact)
+    monkeypatch.setattr(poly, "int_det_bareiss", no_exact)
     assert macaulay_nonzero(gradient(inst1.cubic_s))
-    # exact Bareiss only ever sees matrices whose determinant vanishes mod p
-    assert all(poly._det_mod(m, poly._MACAULAY_PRIME) == 0 for m in seen)
-    assert all(len(m) < 56 for m in seen)
+
+
+def test_macaulay_nonzero_zero_form_is_false():
+    x = MPoly.variables(4)
+    # a cone over a smooth plane cubic: its vertex (0, 0, 0, 1) is singular
+    # and its x3-partial is the zero form
+    cone = gradient(x[0] ** 3 + x[1] ** 3 + x[2] ** 3)
+    assert cone[3].is_zero()
+    assert not macaulay_nonzero(cone)
+    with pytest.raises(PolyError):
+        macaulay_resultant(cone)
+    assert not macaulay_nonzero([x[0] ** 2, x[1] ** 2, x[2] ** 2, MPoly.zero(4)])
+    assert not macaulay_nonzero([MPoly.zero(4)] * 4)
+    # a nonzero constant never vanishes, whatever the other forms are
+    assert macaulay_nonzero([MPoly.const(4, 5), MPoly.zero(4), x[1], x[2]])
+
+
+def test_macaulay_nonzero_ternary():
+    y = MPoly.variables(3)
+    fermat = gradient(y[0] ** 3 + y[1] ** 3 + y[2] ** 3)
+    assert macaulay_nonzero(fermat)
+    assert macaulay_resultant(fermat) != 0
+    # the nodal cubic y^2 z = x^3 + x^2 z, singular at (0, 0, 1)
+    nodal = y[1] ** 2 * y[2] - y[0] ** 3 - y[0] ** 2 * y[2]
+    parts = gradient(nodal)
+    assert all(p.evaluate((0, 0, 1)) == 0 for p in parts)
+    assert not macaulay_nonzero(parts)
+    assert macaulay_resultant(parts) == 0
 
 
 def _has_singular_point(f, rng, tries=200):
@@ -571,44 +586,78 @@ def test_irreducibility_prime_skips_prime_dividing_leading_coefficient():
     assert q is not None and q > 10007
 
 
-def _det_mod_cases(monkeypatch):
+def _ref_rank_mod(rows, prime):
+    """Dense Gaussian elimination over GF(prime)."""
+    m = [[x % prime for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, prime)
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] * inv % prime
+            m[i] = [(x - f * y) % prime for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _rank_mod_cases(monkeypatch):
     rng = random.Random(67)
     cases = []
     for n in range(1, 9):        # random, a third of the entries zero
         cases.append([[rng.choice((0, rng.randrange(-50, 51))) for _ in range(n)]
                       for _ in range(n)])
+    for rows, cols in ((7, 3), (3, 7), (12, 5)):   # tall and wide
+        cases.append([[rng.randrange(-9, 10) for _ in range(cols)]
+                      for _ in range(rows)])
     for n in (3, 5):             # 300-bit entries
         cases.append([[rng.getrandbits(300) - (1 << 299) for _ in range(n)]
                       for _ in range(n)])
-    # singular: a repeated row, a zero column, a zero determinant mod 10007
+    # deficient: a repeated row, a zero column, a zero row, a row sum,
+    # and full rank over Q but not mod 10007 or mod 3
     cases.append([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
     cases.append([[0, 1, 2], [0, 3, 4], [0, 5, 7]])
+    cases.append([[1, 2], [0, 0], [3, 4]])
+    cases.append([[1, 2, 3, 4], [5, 6, 7, 8], [6, 8, 10, 12], [1, 0, 0, 1]])
     cases.append([[10007, 0], [0, 1]])
+    cases.append([[3, 6], [1, 5]])
     # pivot swaps: zero diagonals, anti-diagonal, a pivot that vanishes late
     cases.append([[0, 1], [1, 0]])
     cases.append([[int(i + j == 4) * (i + 2) for j in range(5)] for i in range(5)])
     cases.append([[1, 1, 1], [1, 1, 2], [1, 2, 2]])
-    # the Macaulay matrices of the seed-1 instance
+    # the Macaulay matrices of the seed-1 instance and its slice certificate
     seen = []
-    real_det_mod = poly._det_mod
+    real_rank_mod = poly._rank_mod
 
-    def recording_det_mod(rows, prime):
+    def recording_rank_mod(rows, prime):
         seen.append([list(r) for r in rows])
-        return real_det_mod(rows, prime)
+        return real_rank_mod(rows, prime)
 
-    monkeypatch.setattr(poly, "_det_mod", recording_det_mod)
-    from sixnodal.detgeo import make_instance
-    make_instance(1)
+    monkeypatch.setattr(poly, "_rank_mod", recording_rank_mod)
+    from sixnodal.detgeo import certify_finite_singular_locus, make_instance
+    certify_finite_singular_locus(make_instance(1))
     monkeypatch.undo()
-    assert seen and any(len(m) == 56 for m in seen)
+    assert seen and all((len(m), len(m[0])) == (80, 56) for m in seen)
     return cases + seen
 
 
-def test_det_mod_matches_bareiss(monkeypatch):
-    for rows in _det_mod_cases(monkeypatch):
-        exact = int_det_bareiss(rows)
+def test_rank_mod_matches_reference_rank(monkeypatch):
+    from sixnodal._qlinalg import rank
+    deficient = full = 0
+    for rows in _rank_mod_cases(monkeypatch):
         for prime in (3, 10007, poly._MACAULAY_PRIME):
-            assert poly._det_mod(rows, prime) == exact % prime, (rows, prime)
+            assert poly._rank_mod(rows, prime) == _ref_rank_mod(rows, prime), \
+                (rows, prime)
+        # no case is unlucky at the verdict's prime: its rank is the one over Q
+        r = rank(rows)
+        assert poly._rank_mod(rows, poly._MACAULAY_PRIME) == r
+        full += r == len(rows[0])
+        deficient += r < min(len(rows), len(rows[0]))
+    assert full >= 10 and deficient >= 4
+    assert poly._rank_mod([[10007, 0], [0, 1]], 10007) == 1
+    assert poly._rank_mod([[3, 6], [1, 5]], 3) == 1
 
 
 def test_complexmp_precision_floor():

@@ -152,7 +152,16 @@ def test_rref_rank_nullspace_match_fraction_gauss_jordan(name):
         for v in kernel:
             assert all(x == 0 for x in mat_vec(a, v))
     else:
-        assert nullspace(a) == []
+        with pytest.raises(ValueError):
+            nullspace(a)
+
+
+def test_nullspace_of_no_rows_raises():
+    # one zero row: the kernel is the whole plane; no row: the column count
+    # is unknown, so there is no basis to return
+    assert nullspace(((0, 0),)) == [(1, 0), (0, 1)]
+    with pytest.raises(ValueError):
+        nullspace(())
 
 
 @pytest.mark.parametrize("name", CASES)
