@@ -1,8 +1,14 @@
 """Multiprecision numeric helpers (mpmath scalars, small dense problems).
 
 The exact modules do all identity-level work; these routines only handle the
-numeric path: kernels and ranks with explicit thresholds, and comparisons at
-a working precision.
+numeric path at a working precision of prec + 32 bits.  Where exact
+coefficients meet numeric coordinates, they run on Python integers:
+`to_fixed` reads int, Fraction, mpf or mpc entries exactly as Gaussian
+integers over one shared power of two, sums and products of these are exact,
+and `from_fixed` rounds each result once to an mpc.  Exact forms are
+evaluated this way (`evaluate_fixed`, behind `MPoly.evaluate`), and
+`kernel_numeric` eliminates this way, rounding each entry once per row
+update.  Root finding and the rest of the numeric path run on mpc scalars.
 """
 
 from __future__ import annotations
@@ -11,8 +17,19 @@ import os
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
-DEFAULT_PRECISION = int(os.environ.get("SIXNODAL_PRECISION", "256"))
+# bits kept beyond the working precision by the fixed-point vectors
+_GUARD_BITS = 8
+
+
+def default_precision() -> int:
+    """The working precision when none is given: SIXNODAL_PRECISION, or 256."""
+    raw = os.environ.get("SIXNODAL_PRECISION", "256")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"SIXNODAL_PRECISION is not an integer: {raw!r}") from None
 
 
 def to_mpc(x, prec: int | None = None):
@@ -34,60 +51,134 @@ def check_tolerance(prec: int, at_256: float) -> float:
     return at_256 ** (prec / 256)
 
 
-def kernel_numeric(rows, prec: int, rtol=None):
-    """Right kernel basis of a small matrix of mpc entries.
+# ---------------------------------------------------------------------------
+# Gaussian-integer fixed point
 
-    Gaussian elimination with full pivoting; pivots below rtol * scale are
-    treated as zero.  Returns a list of kernel vectors.
+
+def _ratio(x) -> tuple[int, int]:
+    """A real int, Fraction, float or mpf exactly as (num, den).  An mpf is
+    read from its (sign, mantissa, exponent, bitcount) tuple, as mpf.man_exp
+    drops the sign."""
+    if isinstance(x, mpmath.mpf):
+        x = x._mpf_
+    if not isinstance(x, tuple):
+        x = Fraction(x)
+        return x.numerator, x.denominator
+    sign, man, exp, _bc = x
+    if exp and not man:
+        raise ValueError("infinite or undefined mpf")
+    man = -man if sign else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def to_fixed(values, bits: int) -> tuple[list[tuple[int, int]], int]:
+    """(pairs, shift): values[k] is (re + i im) * 2**-shift for the pair
+    (re, im) = pairs[k], to half a unit.  The shift is shared, may be
+    negative, and puts the largest part near 2**(bits + _GUARD_BITS)."""
+    parts = [tuple(map(_ratio, x._mpc_)) if isinstance(x, mpmath.mpc) else (_ratio(x), (0, 1))
+             for x in values]
+    top = max((n.bit_length() - d.bit_length() for pair in parts for n, d in pair if n),
+              default=None)
+    if top is None:
+        return [(0, 0)] * len(parts), 0
+    shift = bits + _GUARD_BITS - top
+
+    def scaled(n, d):       # n / d * 2**shift, rounded to the nearest integer
+        n, d = (n << shift, d) if shift >= 0 else (n, d << -shift)
+        return (2 * n + d) // (2 * d)
+
+    return [(scaled(*re), scaled(*im)) for re, im in parts], shift
+
+
+def from_fixed(re: int, im: int, exp: int, bits: int, den: int = 1):
+    """(re + i im) * 2**exp / den as an mpc, each part rounded once to bits."""
+    if exp >= 0:
+        re, im = re << exp, im << exp
+    else:
+        den <<= -exp
+    return mpmath.mp.make_mpc((from_rational(re, den, bits, round_nearest),
+                               from_rational(im, den, bits, round_nearest)))
+
+
+def evaluate_fixed(forms, point, bits: int) -> list:
+    """Values at a numeric point of forms given as (terms, den), the sum of
+    terms[e] x^e over den with integer terms[e]: the point goes to fixed
+    point once, each value is summed exactly (a term of degree d carries
+    2^(-shift d), aligned by exact shifts on the least of these) and rounded
+    once per part to an mpc at bits bits."""
+    xs, shift = to_fixed(point, bits)
+    out = []
+    for terms, den in forms:
+        low = min((-shift * sum(e) for e in terms), default=0)
+        re = im = 0
+        for e, c in terms.items():
+            tr, ti = c, 0
+            for (x, y), k in zip(xs, e):
+                for _ in range(k):
+                    tr, ti = tr * x - ti * y, tr * y + ti * x
+            align = -shift * sum(e) - low
+            re, im = re + (tr << align), im + (ti << align)
+        out.append(from_fixed(re, im, low, bits, den))
+    return out
+
+
+def kernel_numeric(rows, prec: int, rtol=None):
+    """Right kernel basis of a small matrix of numeric or rational entries,
+    as vectors of mpc entries.
+
+    Gauss-Jordan elimination with full pivoting on the fixed-point matrix at
+    prec + 32 bits.  Pivots of squared modulus at most (rtol * scale)^2,
+    scale the largest entry modulus, count as zero; both sides are compared
+    exactly.  A row update rounds each entry once to the fixed-point unit,
+    and a kernel entry is an exact quotient of two entries rounded once.
     """
-    rtol = rtol if rtol is not None else default_tolerance(prec)
-    with mpmath.workprec(prec + 32):
-        m = [list(r) for r in rows]
-        nrows = len(m)
-        ncols = len(m[0]) if nrows else 0
-        scale = max((abs(x) for r in m for x in r), default=mpmath.mpf(0))
-        if scale == 0:
-            return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
-        col_perm = list(range(ncols))
-        pivots = 0
-        for step in range(min(nrows, ncols)):
-            best = None
-            best_val = rtol * scale
-            for i in range(pivots, nrows):
-                for j in range(pivots, ncols):
-                    a = abs(m[i][j])
-                    if a > best_val:
-                        best_val = a
-                        best = (i, j)
-            if best is None:
-                break
-            bi, bj = best
-            m[pivots], m[bi] = m[bi], m[pivots]
-            if bj != pivots:
-                for r in m:
-                    r[pivots], r[bj] = r[bj], r[pivots]
-                col_perm[pivots], col_perm[bj] = col_perm[bj], col_perm[pivots]
-            pv = m[pivots][pivots]
-            for i in range(nrows):
-                if i != pivots and m[i][pivots] != 0:
-                    f = m[i][pivots] / pv
-                    for j in range(pivots, ncols):
-                        m[i][j] -= f * m[pivots][j]
-            pivots += 1
-        basis = []
-        for free in range(pivots, ncols):
-            v = [mpmath.mpc(0)] * ncols
-            v[free] = mpmath.mpc(1)
-            for i in range(pivots):
-                v[i] = -m[i][free] / m[i][i]
-            out = [mpmath.mpc(0)] * ncols
-            for pos, orig in enumerate(col_perm):
-                out[orig] = v[pos]
-            basis.append(tuple(out))
-        return basis
+    bits = prec + 32
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    flat, _shift = to_fixed([x for r in rows for x in r], bits)
+    m = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    limit = Fraction(*_ratio(rtol if rtol is not None else default_tolerance(prec))) ** 2 \
+        * max((a * a + b * b for a, b in flat), default=0)
+    zero, one = mpmath.mpc(0), mpmath.mpc(1)
+    col_perm = list(range(ncols))
+    pivots = 0
+    while pivots < min(nrows, ncols):
+        # the first entry of largest modulus, as in a strict row-major scan
+        bi, bj = max(((i, j) for i in range(pivots, nrows) for j in range(pivots, ncols)),
+                     key=lambda ij: m[ij[0]][ij[1]][0] ** 2 + m[ij[0]][ij[1]][1] ** 2)
+        vr, vi = m[bi][bj]
+        if vr * vr + vi * vi <= limit:
+            break
+        m[pivots], m[bi] = m[bi], m[pivots]
+        for r in m:
+            r[pivots], r[bj] = r[bj], r[pivots]
+        col_perm[pivots], col_perm[bj] = col_perm[bj], col_perm[pivots]
+        prow, d2 = m[pivots], 2 * (vr * vr + vi * vi)
+        for row in m:
+            ar, ai = row[pivots]
+            if row is prow or not (ar or ai):
+                continue
+            # row -= (a / pivot) prow, where a / pivot = (fr + i fi) / |pivot|^2
+            fr, fi = ar * vr + ai * vi, ai * vr - ar * vi
+            for j in range(pivots + 1, ncols):
+                (xr, xi), (yr, yi) = prow[j], row[j]
+                row[j] = (yr - (2 * (fr * xr - fi * xi) + d2 // 2) // d2,
+                          yi - (2 * (fr * xi + fi * xr) + d2 // 2) // d2)
+            row[pivots] = (0, 0)
+        pivots += 1
+    basis = []
+    for free in range(pivots, ncols):
+        v = [zero] * ncols
+        v[col_perm[free]] = one
+        for i in range(pivots):
+            # -m[i][free] / m[i][i]: the fixed-point scales cancel
+            (fr, fi), (dr, di) = m[i][free], m[i][i]
+            v[col_perm[i]] = from_fixed(-(fr * dr + fi * di), fr * di - fi * dr, 0,
+                                        bits, dr * dr + di * di)
+        basis.append(tuple(v))
+    return basis
 
 
 def rank_numeric(rows, prec: int, rtol=None) -> int:
     ncols = len(rows[0]) if rows else 0
     return ncols - len(kernel_numeric(rows, prec, rtol))
-

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__, lattice, schubert, segre3, surf27
 from . import detgeo, fourfold as ff
-from ._numeric import DEFAULT_PRECISION, check_tolerance
+from ._numeric import check_tolerance, default_precision
 
 
 @dataclass
@@ -489,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+        p.add_argument("--precision", type=int, default=None,
+                       help="working precision in bits (default: "
+                            "SIXNODAL_PRECISION, or 256)")
         p.add_argument("--json", action="store_true")
 
     lat = sub.add_parser("lattice").add_subparsers(dest="sub", required=True)
@@ -593,6 +595,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.precision is None:
+            args.precision = default_precision()
         code = args.func(args)
         sys.stdout.flush()      # a closed pipe raises here, not at exit
         return code

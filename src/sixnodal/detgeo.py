@@ -24,7 +24,7 @@ from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
                        primitive_int_vector, projectively_equal, rank, rref,
                        solve, transpose, vec)
 from .poly import (MPoly, UPoly, _monomials_of_degree,
-                   _rational_roots_of_squarefree, evaluate_terms, gradient,
+                   _rational_roots_of_squarefree, gradient,
                    irreducibility_prime, macaulay_matrix, macaulay_nonzero,
                    poly_det, restrict_to_subspace, roots, sylvester_resultant)
 
@@ -1383,8 +1383,7 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
 
     Rational roots lift exactly.  The others lift numerically at prec + 32
     bits, and a numeric lift is kept only when its residual on the conic
-    and on the cubic (their coefficients converted to mpc once per call),
-    relative to their coefficient scales, is within
+    and on the cubic, relative to their coefficient scales, is within
     default_tolerance(prec).  Returns (candidates, root_list, residual_max,
     single_lifts): each candidate is (direction in ambient coordinates,
     exact_flag), root_list is that of _eliminant_roots, residual_max is the
@@ -1398,8 +1397,6 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
         tol = _numeric.default_tolerance(prec)
         q_num = {e: _numeric.to_mpc(c, prec) for e, c in q_chart.terms.items()}
         c_num = {e: _numeric.to_mpc(c, prec) for e, c in c_chart.terms.items()}
-        scale_q = max((abs(c) for c in q_num.values()), default=mpmath.mpf(1))
-        scale_c = max((abs(c) for c in c_num.values()), default=mpmath.mpf(1))
         chart_num = [[_numeric.to_mpc(x, prec) for x in row] for row in chart]
         residual_max = mpmath.mpf(0)
         single_lifts = True
@@ -1412,7 +1409,7 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
                 continue
             kept = 0
             for d3 in _lift_direction_numeric(q_num, c_num, s_val, t_val, prec):
-                resid = _lift_residual(q_num, c_num, scale_q, scale_c, d3)
+                resid = _lift_residual(q_chart, c_chart, d3)
                 if resid > tol:
                     continue
                 residual_max = max(residual_max, resid)
@@ -1423,12 +1420,14 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
     return out, root_list, residual_max, single_lifts
 
 
-def _lift_residual(q_num, c_num, scale_q, scale_c, d3):
+def _lift_residual(q_chart, c_chart, d3):
     """Residual of a numeric lift d3 on the conic and the cubic of the chart,
-    given as {exponents: mpc}, relative to their coefficient scales."""
+    relative to their largest coefficient moduli, at the ambient precision."""
     dnorm = max(1, max(abs(x) for x in d3))
-    return max(abs(evaluate_terms(q_num, d3)) / (scale_q * dnorm ** 2),
-               abs(evaluate_terms(c_num, d3)) / (scale_c * dnorm ** 3))
+    scale_q, scale_c = (_numeric.to_mpc(max(map(abs, f.terms.values()), default=1)).real
+                        for f in (q_chart, c_chart))
+    return max(abs(q_chart.evaluate(d3)) / (scale_q * dnorm ** 2),
+               abs(c_chart.evaluate(d3)) / (scale_c * dnorm ** 3))
 
 
 def _irrational_roots_conjugate(elim: MPoly, root_list) -> bool:

@@ -6,23 +6,27 @@ the new coordinate.  A line not inside the hyperplane meets the threefold
 in one smooth point; the plane it spans with the unique dual-family line
 through that point cuts the fourfold in three lines, and swapping the first
 and third is the involution.  Fourfold-level computation runs on the
-numeric path at an explicit working precision.
+numeric path at an explicit working precision of prec + 32 bits.  Where
+exact forms meet numeric points (the gradient test, phi and the dual-line
+conditions, the plane restriction, the scroll quadrics) and in the small
+kernels, it runs in the Gaussian-integer fixed point of `_numeric`: exact
+integer sums, rounded once per value.  The rest runs on mpc scalars.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from . import _numeric
-from ._qlinalg import Q, is_zero_vec, primitive_int_vector
+from ._qlinalg import Q, clear_denominators, is_zero_vec, primitive_int_vector
 from .detgeo import (DEFAULT_ENTRY_RANGE, DetGeoError, DeterminantalInstance,
                      direction_candidates, ruling_of_scroll, sample_smooth_point,
                      scroll_data)
-from .poly import MPoly, evaluate_terms, gradient
+from .poly import MPoly, _int_terms, gradient
 
 
 class FourfoldError(ValueError):
@@ -36,16 +40,10 @@ _NEAR_ZERO_SLACK = 1e6
 # residual bound of the plane factoring and scroll incidence; absorbs the
 # error of the numeric kernels (cokernel, dual line, residual factor) before it
 _KERNEL_CHAIN_SLACK = 1e8
-
-
-@dataclass(frozen=True)
-class NumericForms:
-    """The exact forms iota reads, converted to mpc at prec + 32 bits."""
-
-    linear: dict        # (i, j) -> [(k, c)]: the cubic as sum x_i x_j L_ij, i <= j <= k
-    gradient: list      # gradient of the threefold cubic, each {exponents: mpc}
-    gradient_scale: object  # largest coefficient modulus of the threefold cubic
-    lam_perp: list      # the lam_perp basis as 3x3 mpc matrices
+# scroll-incidence bound at 256 bits, scaled like the other checks: a fixed
+# multiple of default_tolerance(prec) is 0.023 at 64 bits, above the margin
+# of a line that misses the scroll
+_SCROLL_TOL_AT_256 = 2.0 ** -128 * _KERNEL_CHAIN_SLACK
 
 
 @dataclass(frozen=True)
@@ -54,34 +52,11 @@ class CubicFourfold:
     quadric: MPoly            # the extension quadric
     inst: DeterminantalInstance
     seed: int
-    # NumericForms by precision, built on first use
-    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rest = MPoly(5, {e[:5]: c for e, c in self.cubic.terms.items() if e[5] == 0})
         if rest != self.inst.cubic_y:
             raise FourfoldError("restriction to the hyperplane is not the threefold")
-
-    def numeric(self, prec: int) -> NumericForms:
-        """The forms at prec + 32 bits, converted once per precision."""
-        if prec not in self._views:
-            self._views[prec] = _numeric_forms(self, prec)
-        return self._views[prec]
-
-
-def _numeric_forms(four: CubicFourfold, prec: int) -> NumericForms:
-    cubic_y = four.inst.cubic_y
-    with mpmath.workprec(prec + 32):
-        linear: dict = {}
-        for e, c in four.cubic.terms.items():
-            i, j, k = [v for v in range(four.cubic.nvars) for _ in range(e[v])]
-            linear.setdefault((i, j), []).append((k, _numeric.to_mpc(c, prec)))
-        grads = [{e: _numeric.to_mpc(c, prec) for e, c in g.terms.items()}
-                 for g in gradient(cubic_y)]
-        gscale = max(abs(_numeric.to_mpc(c, prec)) for c in cubic_y.terms.values())
-        basis = [[[_numeric.to_mpc(x, prec) for x in row] for row in b]
-                 for b in four.inst.lam_perp.basis]
-    return NumericForms(linear, grads, gscale, basis)
 
 
 @dataclass(frozen=True)
@@ -170,11 +145,10 @@ def _restriction_coeffs(f: MPoly, base, direc):
 
 def _spot_check_smooth(four: CubicFourfold, rng, prec, count):
     """Gradient must not (nearly) vanish at numeric sample points of X."""
-    grads = gradient(four.cubic)
+    grads = [_int_terms(g) for g in gradient(four.cubic)]
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
-        fscale = max(abs(_numeric.to_mpc(c, prec))
-                     for c in four.cubic.terms.values())
+        fscale = _numeric.to_mpc(max(map(abs, four.cubic.terms.values()))).real
         done = 0
         attempts = 0
         while done < count and attempts < 8 * count + 64:
@@ -197,7 +171,7 @@ def _spot_check_smooth(four: CubicFourfold, rng, prec, count):
                 if scale == 0:
                     continue
                 pt = [x / scale for x in pt]
-                gvals = [g.evaluate(pt) for g in grads]
+                gvals = _numeric.evaluate_fixed(grads, pt, prec + 32)
                 if max(abs(x) for x in gvals) <= tol * fscale:
                     raise FourfoldError("spot check found a (near-)singular point")
                 done += 1
@@ -271,21 +245,24 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
 
         # smoothness of the threefold at y and the unique dual-family line
         y5 = y[:5]
-        forms = four.numeric(prec)
-        grads = [evaluate_terms(g, y5) for g in forms.gradient]
-        if max(abs(x) for x in grads) <= tol * forms.gradient_scale * _NEAR_ZERO_SLACK:
+        cubic_y = four.inst.cubic_y
+        grads = _numeric.evaluate_fixed([_int_terms(g) for g in gradient(cubic_y)],
+                                        y5, prec + 32)
+        gscale = _numeric.to_mpc(max(map(abs, cubic_y.terms.values()))).real
+        if max(abs(x) for x in grads) <= tol * gscale * _NEAR_ZERO_SLACK:
             raise FourfoldError("hyperplane point is singular on the threefold")
-        basis_num = forms.lam_perp
-        phi = [[sum(y5[k] * basis_num[k][i][j] for k in range(5))
-                for j in range(3)] for i in range(3)]
-        coker = _numeric.kernel_numeric([list(r) for r in zip(*phi)], prec)
+        basis = four.inst.lam_perp.basis
+        # phi^T: entry (j, i) is sum_k y_k basis[k][i][j]
+        phi_t = _linear_values([[[b[i][j] for b in basis] for i in range(3)]
+                                for j in range(3)], y5, prec)
+        coker = _numeric.kernel_numeric(phi_t, prec)
         if len(coker) != 1:
             raise FourfoldError("hyperplane point has no unique dual line")
         vdual = coker[0]
 
         # the dual line: y-coordinates with phi^T vdual = 0
-        cond = [[sum(vdual[i] * basis_num[k][i][j] for i in range(3))
-                 for k in range(5)] for j in range(3)]
+        cond = _linear_values([[[basis[k][i][j] for i in range(3)] for k in range(5)]
+                               for j in range(3)], vdual, prec)
         kern = _numeric.kernel_numeric(cond, prec)
         if len(kern) != 2:
             raise FourfoldError("dual-family line is degenerate")
@@ -297,7 +274,7 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
         if _numeric.rank_numeric([list(y), list(a6), list(b6)], prec) != 3:
             raise FourfoldError("plane through m and the dual line is degenerate")
 
-        coeffs = _plane_restriction(forms.linear, (y, a6, b6), prec)
+        coeffs = _plane_restriction(four.cubic, (y, a6, b6), prec)
         allowed = {(1, 1, 1), (0, 2, 1), (0, 1, 2)}
         cmax = max(abs(c) for c in coeffs.values())
         bad = max((abs(c) for e, c in coeffs.items() if e not in allowed),
@@ -319,19 +296,35 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
         return IotaResult(out, y, b6, float(bad / cmax))
 
 
+def _linear_values(coeff_rows, point, prec):
+    """Matrix of the values at a numeric point of the linear forms with the
+    given exact coefficient lists, through the fixed-point evaluator."""
+    n = len(point)
+    units = [tuple(int(v == k) for v in range(n)) for k in range(n)]
+    ints, den = clear_denominators([c for row in coeff_rows for coeffs in row
+                                    for c in coeffs])
+    vals = _numeric.evaluate_fixed([(dict(zip(units, ints[i:i + n])), den)
+                                    for i in range(0, len(ints), n)], point, prec + 32)
+    width = len(coeff_rows[0])
+    return [vals[i:i + width] for i in range(0, len(vals), width)]
+
+
 def _independent_point(kernel_pair, y5, prec):
-    """Point of the numeric plane span(kernel_pair) least aligned with y5."""
+    """Point of the numeric plane span(kernel_pair) least aligned with y5: the
+    least squared cosine |<c, y5>|^2 / (|c|^2 |y5|^2), compared exactly on
+    fixed-point vectors, where the shifts cancel."""
     with mpmath.workprec(prec + 32):
-        best, best_score = None, -1
-        for cand in (kernel_pair[0], kernel_pair[1],
-                     tuple(a + b for a, b in zip(*kernel_pair))):
-            ip = sum(a * mpmath.conj(b) for a, b in zip(cand, y5))
-            n1 = mpmath.sqrt(sum(abs(x) ** 2 for x in cand))
-            n2 = mpmath.sqrt(sum(abs(x) ** 2 for x in y5))
-            score = 1 - abs(ip) / (n1 * n2)
-            if score > best_score:
-                best, best_score = cand, score
-        return best
+        cands = (*kernel_pair, tuple(a + b for a, b in zip(*kernel_pair)))
+    ys, _ = _numeric.to_fixed(y5, prec + 32)
+    y2 = sum(a * a + b * b for a, b in ys)
+
+    def cosine2(cand):
+        cs, _ = _numeric.to_fixed(cand, prec + 32)
+        re = sum(a * c + b * d for (a, b), (c, d) in zip(cs, ys))
+        im = sum(b * c - a * d for (a, b), (c, d) in zip(cs, ys))
+        return Fraction(re * re + im * im, sum(a * a + b * b for a, b in cs) * y2)
+
+    return min(cands, key=cosine2)
 
 
 def _plane_exponent(*idx):
@@ -347,27 +340,41 @@ _PLANE_QUADRATIC = [(m, n, [_plane_exponent(m, n, p) for p in range(3)])
                     for m in range(3) for n in range(m, 3)]
 
 
-def _plane_restriction(linear, basis3, prec):
+def _plane_restriction(cubic: MPoly, basis3, prec):
     """Coefficients of a cubic restricted to span(basis3) in plane
     coordinates.
 
-    The cubic is given as linear = NumericForms.linear, the sum over i <= j
-    of x_i x_j L_ij.  Each L_ij is restricted once and multiplied by the
+    The cubic, in integers over one denominator, is the sum over i <= j of
+    x_i x_j L_ij.  Each L_ij is restricted once and multiplied by the
     quadratic l_i l_j, where l_i = (basis3[0][i], basis3[1][i],
-    basis3[2][i]) is the restriction of x_i.
+    basis3[2][i]) is the restriction of x_i.  The basis vectors are
+    fixed-point vectors with shifts s_m, so the coefficient of s^a t^b u^c is
+    an exact sum over 2^(a s_0 + b s_1 + c s_2), rounded once.
     """
-    with mpmath.workprec(prec + 32):
-        out: dict = {}
-        for (i, j), terms in linear.items():
-            form = [sum(c * basis3[m][k] for k, c in terms) for m in range(3)]
-            for m, n, keys in _PLANE_QUADRATIC:
-                q = basis3[m][i] * basis3[n][j]
-                if m != n:
-                    q += basis3[n][i] * basis3[m][j]
-                for key, lp in zip(keys, form):
-                    val = q * lp
-                    out[key] = out[key] + val if key in out else val
-        return out
+    ints, den = _int_terms(cubic)
+    linear: dict = {}
+    for e, c in ints.items():
+        i, j, k = [v for v in range(cubic.nvars) for _ in range(e[v])]
+        linear.setdefault((i, j), []).append((k, c))
+    fixed = [_numeric.to_fixed(b, prec + 32) for b in basis3]
+    pts = [f[0] for f in fixed]
+    out: dict = {}
+    for (i, j), terms in linear.items():
+        form = [(sum(c * pts[m][k][0] for k, c in terms),
+                 sum(c * pts[m][k][1] for k, c in terms)) for m in range(3)]
+        for m, n, keys in _PLANE_QUADRATIC:
+            (a, b), (c, d) = pts[m][i], pts[n][j]
+            qr, qi = a * c - b * d, a * d + b * c
+            if m != n:
+                (a, b), (c, d) = pts[n][i], pts[m][j]
+                qr, qi = qr + a * c - b * d, qi + a * d + b * c
+            for key, (lr, li) in zip(keys, form):
+                re, im = out.get(key, (0, 0))
+                out[key] = (re + qr * lr - qi * li, im + qr * li + qi * lr)
+    return {key: _numeric.from_fixed(re, im,
+                                     -sum(k * f[1] for k, f in zip(key, fixed)),
+                                     prec + 32, den)
+            for key, (re, im) in out.items()}
 
 
 def involution_check(four: CubicFourfold, m: FourfoldLine,
@@ -400,9 +407,10 @@ class ScrollIncidence:
 
 def _meets_scroll(four: CubicFourfold, line: FourfoldLine, quadrics, prec):
     """Incidence of a fourfold line with a scroll inside the hyperplane: the
-    unique hyperplane point of the line must satisfy the three quadrics."""
+    unique hyperplane point of the line must satisfy the three quadrics,
+    relative to their coefficient scales."""
     with mpmath.workprec(prec + 32):
-        tol = _numeric.default_tolerance(prec)
+        tol = _numeric.check_tolerance(prec, _SCROLL_TOL_AT_256)
         p0 = tuple(_numeric.to_mpc(x, prec) for x in line.p0)
         p1 = tuple(_numeric.to_mpc(x, prec) for x in line.p1)
         y = tuple(p1[5] * a - p0[5] * b for a, b in zip(p0, p1))
@@ -412,10 +420,9 @@ def _meets_scroll(four: CubicFourfold, line: FourfoldLine, quadrics, prec):
         y5 = tuple(x / ynorm for x in y[:5])
         margin = mpmath.mpf(0)
         for q in quadrics:
-            qscale = max(abs(_numeric.to_mpc(c, prec)) for c in q.terms.values())
-            val = abs(q.evaluate(y5)) / qscale
-            margin = max(margin, val)
-        return bool(margin <= tol * _KERNEL_CHAIN_SLACK), float(margin)
+            qscale = _numeric.to_mpc(max(map(abs, q.terms.values()))).real
+            margin = max(margin, abs(q.evaluate(y5)) / qscale)
+        return bool(margin <= tol), float(margin)
 
 
 def scroll_incidence_invariance(four: CubicFourfold, m: FourfoldLine, v,

@@ -19,6 +19,7 @@ from operator import add
 
 import mpmath
 
+from . import _numeric
 from ._qlinalg import (Q, clear_denominators, det, int_det_bareiss, mat,
                        primitive, rank)
 
@@ -55,20 +56,6 @@ def _int_product(a: dict, b: dict) -> dict:
             else:
                 del out[e]
     return out
-
-
-def evaluate_terms(terms: dict, point):
-    """The sum over terms {exponents: c} of c times the monomial at point, in
-    term order and in the arithmetic of the scalars, so the coefficients may
-    be mpc values converted once from an MPoly; Fraction(0) for no terms."""
-    total = None
-    for e, c in terms.items():
-        term = c
-        for x, k in zip(point, e):
-            for _ in range(k):
-                term = term * x
-        total = term if total is None else total + term
-    return Fraction(0) if total is None else total
 
 
 class MPoly:
@@ -220,10 +207,14 @@ class MPoly:
         return MPoly._wrap(self.nvars, out)
 
     def evaluate(self, point):
-        """Evaluate at a point; works for Fraction, mpf/mpc, or mixed scalars.
+        """Evaluate at a point of int, Fraction, mpf or mpc entries.
 
         At a rational point the sum runs on integers: with x = X/dx, each
-        term is taken over the common denominator den * dx^degree.
+        term is taken over the common denominator den * dx^degree, and the
+        value is a Fraction.  At any other point the integer coefficients
+        meet the point in Gaussian-integer fixed point
+        (`_numeric.evaluate_fixed`), and the value is an mpc rounded once at
+        the ambient mpmath precision.
         """
         if len(point) != self.nvars:
             raise PolyError("point arity mismatch")
@@ -238,7 +229,7 @@ class MPoly:
                         c *= x ** k
                 total += c * dx ** (deg - sum(e))
             return Fraction(total, den * dx ** deg)
-        return evaluate_terms(self.terms, point)
+        return _numeric.evaluate_fixed([_int_terms(self)], point, mpmath.mp.prec)[0]
 
     def compose(self, substitutions: list["MPoly"]) -> "MPoly":
         """Substitute substitutions[i] for variable i."""

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -10,9 +11,9 @@ from sixnodal.cli import main
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def run_cli(args):
+def run_cli(args, env=None):
     proc = subprocess.run([sys.executable, "-m", "sixnodal.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -69,6 +70,27 @@ def test_transfer_failure_json_error():
     assert data["seed"] == 1
     assert "h^2" in data["error"]
     assert "error:" in err
+
+
+def test_precision_from_environment():
+    # SIXNODAL_PRECISION is read when a command runs, not at import: a value
+    # that is not an integer is reported like any other error, and a valid
+    # one is the default that --precision overrides
+    env = {k: v for k, v in os.environ.items() if k != "SIXNODAL_PRECISION"}
+    code, out, err = run_cli(["reproduce", "--all", "--json"],
+                             env={**env, "SIXNODAL_PRECISION": "abc"})
+    assert code == 1
+    data = json.loads(out)
+    assert set(data) == {"command", "seed", "precision", "error"}
+    assert data["command"] == "reproduce" and data["precision"] is None
+    assert "SIXNODAL_PRECISION" in data["error"]
+    assert "Traceback" not in err and "error:" in err
+    args = ["lattice", "orbit", "--json"]
+    for extra, want in (([], 128), (["--precision", "96"], 96)):
+        code, out, _ = run_cli(args + extra, env={**env, "SIXNODAL_PRECISION": "128"})
+        assert code == 0 and json.loads(out)["precision"] == want
+    code, out, _ = run_cli(args, env=env)
+    assert code == 0 and json.loads(out)["precision"] == 256
 
 
 def test_svg_emission(tmp_path):
@@ -168,11 +190,11 @@ def test_broken_pipe_exits_1_quietly(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("prec", [96, 128, 192, 256, 512])
+@pytest.mark.parametrize("prec", [64, 96, 128, 192, 256, 512])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_reproduce_passes_at_every_precision(seed, prec, capsys):
     # the numeric checks scale their tolerances with the precision, so no
-    # verdict may flip between 96 and 512 bits
+    # verdict may flip between 64 and 512 bits
     code = main(["reproduce", "--all", "--seed", str(seed), "--json",
                  "--precision", str(prec)])
     data = json.loads(capsys.readouterr().out)

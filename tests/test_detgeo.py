@@ -692,12 +692,20 @@ def test_residual_max_counts_only_kept_lines(inst1, prec):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_lift_residual_matches_fraction_evaluation(seed, prec):
     # first three criterion-09 points: the residual of each numeric lift, on
-    # the mpc coefficients _lift_eliminant converts once, agrees with the
-    # evaluation of the exact Fraction forms, and so keeps the same lifts
+    # the exact forms through the fixed-point evaluator, agrees with an mpc
+    # evaluation of the Fraction forms at 2 prec + 64 bits, and so keeps the
+    # same lifts
     import mpmath
     from sixnodal._numeric import to_mpc
     from sixnodal.detgeo import (_eliminant_roots, _lift_direction_numeric,
                                  _lift_residual, direction_chart)
+
+    def reference(f, d3, power):
+        value = sum(to_mpc(c) * d3[0] ** e[0] * d3[1] ** e[1] * d3[2] ** e[2]
+                    for e, c in f.terms.items())
+        scale = max(abs(to_mpc(c)) for c in f.terms.values())
+        return abs(value) / (scale * max(1, max(abs(x) for x in d3)) ** power)
+
     inst = make_instance(seed)
     rng = random.Random(seed + 500)
     tol = default_tolerance(prec)
@@ -708,16 +716,13 @@ def test_lift_residual_matches_fraction_evaluation(seed, prec):
         with mpmath.workprec(prec + 32):
             q_num = {e: to_mpc(c, prec) for e, c in q_chart.terms.items()}
             c_num = {e: to_mpc(c, prec) for e, c in c_chart.terms.items()}
-            scale_q = max(abs(c) for c in q_num.values())
-            scale_c = max(abs(c) for c in c_num.values())
             for (s_val, t_val), _mult in _eliminant_roots(elim, prec):
                 if isinstance(s_val, Fraction):
                     continue
                 for d3 in _lift_direction_numeric(q_num, c_num, s_val, t_val, prec):
-                    got = _lift_residual(q_num, c_num, scale_q, scale_c, d3)
-                    dnorm = max(1, max(abs(x) for x in d3))
-                    ref = max(abs(q_chart.evaluate(d3)) / (scale_q * dnorm ** 2),
-                              abs(c_chart.evaluate(d3)) / (scale_c * dnorm ** 3))
+                    got = _lift_residual(q_chart, c_chart, d3)
+                    with mpmath.workprec(2 * prec + 64):
+                        ref = max(reference(q_chart, d3, 2), reference(c_chart, d3, 3))
                     assert abs(got - ref) <= mpmath.mpf(2) ** -prec
                     assert (got <= tol) == (ref <= tol)
                     kept += got <= tol

@@ -190,7 +190,7 @@ def test_plane_restriction_matches_exact(four, inst1, prec):
     exact = restrict_to_subspace(four.cubic, pts)
     with mpmath.workprec(prec + 32):
         basis3 = [tuple(to_mpc(x, prec) for x in q) for q in pts]
-        coeffs = _plane_restriction(four.numeric(prec).linear, basis3, prec)
+        coeffs = _plane_restriction(four.cubic, basis3, prec)
         cmax = max(abs(to_mpc(c, prec)) for c in exact.terms.values())
         assert set(exact.terms) <= set(coeffs)
         for e, c in coeffs.items():
@@ -198,41 +198,15 @@ def test_plane_restriction_matches_exact(four, inst1, prec):
             assert err <= default_tolerance(prec) * cmax, e
 
 
-def test_numeric_forms_built_once_per_precision(inst1, monkeypatch):
-    from sixnodal import fourfold
-    fresh = extend_to_fourfold(inst1, seed=1, spot_checks=0)
-    built = []
-    real = fourfold._numeric_forms
-
-    def recording(four, prec):
-        built.append(prec)
-        return real(four, prec)
-
-    monkeypatch.setattr(fourfold, "_numeric_forms", recording)
-    m = sample_line(fresh, seed=1)
-    iota(fresh, iota(fresh, m).line)
-    assert built == [256]
-    at_128 = fresh.numeric(128)
-    assert built == [256, 128]
-    assert at_128 is fresh.numeric(128) and at_128 is not fresh.numeric(256)
-    assert built == [256, 128]
-
-
-def test_iota_same_with_numeric_forms_prebuilt(four, inst1):
-    built = extend_to_fourfold(inst1, seed=1, spot_checks=0)
-    built.numeric(256)
+def test_iota_same_on_equal_fourfolds(four, inst1):
+    # iota reads nothing but the exact forms of the fourfold, so two equal
+    # fourfolds built apart give equal results
+    other = extend_to_fourfold(inst1, seed=1, spot_checks=0)
+    assert other == four and repr(other) == repr(four)
+    assert other != extend_to_fourfold(inst1, seed=2, spot_checks=0)
     for seed in (1, 2, 3):
-        fresh = extend_to_fourfold(inst1, seed=1, spot_checks=0)
         m = sample_line(four, seed=seed)
-        assert iota(fresh, m) == iota(built, m)
-
-
-def test_fourfold_equality_ignores_numeric_forms(inst1):
-    a = extend_to_fourfold(inst1, seed=1, spot_checks=0)
-    b = extend_to_fourfold(inst1, seed=1, spot_checks=0)
-    b.numeric(128)
-    assert a == b and repr(a) == repr(b)
-    assert a != extend_to_fourfold(inst1, seed=2, spot_checks=0)
+        assert iota(other, m) == iota(four, m)
 
 
 def test_lines_close_detects_difference(four):
