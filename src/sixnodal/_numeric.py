@@ -6,9 +6,13 @@ coefficients meet numeric coordinates, they run on Python integers:
 `to_fixed` reads int, Fraction, mpf or mpc entries exactly as Gaussian
 integers over one shared power of two, sums and products of these are exact,
 and `from_fixed` rounds each result once to an mpc.  Exact forms are
-evaluated this way (`evaluate_fixed`, behind `MPoly.evaluate`), and
-`kernel_numeric` eliminates this way, rounding each entry once per row
-update.  Root finding and the rest of the numeric path run on mpc scalars.
+evaluated this way (`evaluate_fixed`, behind `MPoly.evaluate` and the
+u-slices of the line lift), exact matrices meet numeric vectors this way
+(`linear_values`: the chart map of the line lift, the lam and lam_perp
+matrices of the sigma test and of `iota`), and `kernel_numeric` eliminates
+this way, rounding each entry once per row update.  Products of numeric
+values run on mpc scalars: root finding, the quadratic formula of the line
+lift and sigma phi sigma.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
+
+from ._qlinalg import clear_denominators
 
 # bits kept beyond the working precision by the fixed-point vectors
 _GUARD_BITS = 8
@@ -120,6 +126,20 @@ def evaluate_fixed(forms, point, bits: int) -> list:
             re, im = re + (tr << align), im + (ti << align)
         out.append(from_fixed(re, im, low, bits, den))
     return out
+
+
+def linear_values(coeff_rows, point, prec: int) -> list[list]:
+    """Matrix of the values at a numeric point of the linear forms with the
+    given exact coefficient lists, through the fixed-point evaluator: entry
+    (i, j) is sum_k coeff_rows[i][j][k] point[k], rounded once."""
+    n = len(point)
+    units = [tuple(int(v == k) for v in range(n)) for k in range(n)]
+    ints, den = clear_denominators([c for row in coeff_rows for coeffs in row
+                                    for c in coeffs])
+    vals = evaluate_fixed([(dict(zip(units, ints[i:i + n])), den)
+                           for i in range(0, len(ints), n)], point, prec + 32)
+    width = len(coeff_rows[0])
+    return [vals[i:i + width] for i in range(0, len(vals), width)]
 
 
 def kernel_numeric(rows, prec: int, rtol=None):

@@ -367,7 +367,8 @@ def cmd_fourfold_iota(args) -> int:
     m = ff.sample_line(four, seed=args.line_seed, prec=args.precision)
     res = ff.iota(four, m, args.precision)
     report.data["factor_residual"] = res.factor_residual
-    report.check("plane restriction factors", res.factor_residual < 1e-30)
+    report.check("plane restriction factors",
+                 res.factor_residual < check_tolerance(args.precision, 1e-30))
     if args.check_involution:
         ok, _, _ = ff.involution_check(four, m, args.precision)
         report.check("iota is an involution", ok)

@@ -23,7 +23,7 @@ from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
                        is_zero_vec, mat, mat_mul, mat_vec, nullspace,
                        primitive_int_vector, projectively_equal, rank, rref,
                        solve, transpose, vec)
-from .poly import (MPoly, UPoly, _monomials_of_degree,
+from .poly import (MPoly, UPoly, _int_terms, _monomials_of_degree,
                    _rational_roots_of_squarefree, gradient,
                    irreducibility_prime, macaulay_matrix, macaulay_nonzero,
                    poly_det, restrict_to_subspace, roots, sylvester_resultant)
@@ -244,18 +244,6 @@ def _binary_form_parts(f: MPoly):
     return a, d - b, UPoly(dense)
 
 
-def _univariate_slice(f: MPoly, point_with_hole) -> UPoly:
-    """Substitute constants everywhere except the single None slot."""
-    hole = list(point_with_hole).index(None)
-    subs = [MPoly.var(1, 0) if i == hole else MPoly.const(1, point_with_hole[i])
-            for i in range(len(point_with_hole))]
-    u = f.compose(subs)
-    dense = [Fraction(0)] * (u.degree() + 1 if not u.is_zero() else 0)
-    for e, c in u.terms.items():
-        dense[e[0]] += c
-    return UPoly(dense)
-
-
 def _rational_roots_of(u: UPoly) -> list[Fraction]:
     out = []
     for q, _m in u.squarefree_decomposition():
@@ -266,8 +254,11 @@ def _rational_roots_of(u: UPoly) -> list[Fraction]:
 
 def _slice_lifts(forms, a, b) -> list[Fraction]:
     """Rational t with every ternary form vanishing at (a, b, t): the rational
-    roots of the gcd of the nonzero slices, each checked exactly."""
-    slices = [u for u in (_univariate_slice(m, (a, b, None)) for m in forms)
+    roots of the gcd of the nonzero slices, each checked exactly.  The slice
+    of a form has the values at (a, b) of its _coeffs_in_var binary forms as
+    coefficients."""
+    slices = [u for u in (UPoly([g.evaluate((a, b)) for g in _coeffs_in_var(m, 2)])
+                          for m in forms)
               if not u.is_zero()]
     if not slices:
         return []
@@ -1392,12 +1383,13 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
     """
     n = len(chart[0])
     root_list = _eliminant_roots(elim, prec)
+    q_forms, c_forms = ([_int_terms(g) for g in _coeffs_in_var(f, 2)]
+                        for f in (q_chart, c_chart))
+    # ambient coordinate j of a chart direction d3 is sum_k d3[k] chart[k][j]
+    to_ambient = [[[row[j] for row in chart] for j in range(n)]]
     out = []
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
-        q_num = {e: _numeric.to_mpc(c, prec) for e, c in q_chart.terms.items()}
-        c_num = {e: _numeric.to_mpc(c, prec) for e, c in c_chart.terms.items()}
-        chart_num = [[_numeric.to_mpc(x, prec) for x in row] for row in chart]
         residual_max = mpmath.mpf(0)
         single_lifts = True
         for (s_val, t_val), _mult in root_list:
@@ -1408,14 +1400,13 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
                                       for j in range(n)), True))
                 continue
             kept = 0
-            for d3 in _lift_direction_numeric(q_num, c_num, s_val, t_val, prec):
+            for d3 in _lift_direction_numeric(q_forms, c_forms, s_val, t_val, prec):
                 resid = _lift_residual(q_chart, c_chart, d3)
                 if resid > tol:
                     continue
                 residual_max = max(residual_max, resid)
                 kept += 1
-                out.append((tuple(sum(c * chart_num[k][j] for k, c in enumerate(d3))
-                                  for j in range(n)), False))
+                out.append((tuple(_numeric.linear_values(to_ambient, d3, prec)[0]), False))
             single_lifts = single_lifts and kept == 1
     return out, root_list, residual_max, single_lifts
 
@@ -1525,22 +1516,28 @@ _SIGMA_SLACK = 64
 def _numeric_s_test(inst, phi_y, prec):
     """Numeric S-family test for lines through y, where phi(y) = phi_y: the
     returned function of a direction d says whether the line carries a rank-2
-    sigma in lam with sigma phi sigma = 0.  Data of y are converted once."""
+    sigma in lam with sigma phi sigma = 0.  Products of the exact phi_y, lam
+    and lam_perp with numeric vectors run through _numeric.linear_values;
+    phi_y goes to mpc once, for sigma phi sigma."""
+    basis, lam = inst.lam_perp.basis, inst.lam.basis
+    # matrices linear in a numeric vector: phi(d) in d; the row c phi_y in c;
+    # the conditions sigma u0 = 0 and a sigma = 0 on the lam coordinates of
+    # sigma, in u0 and in a; and sigma in its lam coordinates
+    phi_forms = [[[b[i][j] for b in basis] for j in range(3)] for i in range(3)]
+    pre_forms = [[[phi_y[i][j] for i in range(3)] for j in range(3)]]
+    kill_forms = [[[b[i][j] for j in range(3)] for b in lam] for i in range(3)]
+    image_forms = [[[b[i][j] for i in range(3)] for b in lam] for j in range(3)]
+    sigma_forms = [[[b[i][j] for b in lam] for j in range(3)] for i in range(3)]
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
         phi1 = [[_numeric.to_mpc(x, prec) for x in row] for row in phi_y]
-        basis_num = [[[_numeric.to_mpc(x, prec) for x in row] for row in b]
-                     for b in inst.lam_perp.basis]
-        lam_num = [[[_numeric.to_mpc(x, prec) for x in row] for row in b]
-                   for b in inst.lam.basis]
-        ann1 = _numeric.kernel_numeric([list(r) for r in zip(*phi1)], prec)
+        ann1 = _numeric.kernel_numeric([list(r) for r in zip(*phi_y)], prec)
 
     def carries_sigma(d) -> bool:
         if len(ann1) != 1:
             return False
         with mpmath.workprec(prec + 32):
-            phi2 = [[sum(d[k] * basis_num[k][i][j] for k in range(5)) for j in range(3)]
-                    for i in range(3)]
+            phi2 = _numeric.linear_values(phi_forms, d, prec)
             ann2 = _numeric.kernel_numeric([list(r) for r in zip(*phi2)], prec)
             if len(ann2) != 1:
                 return False
@@ -1549,23 +1546,19 @@ def _numeric_s_test(inst, phi_y, prec):
                 return False
             u0 = inter[0]
             ann_u0 = _numeric.kernel_numeric([list(u0)], prec)
-            pre_rows = [[sum(c[i] * phi1[i][j] for i in range(3)) for j in range(3)]
-                        for c in ann_u0]
+            pre_rows = [_numeric.linear_values(pre_forms, c, prec)[0] for c in ann_u0]
             pre = _numeric.kernel_numeric(pre_rows, prec)
             if len(pre) != 2:
                 return False
             ann_pre = _numeric.kernel_numeric([list(p) for p in pre], prec)
-            cond_rows = []
-            for i in range(3):  # sigma u0 = 0
-                cond_rows.append([sum(b[i][j] * u0[j] for j in range(3)) for b in lam_num])
-            for a in ann_pre:   # im sigma inside the preimage plane
-                for j in range(3):
-                    cond_rows.append([sum(a[i] * b[i][j] for i in range(3)) for b in lam_num])
+            # sigma u0 = 0, and im sigma inside the preimage plane
+            cond_rows = _numeric.linear_values(kill_forms, u0, prec)
+            for a in ann_pre:
+                cond_rows += _numeric.linear_values(image_forms, a, prec)
             sols = _numeric.kernel_numeric(cond_rows, prec)
             if not sols:
                 return False
-            sigma = [[sum(sols[0][k] * lam_num[k][i][j] for k in range(4))
-                      for j in range(3)] for i in range(3)]
+            sigma = _numeric.linear_values(sigma_forms, sols[0], prec)
             snorm = max(abs(x) for row in sigma for x in row)
             if snorm == 0:
                 return False
@@ -1582,13 +1575,13 @@ def _numeric_s_test(inst, phi_y, prec):
     return carries_sigma
 
 
-def _lift_direction_numeric(q_num, c_num, s, t, prec):
-    """Lifts (s, t, u) of a numeric root; q_num, c_num map exponents to mpc."""
+def _lift_direction_numeric(q_forms, c_forms, s, t, prec):
+    """Lifts (s, t, u) of a numeric root (s : t).  q_forms and c_forms are the
+    conic and the cubic of the chart by powers of u: the _int_terms of their
+    _coeffs_in_var binary forms in (s, t)."""
     with mpmath.workprec(prec + 32):
-        s_num = s if isinstance(s, mpmath.mpc) else _numeric.to_mpc(s)
-        t_num = t if isinstance(t, mpmath.mpc) else _numeric.to_mpc(t)
-        uq = _slice_numeric(q_num, s_num, t_num)
-        uc = _slice_numeric(c_num, s_num, t_num)
+        uq = _numeric.evaluate_fixed(q_forms, (s, t), prec + 32)
+        uc = _numeric.evaluate_fixed(c_forms, (s, t), prec + 32)
         if len(uq) < 2:
             return []
         tol = _numeric.default_tolerance(prec) * max(abs(c) for c in uq + uc)
@@ -1608,16 +1601,6 @@ def _lift_direction_numeric(q_num, c_num, s, t, prec):
             if abs(val) <= tol * max(1, abs(u0)) ** 3:
                 sols.append((s, t, u0))
         return sols
-
-
-def _slice_numeric(terms, s, t):
-    coeffs: dict[int, object] = {}
-    for e, c in terms.items():
-        term = c * s ** e[0]
-        term *= t ** e[1]
-        coeffs[e[2]] = coeffs[e[2]] + term if e[2] in coeffs else term
-    deg = max(coeffs, default=-1)
-    return [coeffs.get(k, mpmath.mpc(0)) for k in range(deg + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ through that point cuts the fourfold in three lines, and swapping the first
 and third is the involution.  Fourfold-level computation runs on the
 numeric path at an explicit working precision of prec + 32 bits.  Where
 exact forms meet numeric points (the gradient test, phi and the dual-line
-conditions, the plane restriction, the scroll quadrics) and in the small
-kernels, it runs in the Gaussian-integer fixed point of `_numeric`: exact
-integer sums, rounded once per value.  The rest runs on mpc scalars.
+conditions by `_numeric.linear_values`, the plane restriction, the scroll
+quadrics, the line lift behind `sample_line`) and in the small kernels, it
+runs in the Gaussian-integer fixed point of `_numeric`: exact integer sums,
+rounded once per value.  Products of numeric values run on mpc scalars.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 import mpmath
 
 from . import _numeric
-from ._qlinalg import Q, clear_denominators, is_zero_vec, primitive_int_vector
+from ._qlinalg import Q, is_zero_vec, primitive_int_vector
 from .detgeo import (DEFAULT_ENTRY_RANGE, DetGeoError, DeterminantalInstance,
                      direction_candidates, ruling_of_scroll, sample_smooth_point,
                      scroll_data)
@@ -222,6 +223,21 @@ class IotaResult:
     factor_residual: float     # relative size of the forbidden coefficients
 
 
+def _hyperplane_point(line: FourfoldLine, prec):
+    """(p0, p1, y): the spanning points of the line as mpc vectors and its
+    point y = p1[5] p0 - p0[5] p1 on {x5 = 0}, scaled to largest modulus 1.
+    Runs at the ambient precision, prec + 32 bits in its callers."""
+    p0 = tuple(_numeric.to_mpc(x, prec) for x in line.p0)
+    p1 = tuple(_numeric.to_mpc(x, prec) for x in line.p1)
+    # y is bilinear in (p0, p1), so its size is judged against both norms
+    scale = max(abs(x) for x in p0) * max(abs(x) for x in p1)
+    y = tuple(p1[5] * a - p0[5] * b for a, b in zip(p0, p1))
+    ynorm = max(abs(x) for x in y)
+    if ynorm <= _numeric.default_tolerance(prec) * scale * _NEAR_ZERO_SLACK:
+        raise FourfoldError("line lies in the hyperplane section")
+    return p0, p1, tuple(x / ynorm for x in y)
+
+
 def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaResult:
     """Residual line of the plane spanned by m and the dual-family line
     through its hyperplane-section point.
@@ -233,15 +249,7 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
     prec = prec or m.prec or 256
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
-        p0 = tuple(_numeric.to_mpc(x, prec) for x in m.p0)
-        p1 = tuple(_numeric.to_mpc(x, prec) for x in m.p1)
-        # y is bilinear in (p0, p1), so its size is judged against both norms
-        scale = max(abs(x) for x in p0) * max(abs(x) for x in p1)
-        y = tuple(p1[5] * a - p0[5] * b for a, b in zip(p0, p1))
-        ynorm = max(abs(x) for x in y)
-        if ynorm <= tol * scale * _NEAR_ZERO_SLACK:
-            raise FourfoldError("line lies in the hyperplane section")
-        y = tuple(x / ynorm for x in y)
+        p0, p1, y = _hyperplane_point(m, prec)
 
         # smoothness of the threefold at y and the unique dual-family line
         y5 = y[:5]
@@ -253,16 +261,16 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
             raise FourfoldError("hyperplane point is singular on the threefold")
         basis = four.inst.lam_perp.basis
         # phi^T: entry (j, i) is sum_k y_k basis[k][i][j]
-        phi_t = _linear_values([[[b[i][j] for b in basis] for i in range(3)]
-                                for j in range(3)], y5, prec)
+        phi_t = _numeric.linear_values([[[b[i][j] for b in basis] for i in range(3)]
+                                        for j in range(3)], y5, prec)
         coker = _numeric.kernel_numeric(phi_t, prec)
         if len(coker) != 1:
             raise FourfoldError("hyperplane point has no unique dual line")
         vdual = coker[0]
 
         # the dual line: y-coordinates with phi^T vdual = 0
-        cond = _linear_values([[[basis[k][i][j] for i in range(3)] for k in range(5)]
-                               for j in range(3)], vdual, prec)
+        cond = _numeric.linear_values([[[basis[k][i][j] for i in range(3)]
+                                        for k in range(5)] for j in range(3)], vdual, prec)
         kern = _numeric.kernel_numeric(cond, prec)
         if len(kern) != 2:
             raise FourfoldError("dual-family line is degenerate")
@@ -294,19 +302,6 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
                              for j in range(6)))
         out = FourfoldLine(pts[0], pts[1], exact=False, prec=prec)
         return IotaResult(out, y, b6, float(bad / cmax))
-
-
-def _linear_values(coeff_rows, point, prec):
-    """Matrix of the values at a numeric point of the linear forms with the
-    given exact coefficient lists, through the fixed-point evaluator."""
-    n = len(point)
-    units = [tuple(int(v == k) for v in range(n)) for k in range(n)]
-    ints, den = clear_denominators([c for row in coeff_rows for coeffs in row
-                                    for c in coeffs])
-    vals = _numeric.evaluate_fixed([(dict(zip(units, ints[i:i + n])), den)
-                                    for i in range(0, len(ints), n)], point, prec + 32)
-    width = len(coeff_rows[0])
-    return [vals[i:i + width] for i in range(0, len(vals), width)]
 
 
 def _independent_point(kernel_pair, y5, prec):
@@ -411,13 +406,7 @@ def _meets_scroll(four: CubicFourfold, line: FourfoldLine, quadrics, prec):
     relative to their coefficient scales."""
     with mpmath.workprec(prec + 32):
         tol = _numeric.check_tolerance(prec, _SCROLL_TOL_AT_256)
-        p0 = tuple(_numeric.to_mpc(x, prec) for x in line.p0)
-        p1 = tuple(_numeric.to_mpc(x, prec) for x in line.p1)
-        y = tuple(p1[5] * a - p0[5] * b for a, b in zip(p0, p1))
-        ynorm = max(abs(x) for x in y)
-        if ynorm == 0:
-            raise FourfoldError("line lies in the hyperplane")
-        y5 = tuple(x / ynorm for x in y[:5])
+        y5 = _hyperplane_point(line, prec)[2][:5]
         margin = mpmath.mpf(0)
         for q in quadrics:
             qscale = _numeric.to_mpc(max(map(abs, q.terms.values()))).real

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from sixnodal._numeric import check_tolerance
 from sixnodal.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -126,6 +127,46 @@ def test_instance_roundtrip_and_checks(tmp_path):
     data = json.loads(out)
     assert all(c["pass"] for c in data["checks"])
 
+
+
+@pytest.fixture(scope="module")
+def inst1_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("instance") / "inst1.json"
+    code, _, _ = run_cli(["instance", "new", "--seed", "1", "--out", str(path)])
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("prec", [64, 256])
+def test_instance_lines_split(inst1_path, prec):
+    code, out, _ = run_cli(["instance", "lines", "--instance", str(inst1_path),
+                            "--json", "--precision", str(prec)])
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert data["tags"] == {"P": 1, "Pdual": 1, "Scomponent": 4}
+    assert data["residual_max"] <= check_tolerance(prec, 1e-40)
+
+
+def test_fourfold_extend(inst1_path):
+    code, out, _ = run_cli(["fourfold", "extend", "--instance", str(inst1_path),
+                            "--json"])
+    assert code == 0
+    assert all(c["pass"] for c in json.loads(out)["checks"])
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_fourfold_iota_passes_at_every_precision(inst1_path, prec):
+    # the plane-factoring bound scales with the precision like the
+    # involution check: a fixed 1e-30 failed at 64 bits (residual 3.2e-28)
+    code, out, _ = run_cli(["fourfold", "iota", "--instance", str(inst1_path),
+                            "--check-involution", "--check-scroll", "2,3,-1",
+                            "--json", "--precision", str(prec)])
+    data = json.loads(out)
+    assert code == 0
+    assert [c["name"] for c in data["checks"] if c["pass"]] == [
+        "plane restriction factors", "iota is an involution",
+        "scroll incidence invariant"]
+    assert data["data"]["factor_residual"] < check_tolerance(prec, 1e-30)
 
 def test_surf27_counts():
     code, out, _ = run_cli(["surf27", "enumerate", "--json"])

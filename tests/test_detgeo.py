@@ -181,6 +181,70 @@ def test_rational_common_zeros_empty_pencil_and_irrational():
             detgeo._rational_common_zeros(forms)
 
 
+def _compose_slice(f, a, b):
+    """f(a, b, u) by composing the ternary form with constants: the reference
+    for the slice in _slice_lifts, which evaluates the _coeffs_in_var binary
+    forms of f at (a, b)."""
+    u = f.compose([MPoly.const(1, a), MPoly.const(1, b), MPoly.var(1, 0)])
+    dense = [Fraction(0)] * (u.degree() + 1 if not u.is_zero() else 0)
+    for e, c in u.terms.items():
+        dense[e[0]] += c
+    return UPoly(dense)
+
+
+def _reference_slice_lifts(forms, a, b):
+    slices = [u for u in (_compose_slice(f, a, b) for f in forms) if not u.is_zero()]
+    if not slices:
+        return []
+    g = slices[0]
+    for u in slices[1:]:
+        g = g.gcd(u)
+    if g.degree() < 1:
+        return []
+    return [t for t in detgeo._rational_roots_of(g) if all(u(t) == 0 for u in slices)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slice_lifts_match_compose_slices(seed):
+    # random ternary forms through planted lines u = p x0 + q x1, among them
+    # one whose leading u-coefficient vanishes at (a, b) and one whose slice
+    # at (a, b) is zero
+    rng = random.Random(900 + seed)
+    x = MPoly.variables(3)
+
+    def rnd(lo=-9):
+        return Fraction(rng.randint(lo, 9), rng.randint(1, 5))
+
+    def form(degree, binary=False):
+        """A random form of the degree, in x0 and x1 only when binary."""
+        f = MPoly.zero(3)
+        for i in range(degree + 1):
+            for j in range(degree + 1 - i):
+                if not binary or i + j == degree:
+                    f = f + rnd() * x[0] ** i * x[1] ** j * x[2] ** (degree - i - j)
+        return f
+
+    a, b = rnd(1), rnd()
+    (p1, q1), (p2, q2) = (rnd(), rnd()), (rnd(), rnd())
+    line1, line2 = x[2] - p1 * x[0] - q1 * x[1], x[2] - p2 * x[0] - q2 * x[1]
+    t1, t2 = p1 * a + q1 * b, p2 * a + q2 * b
+    through_ab = b * x[0] - a * x[1]
+    # u-degree 2 with leading coefficient through_ab
+    low = through_ab * x[2] ** 2 + form(2, True) * x[2] + form(3, True)
+    cases = [
+        ((line1 * form(2),), t1),
+        ((line1 * line2 * form(1), line1 * form(2)), t1),
+        ((line1 * low,), t1),
+        ((line1 * low, line1 * line2 * form(2)), t1),
+        ((through_ab * form(2), line2 * form(1)), t2),
+        ((through_ab * form(2),), None),
+    ]
+    for forms, planted in cases:
+        got = detgeo._slice_lifts(forms, a, b)
+        assert got == _reference_slice_lifts(forms, a, b)
+        assert planted in got if planted is not None else got == []
+
+
 def _planted_corpus_span(t):
     """1 + t % 4 planted v w^T with entries in [-4, 4]: one coordinate of each
     v zeroed when t % 3 == 0, v2 on the x0:x1 ratio of v1 when t % 5 == 0,
@@ -697,8 +761,10 @@ def test_lift_residual_matches_fraction_evaluation(seed, prec):
     # same lifts
     import mpmath
     from sixnodal._numeric import to_mpc
-    from sixnodal.detgeo import (_eliminant_roots, _lift_direction_numeric,
-                                 _lift_residual, direction_chart)
+    from sixnodal.detgeo import (_coeffs_in_var, _eliminant_roots,
+                                 _lift_direction_numeric, _lift_residual,
+                                 direction_chart)
+    from sixnodal.poly import _int_terms
 
     def reference(f, d3, power):
         value = sum(to_mpc(c) * d3[0] ** e[0] * d3[1] ** e[1] * d3[2] ** e[2]
@@ -713,13 +779,13 @@ def test_lift_residual_matches_fraction_evaluation(seed, prec):
         y = sample_smooth_point(inst, rng)
         _chart, q_chart, c_chart, elim = direction_chart(inst.cubic_y, y)
         kept = 0
+        q_forms, c_forms = ([_int_terms(g) for g in _coeffs_in_var(f, 2)]
+                            for f in (q_chart, c_chart))
         with mpmath.workprec(prec + 32):
-            q_num = {e: to_mpc(c, prec) for e, c in q_chart.terms.items()}
-            c_num = {e: to_mpc(c, prec) for e, c in c_chart.terms.items()}
             for (s_val, t_val), _mult in _eliminant_roots(elim, prec):
                 if isinstance(s_val, Fraction):
                     continue
-                for d3 in _lift_direction_numeric(q_num, c_num, s_val, t_val, prec):
+                for d3 in _lift_direction_numeric(q_forms, c_forms, s_val, t_val, prec):
                     got = _lift_residual(q_chart, c_chart, d3)
                     with mpmath.workprec(2 * prec + 64):
                         ref = max(reference(q_chart, d3, 2), reference(c_chart, d3, 3))

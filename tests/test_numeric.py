@@ -12,7 +12,8 @@ import mpmath
 import pytest
 
 from sixnodal._numeric import (_GUARD_BITS, default_tolerance, from_fixed,
-                               kernel_numeric, rank_numeric, to_fixed, to_mpc)
+                               kernel_numeric, linear_values, rank_numeric,
+                               to_fixed, to_mpc)
 from sixnodal.poly import MPoly
 
 PRECISIONS = [96, 128, 256, 512]
@@ -156,6 +157,39 @@ def test_evaluate_zero_form_and_rational_point():
     assert MPoly.zero(2).evaluate(pt) == 0
     f = MPoly(2, {(1, 1): Fraction(3, 7), (0, 0): 2})
     assert f.evaluate((Fraction(1, 3), 2)) == Fraction(2) + Fraction(2, 7)
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_linear_values_match_high_precision(prec):
+    # a 2 x 3 matrix of linear forms in 4 variables with mixed denominators
+    # (ints, small and large Fractions, a zero list), at Fraction, real mpf,
+    # complex mpc and mixed points and at the zero point: the same bounds as
+    # the evaluator
+    rng = random.Random(5 * prec)
+    bits = prec + 32
+    rows = [[[Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**9))
+              for _ in range(4)] for _ in range(3)] for _ in range(2)]
+    rows[0][1] = [3, Fraction(-7, 3), 0, Fraction(1, 10**30)]
+    rows[1][2] = [0, 0, 0, 0]
+    with mpmath.workprec(2 * bits):
+        points = [[Fraction(rng.randrange(-99, 100), rng.randrange(1, 99)) for _ in range(4)],
+                  [mpmath.mpc(mpmath.rand() - 0.5, mpmath.rand() - 0.5) for _ in range(4)]]
+    points += evaluation_points(rng, 2 * bits, 4)
+    for pt in points:
+        got = linear_values(rows, pt, prec)
+        assert [len(r) for r in got] == [3, 3]
+        for row, got_row in zip(rows, got):
+            for coeffs, value in zip(row, got_row):
+                assert isinstance(value, mpmath.mpc)
+                with mpmath.workprec(2 * prec + 64):
+                    xs = [to_mpc(x) for x in pt]
+                    ref = sum((to_mpc(c) * x for c, x in zip(coeffs, xs)), mpmath.mpc(0))
+                    size = sum(abs(to_mpc(c)) for c in coeffs) * max(abs(x) for x in xs)
+                    err = abs(value - ref)
+                    assert err <= mpmath.mpf(2) ** -prec * size
+                    assert err <= mpmath.mpf(2) ** -bits * abs(ref) \
+                        + mpmath.mpf(2) ** -(bits + 4) * size
+    assert linear_values(rows, [0] * 4, prec) == [[0] * 3] * 2
 
 
 # ---------------------------------------------------------------------------
