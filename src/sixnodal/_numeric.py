@@ -9,10 +9,11 @@ and `from_fixed` rounds each result once to an mpc.  Exact forms are
 evaluated this way (`evaluate_fixed`, behind `MPoly.evaluate` and the
 u-slices of the line lift), exact matrices meet numeric vectors this way
 (`linear_values`: the chart map of the line lift, the lam and lam_perp
-matrices of the sigma test and of `iota`), and `kernel_numeric` eliminates
-this way, rounding each entry once per row update.  Products of numeric
-values run on mpc scalars: root finding, the quadratic formula of the line
-lift and sigma phi sigma.
+matrices of `iota` and of the sigma test, and there also the exact phi(y),
+so sigma phi(y) comes from one rounding per entry), and `kernel_numeric`
+eliminates this way, rounding each entry once per row update.  Products of
+numeric values run on mpc scalars: root finding, the quadratic formula of
+the line lift and the products of numeric matrices in sigma phi sigma.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -971,8 +972,8 @@ def classify_line(inst: DeterminantalInstance, line: ProjLine) -> str:
 
     singular-locus: passes through a node.  P: common kernel vector.
     Pdual: common cokernel functional.  Scomponent: a rank-2 sigma in lam
-    with sigma phi sigma vanishing along the line (recovered linearly from
-    the shared image point of the two spanning matrices).
+    with sigma phi sigma vanishing along the line, found by _sigma_test on
+    the exact backend.
     """
     if not line.exact:
         raise DetGeoError("classification is exact-path only")
@@ -990,61 +991,88 @@ def classify_line(inst: DeterminantalInstance, line: ProjLine) -> str:
                 [list(row) for row in transpose(mat(phi2))]
     if nullspace(mat(stacked_t)):
         return "Pdual"
-    sigma = _recover_sigma(inst, phi1, phi2)
-    if sigma is not None:
+    if _sigma_test(_EXACT, inst, phi1, line.p1):
         return "Scomponent"
     raise DetGeoError("line does not belong to any family (unexpected)")
 
 
-def _recover_sigma(inst, phi1, phi2):
-    """Solve for rank-2 sigma in lam with sigma phi sigma = 0 on the line.
+@dataclass(frozen=True)
+class _Backend:
+    """The arithmetic of the sigma test: kernel(rows), a kernel basis of a
+    matrix; values(forms, v), the matrix of the exact linear forms with the
+    coefficient lists forms[i][j] at the vector v; negligible(x, scale),
+    whether x counts as zero against scale."""
 
-    The kernel of sigma must span the intersection of the two images, and
-    the image of sigma must be the common preimage plane; both conditions
-    are linear in sigma.
+    kernel: Callable
+    values: Callable
+    negligible: Callable
+
+
+_EXACT = _Backend(nullspace, lambda forms, v: [mat_vec(row, v) for row in forms],
+                  lambda x, scale: x == 0)
+
+# multiple of default_tolerance(prec) in the numeric sigma phi sigma = 0
+# check; absorbs the nine-term sums per entry and the error sigma inherits
+# from its chain of numeric kernels
+_SIGMA_SLACK = 64
+
+
+def _numeric_backend(prec: int) -> _Backend:
+    """Kernels and exact-times-numeric values at prec + 32 bits, through the
+    fixed-point layer of _numeric; the sigma test runs on it inside
+    mpmath.workprec(prec + 32)."""
+    tol = _numeric.default_tolerance(prec) * _SIGMA_SLACK
+    return _Backend(lambda rows: _numeric.kernel_numeric(rows, prec),
+                    lambda forms, v: _numeric.linear_values(forms, v, prec),
+                    lambda x, scale: abs(x) <= tol * scale)
+
+
+def _sigma_test(backend: _Backend, inst, phi_y, d) -> bool:
+    """Whether the line through y and d, where phi_y = phi(y) is exact and d
+    is exact or numeric to suit the backend, carries a rank-2 sigma in lam
+    with sigma phi sigma = 0 along it.
+
+    ker sigma must be the meet u0 of the images of phi(y) and phi(d), and
+    im sigma the preimage plane of u0 under phi(y); both conditions are
+    linear in the lam coordinates of sigma.  Every solution of rank 2 is
+    tried on sigma phi(y) sigma and sigma phi(d) sigma.  A shared preimage
+    plane need not be checked: with ker sigma = span(u0),
+    sigma phi(d) sigma = 0 puts im sigma, the preimage plane of phi(y),
+    inside that of phi(d).
     """
-    im1 = mat3_image_basis(phi1)
-    im2 = mat3_image_basis(phi2)
-    if len(im1) != 2 or len(im2) != 2:
-        return None
-    # intersection of the images = vectors orthogonal to both annihilators
-    ann1 = annihilator(im1)
-    ann2 = annihilator(im2)
-    inter = nullspace(mat([list(a) for a in ann1] + [list(a) for a in ann2]))
-    if len(inter) != 1:
-        return None
-    u0 = inter[0]
-    pre1 = _preimage_of_line(phi1, u0)
-    pre2 = _preimage_of_line(phi2, u0)
-    if pre1 is None or pre2 is None:
-        return None
-    same = rank(mat([list(x) for x in pre1 + pre2])) == 2
-    if not same:
-        return None
-    u_space = pre1
-    u_cov = annihilator(u_space)
-    conditions = [_condition_apply(u0, i) for i in range(3)]          # sigma u0 = 0
-    conditions += [_condition_bilinear(c, tuple(identity(3)[j]))      # im sigma in U
-                   for c in u_cov for j in range(3)]
-    sols = _solve_in_space(inst.lam, conditions)
-    for s in sols:
-        if mat3_rank(s) == 2 and _sigma_kills(s, phi1) and _sigma_kills(s, phi2):
-            return s
-    return None
-
-
-def _preimage_of_line(phi, u0):
-    """{x : phi x in span(u0)}, expected 2-dimensional."""
-    cov = annihilator([u0])
-    rows = [mat_vec(transpose(mat(phi)), vec(c)) for c in cov]
-    pre = nullspace(mat([list(r) for r in rows]))
-    return pre if len(pre) == 2 else None
-
-
-def _sigma_kills(sigma, phi) -> bool:
-    sig, _ = clear_denominators(flatten(sigma))
-    ph, _ = clear_denominators(flatten(phi))
-    return not any(_int_mul3(sig, _int_mul3(ph, sig)))
+    kernel, values = backend.kernel, backend.values
+    lam = inst.lam.basis
+    # the row c phi_y, linear in c
+    row_times_phi_y = [[[phi_y[i][j] for i in range(3)] for j in range(3)]]
+    phi_d = values([[[b[i][j] for b in inst.lam_perp.basis] for j in range(3)]
+                    for i in range(3)], d)
+    ann_y, ann_d = (kernel(transpose(phi)) for phi in (phi_y, phi_d))
+    if len(ann_y) != 1 or len(ann_d) != 1:
+        return False
+    meet = kernel([ann_y[0], ann_d[0]])
+    if len(meet) != 1:
+        return False
+    u0 = meet[0]
+    pre = kernel([values(row_times_phi_y, c)[0] for c in kernel([u0])])
+    if len(pre) != 2:
+        return False
+    # sigma u0 = 0, and a sigma = 0 for the covector a of the preimage plane
+    conditions = values([[[b[i][j] for j in range(3)] for b in lam] for i in range(3)], u0)
+    conditions += values([[[b[i][j] for i in range(3)] for b in lam] for j in range(3)],
+                         kernel(pre)[0])
+    pnorm_y, pnorm_d = (max(abs(x) for row in phi for x in row) for phi in (phi_y, phi_d))
+    for s in kernel(conditions):
+        sigma = values([[[b[i][j] for b in lam] for j in range(3)] for i in range(3)], s)
+        if len(kernel(sigma)) != 1:
+            continue
+        snorm2 = max(abs(x) for row in sigma for x in row) ** 2
+        # sigma phi(y) from the exact phi(y), sigma phi(d) from the values
+        products = ((snorm2 * pnorm_y, [values(row_times_phi_y, row)[0] for row in sigma]),
+                    (snorm2 * pnorm_d, mat_mul(sigma, phi_d)))
+        if all(backend.negligible(x, scale) for scale, sp in products
+               for row in mat_mul(sp, sigma) for x in row):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1390,6 +1418,8 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
     out = []
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
+        scales = [_numeric.to_mpc(max(map(abs, f.terms.values()), default=1)).real
+                  for f in (q_chart, c_chart)]
         residual_max = mpmath.mpf(0)
         single_lifts = True
         for (s_val, t_val), _mult in root_list:
@@ -1401,7 +1431,7 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
                 continue
             kept = 0
             for d3 in _lift_direction_numeric(q_forms, c_forms, s_val, t_val, prec):
-                resid = _lift_residual(q_chart, c_chart, d3)
+                resid = _lift_residual(q_chart, c_chart, scales, d3)
                 if resid > tol:
                     continue
                 residual_max = max(residual_max, resid)
@@ -1411,12 +1441,12 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
     return out, root_list, residual_max, single_lifts
 
 
-def _lift_residual(q_chart, c_chart, d3):
+def _lift_residual(q_chart, c_chart, scales, d3):
     """Residual of a numeric lift d3 on the conic and the cubic of the chart,
-    relative to their largest coefficient moduli, at the ambient precision."""
+    relative to scales, their largest coefficient moduli, at the ambient
+    precision."""
     dnorm = max(1, max(abs(x) for x in d3))
-    scale_q, scale_c = (_numeric.to_mpc(max(map(abs, f.terms.values()), default=1)).real
-                        for f in (q_chart, c_chart))
+    scale_q, scale_c = scales
     return max(abs(q_chart.evaluate(d3)) / (scale_q * dnorm ** 2),
                abs(c_chart.evaluate(d3)) / (scale_c * dnorm ** 3))
 
@@ -1452,7 +1482,8 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
     P-dual when the cokernel functional of phi(y) kills phi(d), and else
     takes classify_line's tag.  Numeric lines come only from irrational
     eliminant roots, so they are never P or P-dual; they are Scomponent
-    when the numeric sigma test passes.
+    when _sigma_test, the test of classify_line, passes on the numeric
+    backend at the working precision.
 
     The sigma test runs once per Galois orbit when it can.  y, lam,
     lam_perp and phi are rational, so the sigma conditions on a direction
@@ -1474,7 +1505,7 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
         phi_y = inst.phi(y)
         kv = mat3_kernel(phi_y)
         kw = mat3_kernel(transpose(mat(phi_y)))
-        s_test = _numeric_s_test(inst, phi_y, prec)
+        numeric = _numeric_backend(prec)
         one_orbit = single_lifts and _irrational_roots_conjugate(elim, root_list)
     y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
     found = []
@@ -1488,9 +1519,13 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
         else:
             line = ProjLine(y_num, d, exact=False, prec=prec)
             if inst is not None:
-                tag = orbit_tag or ("Scomponent" if s_test(d) else "unclassified")
-                if one_orbit:
-                    orbit_tag = tag
+                tag = orbit_tag
+                if tag is None:
+                    with mpmath.workprec(prec + 32):
+                        tag = ("Scomponent" if _sigma_test(numeric, inst, phi_y, d)
+                               else "unclassified")
+                    if one_orbit:
+                        orbit_tag = tag
         found.append((line, tag))
     return LinesThroughPoint(tuple(found), elim,
                              tuple(m for _, m in root_list), float(residual_max))
@@ -1505,74 +1540,6 @@ def _tag_exact_line(inst, line: ProjLine, kv, kw) -> str:
     if len(kw) == 1 and is_zero_vec(mat_vec(transpose(phi_d), kw[0])):
         return "Pdual"
     return classify_line(inst, line)
-
-
-# multiple of default_tolerance(prec) in the sigma phi sigma = 0 check;
-# absorbs the nine-term sums per entry and the error sigma inherits from its
-# chain of numeric kernels
-_SIGMA_SLACK = 64
-
-
-def _numeric_s_test(inst, phi_y, prec):
-    """Numeric S-family test for lines through y, where phi(y) = phi_y: the
-    returned function of a direction d says whether the line carries a rank-2
-    sigma in lam with sigma phi sigma = 0.  Products of the exact phi_y, lam
-    and lam_perp with numeric vectors run through _numeric.linear_values;
-    phi_y goes to mpc once, for sigma phi sigma."""
-    basis, lam = inst.lam_perp.basis, inst.lam.basis
-    # matrices linear in a numeric vector: phi(d) in d; the row c phi_y in c;
-    # the conditions sigma u0 = 0 and a sigma = 0 on the lam coordinates of
-    # sigma, in u0 and in a; and sigma in its lam coordinates
-    phi_forms = [[[b[i][j] for b in basis] for j in range(3)] for i in range(3)]
-    pre_forms = [[[phi_y[i][j] for i in range(3)] for j in range(3)]]
-    kill_forms = [[[b[i][j] for j in range(3)] for b in lam] for i in range(3)]
-    image_forms = [[[b[i][j] for i in range(3)] for b in lam] for j in range(3)]
-    sigma_forms = [[[b[i][j] for b in lam] for j in range(3)] for i in range(3)]
-    with mpmath.workprec(prec + 32):
-        tol = _numeric.default_tolerance(prec)
-        phi1 = [[_numeric.to_mpc(x, prec) for x in row] for row in phi_y]
-        ann1 = _numeric.kernel_numeric([list(r) for r in zip(*phi_y)], prec)
-
-    def carries_sigma(d) -> bool:
-        if len(ann1) != 1:
-            return False
-        with mpmath.workprec(prec + 32):
-            phi2 = _numeric.linear_values(phi_forms, d, prec)
-            ann2 = _numeric.kernel_numeric([list(r) for r in zip(*phi2)], prec)
-            if len(ann2) != 1:
-                return False
-            inter = _numeric.kernel_numeric([list(ann1[0]), list(ann2[0])], prec)
-            if len(inter) != 1:
-                return False
-            u0 = inter[0]
-            ann_u0 = _numeric.kernel_numeric([list(u0)], prec)
-            pre_rows = [_numeric.linear_values(pre_forms, c, prec)[0] for c in ann_u0]
-            pre = _numeric.kernel_numeric(pre_rows, prec)
-            if len(pre) != 2:
-                return False
-            ann_pre = _numeric.kernel_numeric([list(p) for p in pre], prec)
-            # sigma u0 = 0, and im sigma inside the preimage plane
-            cond_rows = _numeric.linear_values(kill_forms, u0, prec)
-            for a in ann_pre:
-                cond_rows += _numeric.linear_values(image_forms, a, prec)
-            sols = _numeric.kernel_numeric(cond_rows, prec)
-            if not sols:
-                return False
-            sigma = _numeric.linear_values(sigma_forms, sols[0], prec)
-            snorm = max(abs(x) for row in sigma for x in row)
-            if snorm == 0:
-                return False
-            for phi in (phi1, phi2):
-                pnorm = max(abs(x) for row in phi for x in row)
-                sp = [[sum(sigma[i][a] * phi[a][b] for a in range(3)) for b in range(3)]
-                      for i in range(3)]
-                prod_norm = max(abs(sum(sp[i][b] * sigma[b][j] for b in range(3)))
-                                for i in range(3) for j in range(3))
-                if prod_norm > tol * snorm * snorm * pnorm * _SIGMA_SLACK:
-                    return False
-            return True
-
-    return carries_sigma
 
 
 def _lift_direction_numeric(q_forms, c_forms, s, t, prec):

@@ -2,7 +2,9 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
+import mpmath
 import pytest
 
 from sixnodal import detgeo
@@ -759,7 +761,6 @@ def test_lift_residual_matches_fraction_evaluation(seed, prec):
     # the exact forms through the fixed-point evaluator, agrees with an mpc
     # evaluation of the Fraction forms at 2 prec + 64 bits, and so keeps the
     # same lifts
-    import mpmath
     from sixnodal._numeric import to_mpc
     from sixnodal.detgeo import (_coeffs_in_var, _eliminant_roots,
                                  _lift_direction_numeric, _lift_residual,
@@ -782,11 +783,13 @@ def test_lift_residual_matches_fraction_evaluation(seed, prec):
         q_forms, c_forms = ([_int_terms(g) for g in _coeffs_in_var(f, 2)]
                             for f in (q_chart, c_chart))
         with mpmath.workprec(prec + 32):
+            scales = [to_mpc(max(abs(c) for c in f.terms.values())).real
+                      for f in (q_chart, c_chart)]
             for (s_val, t_val), _mult in _eliminant_roots(elim, prec):
                 if isinstance(s_val, Fraction):
                     continue
                 for d3 in _lift_direction_numeric(q_forms, c_forms, s_val, t_val, prec):
-                    got = _lift_residual(q_chart, c_chart, d3)
+                    got = _lift_residual(q_chart, c_chart, scales, d3)
                     with mpmath.workprec(2 * prec + 64):
                         ref = max(reference(q_chart, d3, 2), reference(c_chart, d3, 3))
                     assert abs(got - ref) <= mpmath.mpf(2) ** -prec
@@ -847,20 +850,22 @@ def _criterion09_points(seed, count=3):
 
 
 def _counting_s_test(monkeypatch):
-    """Count the sigma tests lines_through_point runs."""
+    """Count the numeric sigma tests lines_through_point runs."""
     calls = []
-    real = detgeo._numeric_s_test
+    real = detgeo._sigma_test
 
-    def counting(inst, phi_y, prec):
-        test = real(inst, phi_y, prec)
-
-        def carries_sigma(d):
+    def counting(backend, inst, phi_y, d):
+        if backend is not detgeo._EXACT:
             calls.append(d)
-            return test(d)
-        return carries_sigma
+        return real(backend, inst, phi_y, d)
 
-    monkeypatch.setattr(detgeo, "_numeric_s_test", counting)
+    monkeypatch.setattr(detgeo, "_sigma_test", counting)
     return calls
+
+
+def _numeric_sigma_test(inst, y, d, prec):
+    with mpmath.workprec(prec + 32):
+        return detgeo._sigma_test(detgeo._numeric_backend(prec), inst, inst.phi(y), d)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -870,11 +875,11 @@ def test_orbit_tag_matches_each_line_sigma_test(seed):
     inst, points = _criterion09_points(seed)
     for y in points:
         res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
-        s_test = detgeo._numeric_s_test(inst, inst.phi(y), 256)
         numeric = [(line, tag) for line, tag in res.lines if not line.exact]
         assert len(numeric) == 4
         for line, tag in numeric:
-            assert tag == ("Scomponent" if s_test(line.p1) else "unclassified")
+            carries = _numeric_sigma_test(inst, y, line.p1, 256)
+            assert tag == ("Scomponent" if carries else "unclassified")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -906,6 +911,47 @@ def test_orbit_tag_needs_one_lift_per_root(monkeypatch):
     res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
     assert sum(not l.exact for l, _ in res.lines) == 8
     assert len(calls) == 8
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sigma_test_backends_agree_with_classify_line(seed):
+    # on exact lines of all three families, from either end, the exact sigma
+    # test and the numeric one on mpc copies of the second point say True
+    # exactly for the Scomponent lines
+    from sixnodal._numeric import to_mpc
+    inst = make_instance(seed)
+    rng = random.Random(seed)
+
+    def node_free():
+        # a fromV or fromVdual line misses the nodes when v pairs to nonzero
+        # with each node's v and w
+        while True:
+            v = tuple(rng.randrange(-9, 10) for _ in range(3))
+            if all(sum(map(mul, n.v, v)) and sum(map(mul, n.w, v)) for n in inst.nodes):
+                return v
+
+    sigma = inst.lam.element(sample_surface_point(inst, rng))
+    tags, cases = [], []
+    for kind, param in (("fromV", node_free()), ("fromVdual", node_free()),
+                        ("fromS", sigma)):
+        line = special_line(inst, kind, param)
+        tags.append(classify_line(inst, line))
+        cases += [(y, d, tags[-1] == "Scomponent")
+                  for y, d in ((line.p0, line.p1), (line.p1, line.p0))]
+    assert tags == ["P", "Pdual", "Scomponent"]
+    # off the fromS line (the last line) through y: the image of phi(d) meets
+    # that of phi(y) in ker sigma, so sigma solves the linear conditions and
+    # only sigma phi(d) sigma = 0 fails
+    y = line.p0
+    coker_y = mat3_kernel(transpose(mat(inst.phi(y))))[0]
+    w = next(w for w in nullspace([list(mat3_kernel(sigma)[0])])
+             if not projectively_equal(w, coker_y))
+    cases.append((y, special_line(inst, "fromVdual", w).p0, False))
+    for y, d, expected in cases:
+        assert detgeo._sigma_test(detgeo._EXACT, inst, inst.phi(y), d) == expected
+        for prec in (64, 256):
+            d_num = tuple(to_mpc(x, prec) for x in d)
+            assert _numeric_sigma_test(inst, y, d_num, prec) == expected
 
 
 def test_lines_through_point_contains_planted(inst1):
