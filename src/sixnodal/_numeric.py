@@ -11,9 +11,11 @@ u-slices of the line lift), exact matrices meet numeric vectors this way
 (`linear_values`: the chart map of the line lift, the lam and lam_perp
 matrices of `iota` and of the sigma test, and there also the exact phi(y),
 so sigma phi(y) comes from one rounding per entry), and `kernel_numeric`
-eliminates this way, rounding each entry once per row update.  Products of
-numeric values run on mpc scalars: root finding, the quadratic formula of
-the line lift and the products of numeric matrices in sigma phi sigma.
+eliminates this way, rounding each entry once per row update.  The
+multiprecision Aberth sweeps of `poly.aberth_roots` and the residual
+certificate of `poly.roots` run in the same Gaussian-integer fixed point.
+Products of numeric values run on mpc scalars: the quadratic formula of the
+line lift and the products of numeric matrices in sigma phi sigma.
 """
 
 from __future__ import annotations

@@ -1403,7 +1403,8 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
     Rational roots lift exactly.  The others lift numerically at prec + 32
     bits, and a numeric lift is kept only when its residual on the conic
     and on the cubic, relative to their coefficient scales, is within
-    default_tolerance(prec).  Returns (candidates, root_list, residual_max,
+    default_tolerance(prec); a root of multiplicity m keeps at most m of
+    them, those of least residual.  Returns (candidates, root_list, residual_max,
     single_lifts): each candidate is (direction in ambient coordinates,
     exact_flag), root_list is that of _eliminant_roots, residual_max is the
     largest residual of a kept numeric lift, and single_lifts says whether
@@ -1422,22 +1423,25 @@ def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
                   for f in (q_chart, c_chart)]
         residual_max = mpmath.mpf(0)
         single_lifts = True
-        for (s_val, t_val), _mult in root_list:
+        for (s_val, t_val), mult in root_list:
             if isinstance(s_val, Fraction) and isinstance(t_val, Fraction):
                 for u in _slice_lifts((q_chart, c_chart), s_val, t_val):
                     d3 = (s_val, t_val, u)
                     out.append((tuple(sum(c * chart[k][j] for k, c in enumerate(d3))
                                       for j in range(n)), True))
                 continue
-            kept = 0
+            lifts = []
             for d3 in _lift_direction_numeric(q_forms, c_forms, s_val, t_val, prec):
                 resid = _lift_residual(q_chart, c_chart, scales, d3)
-                if resid > tol:
-                    continue
+                if resid <= tol:
+                    lifts.append((resid, len(lifts), d3))
+            # a root of multiplicity m has at most m common zeros u of the
+            # conic and the cubic: the m lifts of least residual are kept
+            kept = sorted(sorted(lifts)[:mult], key=lambda lift: lift[1])
+            for resid, _k, d3 in kept:
                 residual_max = max(residual_max, resid)
-                kept += 1
                 out.append((tuple(_numeric.linear_values(to_ambient, d3, prec)[0]), False))
-            single_lifts = single_lifts and kept == 1
+            single_lifts = single_lifts and len(kept) == 1
     return out, root_list, residual_max, single_lifts
 
 

@@ -3,8 +3,8 @@
 Sparse exponent-map representation, graded-lex normalization for printing.
 Carries the determinant/Jacobian/resultant machinery plus a multiprecision
 complex root finder (rational roots are extracted exactly by a modular
-method, the rest go through an Aberth-style simultaneous iteration built on
-mpmath scalars).
+method, the rest go through an Aberth-style simultaneous iteration, started
+in double precision and finished in Gaussian-integer fixed point).
 """
 
 from __future__ import annotations
@@ -350,6 +350,10 @@ def poly_det(m: list[list[MPoly]]) -> MPoly:
 
     Expansion over column subsets (O(n 2^n) ring products), which beats both
     cofactor recursion and Bareiss for polynomial entries at these sizes.
+    It runs on integers: each row is scaled once to integer term dicts over
+    the lcm of its denominators, the minors on the top rows are integer term
+    dicts keyed by the bitmask of their columns, and the product of the row
+    denominators divides the result once, at the end.
     """
     n = len(m)
     if n == 0:
@@ -359,30 +363,32 @@ def poly_det(m: list[list[MPoly]]) -> MPoly:
     nv = m[0][0].nvars
     if any(entry.nvars != nv for row in m for entry in row):
         raise PolyError("entries disagree on variable count")
-    # state: dict mapping frozenset of used columns -> minor on the top rows
-    states = {frozenset(): MPoly.const(nv, 1)}
-    for i in range(n):
+    scale = 1
+    states = {0: {(0,) * nv: 1}}
+    for i, row in enumerate(m):
+        parts = [_int_terms(entry) for entry in row]
+        den = lcm(*(d for _, d in parts))
+        scale *= den
+        entries = [{e: x * (den // d) for e, x in terms.items()} for terms, d in parts]
         new_states: dict = {}
         for used, val in states.items():
-            if val.is_zero():
+            if not val:
                 continue
-            sign_count = 0
-            for j in range(n):
-                if j in used:
-                    sign_count += 1
+            for j, entry in enumerate(entries):
+                bit = 1 << j
+                if used & bit or not entry:
                     continue
-                entry = m[i][j]
-                if entry.is_zero():
-                    continue
-                term = val * entry
-                if (i + sign_count) % 2:
-                    term = -term
-                key = used | {j}
-                acc = new_states.get(key)
-                new_states[key] = term if acc is None else acc + term
+                sign = -1 if (i + (used & (bit - 1)).bit_count()) % 2 else 1
+                acc = new_states.setdefault(used | bit, {})
+                for e, x in _int_product(val, entry).items():
+                    s = acc.get(e, 0) + sign * x
+                    if s:
+                        acc[e] = s
+                    else:
+                        del acc[e]
         states = new_states
-    full = frozenset(range(n))
-    return states.get(full, MPoly.zero(nv))
+    full = states.get((1 << n) - 1, {})
+    return MPoly._wrap(nv, {e: Fraction(x, scale) for e, x in full.items()})
 
 
 def restrict_to_subspace(f: MPoly, basis) -> MPoly:
@@ -1104,9 +1110,8 @@ def _horner(cs, z):
 
 
 def _aberth_sweep(cs, dcs, roots):
-    """One Gauss-Seidel Aberth sweep, updating roots in place; returns the
-    largest correction relative to max(1, |root|).  The arithmetic is that of
-    the entries: Python complex or mpmath mpc."""
+    """One Gauss-Seidel Aberth sweep in Python complex, updating roots in
+    place; returns the largest correction relative to max(1, |root|)."""
     moved = 0
     for i, z in enumerate(roots):
         dv = _horner(dcs, z)
@@ -1159,6 +1164,51 @@ def _float_start(cs, circle, max_iter):
     return zs
 
 
+def _horner_fixed(cs, zr, zi, unit):
+    """p(z) for integer coefficients cs, low degree first, at the Gaussian
+    integer z = (zr + i zi) 2^-unit, in the same fixed point: each product is
+    floored to the unit."""
+    tr, ti = cs[-1] << unit, 0
+    for c in reversed(cs[:-1]):
+        tr, ti = ((tr * zr - ti * zi) >> unit) + (c << unit), (tr * zi + ti * zr) >> unit
+    return tr, ti
+
+
+def _fixed_sweep(cs, dcs, zs, unit, target):
+    """One Gauss-Seidel Aberth sweep on Gaussian integers at unit 2^-unit,
+    updating zs in place: each root moves by p/(p' - p s), s = sum_j 1/(z -
+    z_j), with every complex quotient an integer floor division.  Returns
+    whether no root moved by 2^-target relative to max(1, |root|)."""
+    one, two_units = 1 << unit, 2 * unit
+    still = True
+    for i, (zr, zi) in enumerate(zs):
+        dr, di = _horner_fixed(dcs, zr, zi, unit)
+        if not (dr or di):
+            zs[i] = (zr + (one >> 10), zi)
+            still = False
+            continue
+        pr, pi = _horner_fixed(cs, zr, zi, unit)
+        sr = si = 0
+        for j, (xr, xi) in enumerate(zs):
+            if j != i:
+                ar, ai = zr - xr, zi - xi
+                norm = ar * ar + ai * ai
+                sr += (ar << two_units) // norm
+                si -= (ai << two_units) // norm
+        qr = dr - ((pr * sr - pi * si) >> unit)
+        qi = di - ((pr * si + pi * sr) >> unit)
+        if not (qr or qi):
+            qr, qi = dr, di
+        norm = qr * qr + qi * qi
+        cr = ((pr * qr + pi * qi) << unit) // norm
+        ci = ((pi * qr - pr * qi) << unit) // norm
+        zr, zi = zr - cr, zi - ci
+        zs[i] = (zr, zi)
+        if still and (cr * cr + ci * ci) << (2 * target) >= max(one * one, zr * zr + zi * zi):
+            still = False
+    return still
+
+
 def aberth_roots(coeffs, prec: int, max_iter: int = 400):
     """Simultaneous (Aberth-style) iteration for all roots of a squarefree
     polynomial given by exact rational coefficients, low degree first.
@@ -1166,32 +1216,41 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
     The iteration starts in double precision: up to max_iter Gauss-Seidel
     sweeps from the start circle, until no root moves by 2^-45 relative, or
     the phase stalls at the rounding floor (the largest move is below 2^-30
-    and no smaller than in the sweep before).  It is finished by up to
-    max_iter sweeps at prec + 64 bits, which stop once no root moves by
-    2^-(prec+16) relative.  When double precision cannot carry the
-    polynomial, the sweeps at prec + 64 bits start from circles given by the
-    Newton polygon of the coefficient moduli.
+    and no smaller than in the sweep before).  When double precision cannot
+    carry the polynomial, the start is instead the circles given by the
+    Newton polygon of the coefficient moduli.  It is finished by up to
+    max_iter sweeps on Gaussian integers at one unit 2^-F, with Horner on the
+    integer coefficients, which stop once no root moves by 2^-(prec+16)
+    relative.  F = prec + 64 plus a bound on log2 max(1, max|z|) and on
+    log2 max(1, 1/min|z|) over the start, so that neither the largest values
+    nor the relative precision of the smallest roots fall outside the unit.
+    The roots come back as mpc values rounded once to prec + 64 bits.
     """
     deg = len(coeffs) - 1
+    ints = primitive(clear_denominators(coeffs)[0])
     with mpmath.workprec(prec + 64):
-        cs = [mpmath.mpc(c.numerator) / mpmath.mpc(c.denominator) for c in coeffs]
-        dcs = [k * cs[k] for k in range(1, deg + 1)]
-        r = _cauchy_radius(cs)
-        roots = [r * mpmath.exp(2j * mpmath.pi * (mpmath.mpf(k) / deg + mpmath.mpf(1) / (2 * deg) + mpmath.mpf(1) / 7))
-                 for k in range(deg)]
-        start = _float_start(cs, roots, max_iter)
-        if start is not None:
-            roots = [mpmath.mpc(z) for z in start]
-        else:
-            roots = _newton_polygon_start(cs)
-        target = mpmath.mpf(2) ** (-(prec + 16))
-        for _ in range(max_iter):
-            if _aberth_sweep(cs, dcs, roots) < target:
-                break
-        else:
-            raise RootFindingError("Aberth iteration did not converge",
-                                   partial=[ComplexMP.from_mpc(z, prec) for z in roots])
-        return roots
+        cs = [mpmath.mpf(c) for c in ints]
+        # in hardware complex: a radius beyond its range makes the circle
+        # not finite, and _float_start gives up
+        r = float(_cauchy_radius(cs))
+        circle = [r * cmath.exp(2j * cmath.pi * (k / deg + 1 / (2 * deg) + 1 / 7))
+                  for k in range(deg)]
+        start = _float_start(cs, circle, max_iter)
+        if start is None:
+            start = _newton_polygon_start(cs)
+    parts = [(_numeric._ratio(z.real), _numeric._ratio(z.imag)) for z in start]
+    # per root, e with 2^(e-1) <= max(|re|, |im|) < 2^(e+1), so |z| < 2^(e+2)
+    mags = [max(n.bit_length() - d.bit_length() for n, d in pair if n)
+            for pair in parts if pair[0][0] or pair[1][0]]
+    unit = prec + 64 + max(0, max(mags, default=0) + 2) + max(0, 1 - min(mags, default=1))
+    zs = [tuple(((n << unit) * 2 + d) // (2 * d) for n, d in pair) for pair in parts]
+    dcs = [k * ints[k] for k in range(1, deg + 1)]
+    for _ in range(max_iter):
+        if _fixed_sweep(ints, dcs, zs, unit, prec + 16):
+            return [_numeric.from_fixed(zr, zi, -unit, prec + 64) for zr, zi in zs]
+    raise RootFindingError("Aberth iteration did not converge",
+                           partial=[ComplexMP.from_mpc(_numeric.from_fixed(zr, zi, -unit, prec + 64),
+                                                       prec) for zr, zi in zs])
 
 
 def _rational_roots_of_squarefree(p: UPoly) -> tuple[list[Fraction], UPoly]:
@@ -1233,8 +1292,10 @@ def roots(p: UPoly, prec: int = 256):
     none; else Hensel lifting of the roots mod the prime with the fewest,
     rational reconstruction, exact check) and deflated exactly; the rest are
     ComplexMP values from the Aberth iteration, whose double-precision phase
-    also stops when it stalls at the rounding floor.  Residuals are checked
-    against 2^(-prec/2) relative to the coefficient magnitude.
+    also stops when it stalls at the rounding floor.  Residuals, |p(z)| by
+    `_numeric.evaluate_fixed` on the integer coefficients of p at prec + 64
+    bits, are checked against 2^(-prec/2) relative to the coefficient
+    magnitude.
     """
     if p.degree() < 1:
         raise PolyError("degree must be >= 1")
@@ -1247,12 +1308,14 @@ def roots(p: UPoly, prec: int = 256):
             out.append((r, mult))
         if rest.degree() >= 1:
             zs = aberth_roots(list(rest.coeffs), prec)
+            ints, den = clear_denominators(p.coeffs)
+            form = ({(k,): c for k, c in enumerate(ints) if c}, den)
             with mpmath.workprec(prec + 64):
                 scale = max(abs(mpmath.mpf(c.numerator) / c.denominator)
                             for c in p.coeffs)
                 tol = mpmath.mpf(2) ** (-(prec // 2)) * max(1, scale)
                 for z in zs:
-                    resid = abs(p(z))
+                    resid = abs(_numeric.evaluate_fixed([form], [z], prec + 64)[0])
                     if resid > tol * max(1, abs(z)) ** p.degree():
                         raise RootFindingError(
                             f"residual {mpmath.nstr(resid, 8)} above tolerance",

@@ -83,38 +83,62 @@ def line_classes() -> list[PicClass]:
     return list(_line_classes_cached())
 
 
+@lru_cache(maxsize=1)
+def _intersections_cached() -> dict[PicClass, tuple[int, ...]]:
+    """Each line class with its intersection numbers with the 27, in the
+    order of line_classes."""
+    lines = _line_classes_cached()
+    return {a: tuple(a.dot(b) for b in lines) for a in lines}
+
+
+def _mask(values, target) -> int:
+    """Bitmask of the positions k with values[k] == target."""
+    return sum(1 << k for k, x in enumerate(values) if x == target)
+
+
 def disjoint_sextuples(lines=None) -> list[tuple[PicClass, ...]]:
-    """Unordered sextuples of pairwise-disjoint (C.C' = 0) line classes."""
-    lines = list(lines) if lines is not None else line_classes()
-    n = len(lines)
-    meets = [[lines[i].dot(lines[j]) != 0 for j in range(n)] for i in range(n)]
+    """Unordered sextuples of pairwise-disjoint (C.C' = 0) line classes, in
+    lexicographic order of their indices: a search on bitmasks of the lines
+    disjoint from each one."""
+    if lines is None:
+        lines, rows = _line_classes_cached(), _intersections_cached().values()
+    else:
+        lines = list(lines)
+        rows = [[a.dot(b) for b in lines] for a in lines]
+    disjoint = [_mask(row, 0) for row in rows]
     out: list[tuple[PicClass, ...]] = []
 
-    def extend(start: int, chosen: list[int]):
+    def extend(candidates: int, chosen: tuple):
         if len(chosen) == 6:
             out.append(tuple(lines[i] for i in chosen))
             return
-        for i in range(start, n):
-            if all(not meets[i][j] for j in chosen):
-                chosen.append(i)
-                extend(i + 1, chosen)
-                chosen.pop()
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            # candidates now holds only indices above i
+            extend(candidates & disjoint[i], chosen + (i,))
 
-    extend(0, [])
+    extend((1 << len(lines)) - 1, ())
     return out
 
 
 def partner_sextuple(sextuple) -> tuple[PicClass, ...]:
-    """The unique partner: C_i' meets C_j exactly when i != j."""
-    lines = line_classes()
+    """The unique partner: C_i' meets C_j exactly when i != j.  C_i' is the
+    one line in the intersection of the masks of the lines disjoint from C_i
+    and of those meeting each other C_j once."""
+    lines, table = _line_classes_cached(), _intersections_cached()
+    rows = [table.get(c) or tuple(c.dot(b) for b in lines) for c in sextuple]
+    meets = [_mask(row, 1) for row in rows]
     partners = []
-    for i, ci in enumerate(sextuple):
-        matches = [c for c in lines
-                   if all(c.dot(cj) == (0 if j == i else 1)
-                          for j, cj in enumerate(sextuple))]
-        if len(matches) != 1:
+    for i, row in enumerate(rows):
+        mask = _mask(row, 0)
+        for j, m in enumerate(meets):
+            if j != i:
+                mask &= m
+        if mask.bit_count() != 1:
             raise Surf27Error("input is not a disjoint sextuple")
-        partners.append(matches[0])
+        partners.append(lines[mask.bit_length() - 1])
     return tuple(partners)
 
 

@@ -744,6 +744,19 @@ def test_lines_through_point_split(inst1):
         assert sum(res.multiplicities) == 6
 
 
+def test_simple_root_keeps_one_lift_at_64_bits():
+    # second criterion-09 point of seed 4: at 64 bits one irrational root has
+    # two lifts within the residual bound, but a simple root of the eliminant
+    # has one common zero of the conic and the cubic
+    inst, (_, y) = _criterion09_points(4, count=2)
+    res = lines_through_point(inst.cubic_y, y, prec=64, inst=inst)
+    tags = Counter(t for _, t in res.lines)
+    assert res.multiplicities == (1,) * 6
+    assert len(res.lines) == 6
+    assert tags["P"] == 1 and tags["Pdual"] == 1 and tags["Scomponent"] == 4
+    assert res.residual_max <= default_tolerance(64)
+
+
 @pytest.mark.parametrize("prec", [128, 256])
 def test_residual_max_counts_only_kept_lines(inst1, prec):
     # first point of criterion 09 for seed 1; at 128 bits some numeric lifts
@@ -908,6 +921,11 @@ def test_orbit_tag_needs_one_lift_per_root(monkeypatch):
     real_lift = detgeo._lift_direction_numeric
     monkeypatch.setattr(detgeo, "_lift_direction_numeric",
                         lambda *args: 2 * real_lift(*args))
+    # a root of multiplicity m keeps at most m lifts: report multiplicity 2
+    # for each irrational root, so that both copies of its lift are kept
+    real_roots = detgeo._eliminant_roots
+    monkeypatch.setattr(detgeo, "_eliminant_roots", lambda *args: [
+        (r, m if isinstance(r[0], Fraction) else 2 * m) for r, m in real_roots(*args)])
     res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
     assert sum(not l.exact for l, _ in res.lines) == 8
     assert len(calls) == 8

@@ -721,7 +721,7 @@ def _fourfold_eliminant(inst, line_seed=1):
     return list(core.coeffs)
 
 
-@pytest.mark.parametrize("prec", [128, 256])
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
 @pytest.mark.parametrize("case, float_start", [
     ("ratio_overflow", False), ("cluster", None), ("fourfold_eliminant", True),
     ("cube_root_huge", False), ("three_huge_roots", False), ("tiny_lead", False),
@@ -769,11 +769,16 @@ def test_aberth_matches_polyroots(case, float_start, prec, inst1, monkeypatch):
         assert (starts[0] is not None) == float_start
     if case == "float_stall":           # it used to run all 400 float sweeps
         assert len(float_sweeps) <= 64
+    # where every root has modulus 2^s, the reference solves for y = x / 2^s:
+    # from the unit circle, polyroots does not converge in 400 steps on
+    # x^2 - 2^1100 at 64 and 512 bits or on x^3 - 2^3000 at 512 bits
+    s = {"ratio_overflow": 550, "cube_root_huge": 1000}.get(case, 0)
     with mpmath.workprec(prec + 64):
-        ref = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
-                                for c in reversed(coeffs)],
+        ref = mpmath.polyroots([mpmath.ldexp(mpmath.mpf(c.numerator) / c.denominator, s * k)
+                                for k, c in reversed(list(enumerate(coeffs)))],
                                maxsteps=400, extraprec=prec + 64,
                                cleanup=False)  # keeps the root near -2^-1100
+        ref = [mpmath.ldexp(r.real, s) + 1j * mpmath.ldexp(r.imag, s) for r in ref]
         assert len(got) == len(ref) == len(coeffs) - 1
         unmatched = list(got)
         for r in ref:
@@ -873,6 +878,63 @@ def test_compose_matches_fraction_reference(seed):
     lin = [MPoly.linear_form([Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
                               for _ in range(4)]) for _ in range(3)]
     assert _same_terms(f.compose(lin), _ref_compose_terms(f, lin))
+
+
+def _ref_add_terms(a: dict, b: dict) -> dict:
+    # as MPoly.__add__: a's order, then b's new terms where they appear
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, Fraction(0)) + c
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _ref_det_terms(m, nvars: int) -> dict:
+    # column-subset expansion on Fraction term dicts: the minor on the top
+    # rows for each set of used columns
+    states = {frozenset(): {(0,) * nvars: Fraction(1)}}
+    for i, row in enumerate(m):
+        new_states: dict = {}
+        for used, val in states.items():
+            if not val:
+                continue
+            for j, entry in enumerate(row):
+                if j in used or entry.is_zero():
+                    continue
+                term = _ref_mul_terms(val, entry.terms)
+                if (i + sum(k < j for k in used)) % 2:
+                    term = {e: -c for e, c in term.items()}
+                key = used | {j}
+                new_states[key] = _ref_add_terms(new_states.get(key, {}), term)
+        states = new_states
+    return states.get(frozenset(range(len(m))), {})
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_poly_det_matches_fraction_reference(seed):
+    rng = random.Random(300 + seed)
+    n = 1 + seed % 5
+    # mixed denominators, with about a fifth of the entries zero
+    m = [[_rational_poly(rng, 2, 2, rng.randrange(1, 4) * (rng.random() > 0.2),
+                         8 if seed % 2 else 60)
+          for _ in range(n)] for _ in range(n)]
+    cases = [m]
+    if n > 1:
+        zero_row = [row[:] for row in m]
+        zero_row[rng.randrange(n)] = [MPoly.zero(2)] * n
+        # the last row is a rational combination of the others
+        weights = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)) for _ in m[:-1]]
+        singular = m[:-1] + [[sum((w * row[j] for w, row in zip(weights, m)), MPoly.zero(2))
+                              for j in range(n)]]
+        cases += [zero_row, singular]
+    for case in cases:
+        assert _same_terms(poly_det(case), _ref_det_terms(case, 2)), (seed, case)
+    if n > 1:
+        assert poly_det(cases[1]).is_zero()
+        assert poly_det(cases[2]).is_zero()
 
 
 def test_evaluate_rational_point_matches_fraction_sum():
