@@ -50,30 +50,22 @@ def unflatten(v) -> tuple:
     return tuple(tuple(v[3 * i + j] for j in range(3)) for i in range(3))
 
 
-def _int_flat(mats) -> tuple[list[list[int]], int]:
-    """Flattened 3x3 rational matrices as integer vectors over one common
-    denominator."""
-    flat, den = clear_denominators([x for m in mats for row in m for x in row])
-    return [flat[9 * k:9 * k + 9] for k in range(len(mats))], den
-
-
 def _int_mul3(a, b) -> list[int]:
     """Product of two flattened 3x3 integer matrices."""
     return [a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j] + a[3 * i + 2] * b[6 + j]
             for i in range(3) for j in range(3)]
 
 
-def _image_rows(basis, v, transposed: bool = False) -> list[list[int]]:
-    """Integer rows, up to one common scale, of the map from coordinates c
-    to (sum_k c_k basis_k) v, or to (sum_k c_k basis_k)^T v; the scale does
-    not change the kernel."""
-    ms, _ = _int_flat(basis)
-    w, _ = clear_denominators(v)
-    if transposed:
-        return [[m[i] * w[0] + m[3 + i] * w[1] + m[6 + i] * w[2] for m in ms]
-                for i in range(3)]
-    return [[m[3 * i] * w[0] + m[3 * i + 1] * w[1] + m[3 * i + 2] * w[2] for m in ms]
-            for i in range(3)]
+def _values(forms, v) -> list:
+    """Matrix of the values at an exact vector v of the exact linear forms
+    with the coefficient lists forms[i][j]: integer sums over the common
+    denominators of the coefficients and of v, one Fraction per entry."""
+    ints, den = clear_denominators([c for row in forms for coeffs in row for c in coeffs])
+    vs, dv = clear_denominators(v)
+    n, width = len(vs), len(forms[0])
+    flat = [Fraction(sum(map(mul, ints[s:s + n], vs)), den * dv)
+            for s in range(0, len(ints), n)]
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
 def rank1(v, w):
@@ -116,7 +108,18 @@ def annihilator(vectors) -> list:
 
 @dataclass(frozen=True)
 class EndoSubspace:
-    """Subspace of End(V) given by an independent basis of 3x3 matrices."""
+    """Subspace of End(V) given by an independent basis B_0..B_{n-1} of 3x3
+    matrices.
+
+    The linear maps read off the basis tensor B_k[i][j] are kept as
+    coefficient layouts, each a matrix whose entries are coefficient lists
+    of exact linear forms (applied by _values, or _numeric.linear_values):
+    forms[i][j] = [B_k[i][j]]_k, the generic element sum_k c_k B_k, and
+    forms_t its transpose, as forms in c; image[i][k] = B_k[i], the rows of
+    c -> B(c) u, and image_t[i][k] = [B_k[r][i]]_r, those of c -> B(c)^T u,
+    as forms in u.  ints holds the flattened B_k as integers over the common
+    denominator den.
+    """
 
     basis: tuple
 
@@ -126,6 +129,14 @@ class EndoSubspace:
         flat = [flatten(m) for m in b]
         if flat and rank(mat(flat)) != len(flat):
             raise DetGeoError("basis is not linearly independent")
+        ints, den = clear_denominators([x for f in flat for x in f])
+        for name, value in (
+                ("forms", [[tuple(m[i][j] for m in b) for j in range(3)] for i in range(3)]),
+                ("forms_t", [[tuple(m[j][i] for m in b) for j in range(3)] for i in range(3)]),
+                ("image", [[m[i] for m in b] for i in range(3)]),
+                ("image_t", [[tuple(row[i] for row in m) for m in b] for i in range(3)]),
+                ("ints", [ints[9 * k:9 * k + 9] for k in range(len(b))]), ("den", den)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -133,16 +144,14 @@ class EndoSubspace:
 
     def element(self, coords):
         cs, dc = clear_denominators(coords)
-        ms, dm = _int_flat(self.basis)
-        terms = list(zip(cs, ms))
-        den = dc * dm
+        terms = list(zip(cs, self.ints))
+        den = dc * self.den
         return unflatten([Fraction(sum(c * m[p] for c, m in terms), den)
                           for p in range(9)])
 
     def coordinates_of(self, m):
         """Coordinates of a matrix in this basis, or None if outside."""
-        cols = mat([flatten(b) for b in self.basis])
-        return solve(transpose(cols), vec(flatten(m)))
+        return solve(flatten(self.forms), vec(flatten(m)))
 
     def contains(self, m) -> bool:
         return self.coordinates_of(m) is not None
@@ -189,21 +198,7 @@ def tangent_sigma1_contains(b, m) -> bool:
 
 def determinant_on_subspace(space: EndoSubspace) -> MPoly:
     """det of the generic element sum_i x_i basis_i, as a cubic MPoly."""
-    n = space.dim
-    entries = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            terms = {}
-            for k in range(n):
-                c = space.basis[k][i][j]
-                if c != 0:
-                    e = [0] * n
-                    e[k] = 1
-                    terms[tuple(e)] = c
-            row.append(MPoly(n, terms))
-        entries.append(row)
-    return poly_det(entries)
+    return poly_det([[MPoly.linear_form(f) for f in row] for row in space.forms])
 
 
 # ---------------------------------------------------------------------------
@@ -355,28 +350,27 @@ def _rational_common_zeros(forms) -> list:
 
 
 def rank1_system_rows(perp: EndoSubspace) -> list[list[MPoly]]:
-    """Rows (A_j v) of the condition system w^T A_j v = 0, linear in v."""
-    vvars = MPoly.variables(3)
-    rows = []
-    for a in perp.basis:
-        rows.append([sum((MPoly.const(3, a[i][j]) * vvars[j] for j in range(3)),
-                         MPoly.zero(3)) for i in range(3)])
-    return rows
+    """Rows (A_j v) of the condition system w^T A_j v = 0, linear in v: the
+    rows of each A_j are the coefficient lists of its forms."""
+    return [[MPoly.linear_form(row) for row in a] for a in perp.basis]
 
 
 def rank1_system_minors(perp: EndoSubspace) -> list[MPoly]:
     """3x3 minors of the stacked system; cubics in v cutting the rank-1
-    directions of the orthogonal complement of `perp`."""
+    directions of the orthogonal complement of `perp`.
+
+    For perp = lam_perp they are the dual Pluecker coordinates of the fromV
+    line of v: that line is the kernel of the 3x5 system
+    sum_j y_j (A_j v) = 0, the transpose of the stacked rows, whose entries
+    are linear in v.  By Cramer duality its Pluecker vector is (up to index
+    complementation and sign) the vector of maximal minors, each a
+    homogeneous cubic in v.  This grounds the degree-9 count for the
+    component swept by these lines: a degree-3 map of a plane has image of
+    degree 3^2.
+    """
     rows = rank1_system_rows(perp)
     return [poly_det([rows[t] for t in triple])
             for triple in itertools.combinations(range(len(rows)), 3)]
-
-
-def _kernel_vector_w(perp: EndoSubspace, v):
-    """A w with v w^T orthogonal to perp: the first kernel vector of the
-    stacked (A_j v).  When the kernel is a pencil, every w in it will do."""
-    rows = [mat_vec(mat(a), vec(v)) for a in perp.basis]
-    return nullspace(mat([list(r) for r in rows]))[0]
 
 
 def _split_rank1(b):
@@ -428,10 +422,12 @@ def residual_rank1_point(five_matrices):
 def find_rank1_in_span(space: EndoSubspace):
     """Rational rank-1 elements v w^T of P(space), one for each rational
     common zero v of the cubic minors of the rank-1 system (see
-    _rational_common_zeros).  [] proves that P(space) misses the rank-1
-    locus; DetGeoError when the v's are not finite or none is rational."""
+    _rational_common_zeros), with w the first kernel vector of the stacked
+    (A_j v), A_j the basis of the perp; when that kernel is a pencil, every
+    w in it will do.  [] proves that P(space) misses the rank-1 locus;
+    DetGeoError when the v's are not finite or none is rational."""
     perp = trace_perp(space)
-    return [rank1(v, _kernel_vector_w(perp, v))
+    return [rank1(v, nullspace(transpose(_values(perp.image, v)))[0])
             for v in _rational_common_zeros(rank1_system_minors(perp))]
 
 
@@ -465,11 +461,10 @@ def _condition_bilinear(covector, u):
 
 def _solve_in_space(space: EndoSubspace, conditions):
     # each row is scaled by its own denominator, the columns by a common one
-    ms, _ = _int_flat(space.basis)
     rows = []
     for cond in conditions:
         cf, _ = clear_denominators(flatten(cond))
-        rows.append([sum(map(mul, cf, m)) for m in ms])
+        rows.append([sum(map(mul, cf, m)) for m in space.ints])
     return [space.element(s) for s in nullspace(rows)]
 
 
@@ -573,7 +568,8 @@ def _second_sigma1_direction(perp: EndoSubspace, b):
 @dataclass(frozen=True)
 class ProjLine:
     """2-dimensional subspace of a coordinate space with cached Pluecker
-    coordinates; spanning vectors exact (Fraction) or numeric (mpc)."""
+    coordinates; spanning vectors exact (Fraction) or numeric (mpc), the
+    numeric ones at working precision prec."""
 
     p0: tuple
     p1: tuple
@@ -594,14 +590,25 @@ class ProjLine:
     def n(self) -> int:
         return len(self.p0)
 
+    def _wedge(self) -> tuple:
+        p, q = self.p0, self.p1
+        return tuple(p[i] * q[j] - p[j] * q[i]
+                     for i in range(self.n) for j in range(i + 1, self.n))
+
     def plucker(self) -> tuple:
         if self._plucker is None:
-            p, q = self.p0, self.p1
-            object.__setattr__(self, "_plucker",
-                               tuple(p[i] * q[j] - p[j] * q[i]
-                                     for i in range(self.n)
-                                     for j in range(i + 1, self.n)))
+            object.__setattr__(self, "_plucker", self._wedge())
         return self._plucker
+
+    def plucker_normalized(self) -> tuple:
+        """The Pluecker vector divided by its entry of largest modulus,
+        computed afresh at the ambient precision rather than read from the
+        cache, which may hold numeric values of another precision."""
+        pl = self._wedge()
+        lead = max(pl, key=abs)
+        if abs(lead) == 0:
+            raise DetGeoError("degenerate line")
+        return tuple(x / lead for x in pl)
 
     def canonical_basis(self):
         """Echelonized exact spanning pair (for equality tests)."""
@@ -671,9 +678,6 @@ class DeterminantalInstance:
     def sigma(self, xcoords):
         """End(V) representative of a point of P(lam)."""
         return self.lam.element(xcoords)
-
-    def node_coords(self):
-        return tuple(n.coords for n in self.nodes)
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> dict:
@@ -908,19 +912,18 @@ def special_line(inst: DeterminantalInstance, kind: str, param) -> ProjLine:
     sigma phi sigma = 0 (sigma of rank 2 in lam, given by its coordinates or
     the matrix itself).
     """
-    # integer rows, each up to a scale that does not change the kernel
-    basis = inst.lam_perp.basis
+    space = inst.lam_perp
     if kind == "fromV":
-        rows = _image_rows(basis, vec(param))
+        rows = _values(space.image, vec(param))
     elif kind == "fromVdual":
-        rows = _image_rows(basis, vec(param), transposed=True)
+        rows = _values(space.image_t, vec(param))
     elif kind == "fromS":
         sigma = _sigma_matrix(inst, param)
         if mat3_rank(sigma) != 2:
             raise DetGeoError("fromS parameter must have rank 2")
+        # integer rows, up to a scale that does not change the kernel
         sig, _ = clear_denominators(flatten(sigma))
-        ms, _ = _int_flat(basis)
-        prods = [_int_mul3(sig, _int_mul3(m, sig)) for m in ms]
+        prods = [_int_mul3(sig, _int_mul3(m, sig)) for m in space.ints]
         rows = [[p[q] for p in prods] for q in range(9)]
     else:
         raise DetGeoError(f"unknown line kind {kind!r}")
@@ -932,30 +935,6 @@ def special_line(inst: DeterminantalInstance, kind: str, param) -> ProjLine:
     if not restrict_to_subspace(inst.cubic_y, [line.p0, line.p1]).is_zero():
         raise DetGeoError("constructed line does not lie on the threefold")
     return line
-
-
-def fromv_plucker_cubics(inst: DeterminantalInstance) -> list[MPoly]:
-    """The dual Pluecker coordinates of the fromV line as cubics in v.
-
-    The line is the kernel of the 3x5 system sum_j y_j (E_j v) = 0 whose
-    entries are linear in v; by Cramer duality its Pluecker vector is (up to
-    index complementation and sign) the vector of maximal minors, each a
-    homogeneous cubic in v.  This grounds the degree-9 count for the
-    component swept by these lines: a degree-3 map of a plane has image of
-    degree 3^2.
-    """
-    vvars = MPoly.variables(3)
-    rows = []
-    for i in range(3):
-        row = []
-        for b in inst.lam_perp.basis:
-            row.append(sum((MPoly.const(3, b[i][j]) * vvars[j] for j in range(3)),
-                           MPoly.zero(3)))
-        rows.append(row)
-    minors = []
-    for cols in itertools.combinations(range(5), 3):
-        minors.append(poly_det([[rows[r][c] for c in cols] for r in range(3)]))
-    return minors
 
 
 def _sigma_matrix(inst, param):
@@ -1008,8 +987,7 @@ class _Backend:
     negligible: Callable
 
 
-_EXACT = _Backend(nullspace, lambda forms, v: [mat_vec(row, v) for row in forms],
-                  lambda x, scale: x == 0)
+_EXACT = _Backend(nullspace, _values, lambda x, scale: x == 0)
 
 # multiple of default_tolerance(prec) in the numeric sigma phi sigma = 0
 # check; absorbs the nine-term sums per entry and the error sigma inherits
@@ -1041,11 +1019,10 @@ def _sigma_test(backend: _Backend, inst, phi_y, d) -> bool:
     inside that of phi(d).
     """
     kernel, values = backend.kernel, backend.values
-    lam = inst.lam.basis
+    lam = inst.lam
     # the row c phi_y, linear in c
     row_times_phi_y = [[[phi_y[i][j] for i in range(3)] for j in range(3)]]
-    phi_d = values([[[b[i][j] for b in inst.lam_perp.basis] for j in range(3)]
-                    for i in range(3)], d)
+    phi_d = values(inst.lam_perp.forms, d)
     ann_y, ann_d = (kernel(transpose(phi)) for phi in (phi_y, phi_d))
     if len(ann_y) != 1 or len(ann_d) != 1:
         return False
@@ -1057,12 +1034,10 @@ def _sigma_test(backend: _Backend, inst, phi_y, d) -> bool:
     if len(pre) != 2:
         return False
     # sigma u0 = 0, and a sigma = 0 for the covector a of the preimage plane
-    conditions = values([[[b[i][j] for j in range(3)] for b in lam] for i in range(3)], u0)
-    conditions += values([[[b[i][j] for i in range(3)] for b in lam] for j in range(3)],
-                         kernel(pre)[0])
+    conditions = values(lam.image, u0) + values(lam.image_t, kernel(pre)[0])
     pnorm_y, pnorm_d = (max(abs(x) for row in phi for x in row) for phi in (phi_y, phi_d))
     for s in kernel(conditions):
-        sigma = values([[[b[i][j] for b in lam] for j in range(3)] for i in range(3)], s)
+        sigma = values(lam.forms, s)
         if len(kernel(sigma)) != 1:
             continue
         snorm2 = max(abs(x) for row in sigma for x in row) ** 2
@@ -1113,21 +1088,9 @@ def scroll_data(inst: DeterminantalInstance, v, vdual=None) -> ScrollData:
     g = transpose(mat([list(v), list(others[0]), list(others[1])]))  # columns
     ginv = inverse(g)
 
-    n = inst.lam_perp.dim
-    entries = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            terms = {}
-            for k, b in enumerate(inst.lam_perp.basis):
-                tilde = sum(ginv[i][a] * Q(b[a][c]) * g[c][j]
-                            for a in range(3) for c in range(3))
-                if tilde != 0:
-                    e = [0] * n
-                    e[k] = 1
-                    terms[tuple(e)] = terms.get(tuple(e), 0) + tilde
-            row.append(MPoly(n, terms))
-        entries.append(row)
+    # the generic element of lam_perp in the adapted basis: g^-1 B_k g
+    adapted = EndoSubspace(tuple(mat_mul(mat_mul(ginv, b), g) for b in inst.lam_perp.basis))
+    entries = [[MPoly.linear_form(f) for f in row] for row in adapted.forms]
 
     def minor(r1, r2, c1, c2):
         return entries[r1][c1] * entries[r2][c2] - entries[r1][c2] * entries[r2][c1]
@@ -1678,7 +1641,7 @@ def sample_surface_point(inst: DeterminantalInstance, rng,
 
 def _line_in_lambda(inst, i: int):
     """The exceptional line E_i in lam: sigma with sigma v_i = 0."""
-    kern = nullspace(_image_rows(inst.lam.basis, inst.nodes[i].v))
+    kern = nullspace(_values(inst.lam.image, inst.nodes[i].v))
     if len(kern) != 2:
         return None
     return (inst.lam.element(kern[0]), inst.lam.element(kern[1]))

@@ -25,8 +25,8 @@ import mpmath
 from . import _numeric
 from ._qlinalg import Q, is_zero_vec, primitive_int_vector
 from .detgeo import (DEFAULT_ENTRY_RANGE, DetGeoError, DeterminantalInstance,
-                     direction_candidates, ruling_of_scroll, sample_smooth_point,
-                     scroll_data)
+                     ProjLine, direction_candidates, ruling_of_scroll,
+                     sample_smooth_point, scroll_data)
 from .poly import MPoly, _int_terms, gradient
 
 
@@ -60,29 +60,7 @@ class CubicFourfold:
             raise FourfoldError("restriction to the hyperplane is not the threefold")
 
 
-@dataclass(frozen=True)
-class FourfoldLine:
-    """Line in P^5 through a hyperplane-section point, numeric or exact."""
-
-    p0: tuple
-    p1: tuple
-    exact: bool
-    prec: int
-
-    def point_at(self, s, t):
-        return tuple(s * a + t * b for a, b in zip(self.p0, self.p1))
-
-    def plucker_normalized(self):
-        n = len(self.p0)
-        pl = [self.p0[i] * self.p1[j] - self.p0[j] * self.p1[i]
-              for i in range(n) for j in range(i + 1, n)]
-        lead = max(pl, key=abs)
-        if abs(lead) == 0:
-            raise FourfoldError("degenerate line")
-        return tuple(x / lead for x in pl)
-
-
-def lines_close(l1: FourfoldLine, l2: FourfoldLine, prec: int,
+def lines_close(l1: ProjLine, l2: ProjLine, prec: int,
                 tol: float = 1e-30) -> bool:
     """Coordinatewise comparison of normalized Pluecker vectors."""
     with mpmath.workprec(prec + 32):
@@ -185,7 +163,7 @@ def _spot_check_smooth(four: CubicFourfold, rng, prec, count):
 
 
 def sample_line(four: CubicFourfold, seed: int = 1, prec: int = 256,
-                base_point=None) -> FourfoldLine:
+                base_point=None) -> ProjLine:
     """A line on the fourfold through a smooth rational point of the
     hyperplane section, not contained in the hyperplane."""
     rng = random.Random(f"{four.seed}:{seed}:line")
@@ -205,7 +183,7 @@ def sample_line(four: CubicFourfold, seed: int = 1, prec: int = 256,
                     break
             if best is not None:
                 y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
-                return FourfoldLine(y_num, best, exact=False, prec=prec)
+                return ProjLine(y_num, best, exact=False, prec=prec)
         if base_point is not None:
             raise FourfoldError("all lines through the base point lie in the hyperplane")
     raise FourfoldError("no line found off the hyperplane")
@@ -217,13 +195,13 @@ def sample_line(four: CubicFourfold, seed: int = 1, prec: int = 256,
 
 @dataclass(frozen=True)
 class IotaResult:
-    line: FourfoldLine
+    line: ProjLine
     base_point: tuple          # y = m cap {x5 = 0}
     dual_line_point: tuple     # second spanning point of the dual-family line
     factor_residual: float     # relative size of the forbidden coefficients
 
 
-def _hyperplane_point(line: FourfoldLine, prec):
+def _hyperplane_point(line: ProjLine, prec):
     """(p0, p1, y): the spanning points of the line as mpc vectors and its
     point y = p1[5] p0 - p0[5] p1 on {x5 = 0}, scaled to largest modulus 1.
     Runs at the ambient precision, prec + 32 bits in its callers."""
@@ -238,7 +216,7 @@ def _hyperplane_point(line: FourfoldLine, prec):
     return p0, p1, tuple(x / ynorm for x in y)
 
 
-def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaResult:
+def iota(four: CubicFourfold, m: ProjLine, prec: int | None = None) -> IotaResult:
     """Residual line of the plane spanned by m and the dual-family line
     through its hyperplane-section point.
 
@@ -259,18 +237,15 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
         gscale = _numeric.to_mpc(max(map(abs, cubic_y.terms.values()))).real
         if max(abs(x) for x in grads) <= tol * gscale * _NEAR_ZERO_SLACK:
             raise FourfoldError("hyperplane point is singular on the threefold")
-        basis = four.inst.lam_perp.basis
-        # phi^T: entry (j, i) is sum_k y_k basis[k][i][j]
-        phi_t = _numeric.linear_values([[[b[i][j] for b in basis] for i in range(3)]
-                                        for j in range(3)], y5, prec)
+        perp = four.inst.lam_perp
+        phi_t = _numeric.linear_values(perp.forms_t, y5, prec)
         coker = _numeric.kernel_numeric(phi_t, prec)
         if len(coker) != 1:
             raise FourfoldError("hyperplane point has no unique dual line")
         vdual = coker[0]
 
         # the dual line: y-coordinates with phi^T vdual = 0
-        cond = _numeric.linear_values([[[basis[k][i][j] for i in range(3)]
-                                        for k in range(5)] for j in range(3)], vdual, prec)
+        cond = _numeric.linear_values(perp.image_t, vdual, prec)
         kern = _numeric.kernel_numeric(cond, prec)
         if len(kern) != 2:
             raise FourfoldError("dual-family line is degenerate")
@@ -300,7 +275,7 @@ def iota(four: CubicFourfold, m: FourfoldLine, prec: int | None = None) -> IotaR
         for k in kern_l:
             pts.append(tuple(k[0] * y[j] + k[1] * a6[j] + k[2] * b6[j]
                              for j in range(6)))
-        out = FourfoldLine(pts[0], pts[1], exact=False, prec=prec)
+        out = ProjLine(pts[0], pts[1], exact=False, prec=prec)
         return IotaResult(out, y, b6, float(bad / cmax))
 
 
@@ -372,7 +347,7 @@ def _plane_restriction(cubic: MPoly, basis3, prec):
             for key, (re, im) in out.items()}
 
 
-def involution_check(four: CubicFourfold, m: FourfoldLine,
+def involution_check(four: CubicFourfold, m: ProjLine,
                      prec: int | None = None, tol: float | None = None):
     """Apply iota twice and compare with the input line, by default within
     check_tolerance(prec, 1e-30)."""
@@ -400,7 +375,7 @@ class ScrollIncidence:
         return self.meets_before == self.meets_after
 
 
-def _meets_scroll(four: CubicFourfold, line: FourfoldLine, quadrics, prec):
+def _meets_scroll(four: CubicFourfold, line: ProjLine, quadrics, prec):
     """Incidence of a fourfold line with a scroll inside the hyperplane: the
     unique hyperplane point of the line must satisfy the three quadrics,
     relative to their coefficient scales."""
@@ -414,9 +389,9 @@ def _meets_scroll(four: CubicFourfold, line: FourfoldLine, quadrics, prec):
         return bool(margin <= tol), float(margin)
 
 
-def scroll_incidence_invariance(four: CubicFourfold, m: FourfoldLine, v,
+def scroll_incidence_invariance(four: CubicFourfold, m: ProjLine, v,
                                 prec: int | None = None,
-                                image: FourfoldLine | None = None) -> ScrollIncidence:
+                                image: ProjLine | None = None) -> ScrollIncidence:
     """Does iota preserve incidence with the scroll of v?  `image` is iota(m)
     when the caller already has it; otherwise it is computed here."""
     prec = prec or m.prec or 256
@@ -429,7 +404,7 @@ def scroll_incidence_invariance(four: CubicFourfold, m: FourfoldLine, v,
 
 
 def sample_line_through_scroll(four: CubicFourfold, v, seed: int = 1,
-                               prec: int = 256) -> FourfoldLine:
+                               prec: int = 256) -> ProjLine:
     """A fourfold line through a smooth rational point of the scroll of v
     (planted incidence for the invariance tests)."""
     rng = random.Random(f"{four.seed}:{seed}:scrollpt")

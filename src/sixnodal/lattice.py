@@ -156,9 +156,6 @@ class LatticeClass:
     def __neg__(self):
         return LatticeClass(-self.x, -self.y, self.ctx)
 
-    def scale(self, c):
-        return LatticeClass(self.x * c, self.y * c, self.ctx)
-
     def is_zero(self) -> bool:
         return _is_zero(self.x) and _is_zero(self.y)
 

@@ -43,10 +43,6 @@ class SchubertCycle:
     def zero(cls, n: int) -> "SchubertCycle":
         return cls(n, ())
 
-    @classmethod
-    def one(cls, n: int) -> "SchubertCycle":
-        return cls.sigma(n, 0, 0)
-
     def as_dict(self) -> dict:
         return dict(self.terms)
 

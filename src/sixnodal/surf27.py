@@ -65,10 +65,8 @@ def _line_classes_cached() -> tuple[PicClass, ...]:
     for d in range(3):
         for m in itertools.product(range(-2, 3), repeat=5):
             m6 = 1 - 3 * d - sum(m)          # solves C.K = -1
-            if abs(m6) <= 2:
-                c = PicClass(d, m + (m6,))
-                if c.dot(c) == -1:
-                    out.append(c)
+            if abs(m6) <= 2 and d * d - sum(x * x for x in m) - m6 * m6 == -1:
+                out.append(PicClass(d, m + (m6,)))
     return tuple(out)
 
 

@@ -22,7 +22,7 @@ from sixnodal.detgeo import (DegenerateInstance, DetGeoError,
                              ruling_of_scroll, sample_smooth_point,
                              sample_surface_point, scroll_data, special_line,
                              tangent_sigma2_contains, trace_pair, trace_perp,
-                             twisted_quartic_check)
+                             twisted_quartic_check, unflatten)
 from sixnodal.poly import MPoly, UPoly, gradient, macaulay_resultant
 
 
@@ -51,7 +51,45 @@ def test_trace_perp_full_space():
                                      for j in range(3)) for i in range(3)))
     full = EndoSubspace(tuple(units))
     assert full.dim == 9
-    assert trace_perp(full).dim == 0
+    zero = trace_perp(full)
+    assert zero.dim == 0
+    assert zero.contains(units[0]) is False and zero.contains(unflatten((0,) * 9))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_endo_subspace_layouts_are_the_explicit_products(seed):
+    # each coefficient layout applied to a vector against the explicit
+    # B(c) = sum_k c_k B_k, then the same layouts on mpc copies at 128 bits
+    from sixnodal._numeric import linear_values, to_mpc
+    inst = make_instance(seed)
+    rng = random.Random(seed + 31)
+
+    def rational(n):
+        return tuple(Fraction(rng.randrange(-50, 51), rng.randrange(1, 20))
+                     for _ in range(n))
+
+    def mv(m, v):
+        return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+    for space in (inst.lam, inst.lam_perp):
+        c, u, w = rational(space.dim), rational(3), rational(3)
+        b_c = tuple(tuple(sum(ck * b[i][j] for ck, b in zip(c, space.basis))
+                          for j in range(3)) for i in range(3))
+        b_t = tuple(zip(*b_c))
+        cases = [(space.forms, c), (space.forms_t, c), (space.image, u), (space.image_t, w)]
+        forms, forms_t, image, image_t = (detgeo._values(lay, v) for lay, v in cases)
+        assert space.element(c) == b_c
+        assert tuple(map(tuple, forms)) == b_c and tuple(map(tuple, forms_t)) == b_t
+        # the image rows times c are B(c) u, the image_t rows B(c)^T w
+        assert mv(image, c) == mv(b_c, u) and mv(image_t, c) == mv(b_t, w)
+        # relative to sum_k |coefficient_k v_k|, the size of the exact sum
+        with mpmath.workprec(160):
+            for layout, v in cases:
+                num = linear_values(layout, [to_mpc(x, 128) for x in v], 128)
+                for coeff_row, exact, approx in zip(layout, detgeo._values(layout, v), num):
+                    for coeffs, x, y in zip(coeff_row, exact, approx):
+                        scale = to_mpc(sum(abs(a * b) for a, b in zip(coeffs, v))).real
+                        assert abs(y - to_mpc(x)) <= mpmath.mpf(2) ** -128 * scale
 
 
 def test_tangent_sigma2_contains():
@@ -547,9 +585,9 @@ def test_special_line_plucker_cubic_in_v(inst1):
     """The symbolic Pluecker coordinates of the fromV line are homogeneous
     cubics in v (grounding the degree-9 component count), and they evaluate
     to the actual line's Pluecker vector up to complementary-index duality."""
-    from sixnodal.detgeo import fromv_plucker_cubics
+    from sixnodal.detgeo import rank1_system_minors
     import itertools
-    cubics = fromv_plucker_cubics(inst1)
+    cubics = rank1_system_minors(inst1.lam_perp)
     assert len(cubics) == 10
     for c in cubics:
         assert c.is_homogeneous() and c.degree() == 3

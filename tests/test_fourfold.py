@@ -109,25 +109,24 @@ def test_iota_image_meets_dual_line(four):
 
 
 def test_iota_rejects_hyperplane_lines(four, inst1):
-    from sixnodal.detgeo import special_line
-    from sixnodal.fourfold import FourfoldLine
+    from sixnodal.detgeo import ProjLine, special_line
     line5 = special_line(inst1, "fromV", (2, 3, -1))
     import mpmath as mp
     with mp.workprec(300):
         p0 = tuple(mp.mpc(int(x)) for x in line5.p0) + (mp.mpc(0),)
         p1 = tuple(mp.mpc(int(x)) for x in line5.p1) + (mp.mpc(0),)
-    m = FourfoldLine(p0, p1, exact=False, prec=256)
+    m = ProjLine(p0, p1, exact=False, prec=256)
     with pytest.raises(FourfoldError):
         iota(four, m)
 
 
 @pytest.mark.parametrize("prec", [128, 256])
 def test_iota_invariant_under_rescaled_base_point(four, prec):
-    from sixnodal.fourfold import FourfoldLine
+    from sixnodal.detgeo import ProjLine
     m = sample_line(four, seed=2)
     with mpmath.workprec(prec + 64):
         p0 = tuple(x * mpmath.mpf(10) ** 22 for x in m.p0)
-    scaled = FourfoldLine(p0, m.p1, exact=False, prec=m.prec)
+    scaled = ProjLine(p0, m.p1, exact=False, prec=m.prec)
     assert lines_close(iota(four, scaled, prec).line, iota(four, m, prec).line, prec)
 
 

@@ -1,8 +1,11 @@
-"""Every top-level function, class and constant of the package is used.
+"""Every top-level function, class and constant of the package is used,
+and so is every method and property of its classes.
 
-A name counts as used when it appears as a word in a Python file under
-src/, tests/, bench/ or scripts/ other than on its own definition line or in
-an import statement.
+A top-level name counts as used when it appears as a word in a Python file
+under src/, tests/, bench/ or scripts/ other than on its own definition line
+or in an import statement.  A method or property counts as used only when it
+is read as an attribute (`.name`) in one of those files: a bare word, such as
+a local variable of the same name, is not enough.
 """
 
 import ast
@@ -26,6 +29,28 @@ def _definitions():
                 for target in targets:
                     if isinstance(target, ast.Name) and not target.id.startswith("__"):
                         yield path, node.lineno, target.id
+
+
+def _methods():
+    """(class, name) of each method and property of the package's classes,
+    dunder methods left out."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                            and not item.name.startswith("__"):
+                        yield node.name, item.name
+
+
+def _attribute_reads():
+    """Names read as attributes in any searched Python file."""
+    names = set()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            names.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return names
 
 
 def _word_counts():
@@ -54,4 +79,10 @@ def test_every_top_level_name_is_used():
     for path, number, name in defs:
         own[name] += re.findall(r"\w+", lines[path, number]).count(name)
     dead = sorted({name for _, _, name in defs if counts[name] <= own[name]})
+    assert dead == []
+
+
+def test_every_method_and_property_is_used():
+    reads = _attribute_reads()
+    dead = sorted(f"{cls}.{name}" for cls, name in _methods() if name not in reads)
     assert dead == []
