@@ -24,7 +24,7 @@ import os
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from ._qlinalg import clear_denominators
 
@@ -99,14 +99,22 @@ def to_fixed(values, bits: int) -> tuple[list[tuple[int, int]], int]:
     return [(scaled(*re), scaled(*im)) for re, im in parts], shift
 
 
+def _round_ratio(num: int, exp: int, den: int, bits: int):
+    """num * 2**exp / den, den > 0, rounded to nearest at bits as an mpf
+    tuple: a quotient of at least bits + 3 bits, its last bit set for a
+    nonzero remainder, rounds as the exact ratio does."""
+    if den & (den - 1) == 0:
+        return from_man_exp(num, exp + 1 - den.bit_length(), bits, round_nearest)
+    shift = max(0, bits + 4 + den.bit_length() - abs(num).bit_length())
+    q, r = divmod(abs(num) << shift, den)
+    q |= bool(r)
+    return from_man_exp(-q if num < 0 else q, exp - shift, bits, round_nearest)
+
+
 def from_fixed(re: int, im: int, exp: int, bits: int, den: int = 1):
     """(re + i im) * 2**exp / den as an mpc, each part rounded once to bits."""
-    if exp >= 0:
-        re, im = re << exp, im << exp
-    else:
-        den <<= -exp
-    return mpmath.mp.make_mpc((from_rational(re, den, bits, round_nearest),
-                               from_rational(im, den, bits, round_nearest)))
+    return mpmath.mp.make_mpc((_round_ratio(re, exp, den, bits),
+                               _round_ratio(im, exp, den, bits)))
 
 
 def evaluate_fixed(forms, point, bits: int) -> list:

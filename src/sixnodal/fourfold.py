@@ -23,11 +23,12 @@ from fractions import Fraction
 import mpmath
 
 from . import _numeric
-from ._qlinalg import Q, is_zero_vec, primitive_int_vector
+from ._qlinalg import is_zero_vec, primitive_int_vector
 from .detgeo import (DEFAULT_ENTRY_RANGE, DetGeoError, DeterminantalInstance,
                      ProjLine, direction_candidates, ruling_of_scroll,
                      sample_smooth_point, scroll_data)
-from .poly import MPoly, _int_terms, gradient
+from .poly import (MPoly, RootFindingError, _int_terms, _int_value, aberth_roots,
+                   gradient)
 
 
 class FourfoldError(ValueError):
@@ -69,10 +70,6 @@ def lines_close(l1: ProjLine, l2: ProjLine, prec: int,
         return max(abs(x - y) for x, y in zip(a, b)) < mpmath.mpf(tol)
 
 
-def _pad(v, value=Fraction(0)):
-    return tuple(v) + (value,)
-
-
 # ---------------------------------------------------------------------------
 # building fourfolds
 
@@ -81,17 +78,19 @@ def extend_to_fourfold(inst: DeterminantalInstance, seed: int = 1,
                        prec: int = 256, spot_checks: int = 200) -> CubicFourfold:
     """X = (threefold cubic) + x5 * Q with Q a seeded random quadric.
 
-    At a node of the hyperplane section the whole gradient reduces to the
-    value of Q there, so Q is resampled until it avoids all six nodes
-    (exact check); smoothness elsewhere is spot-checked at `spot_checks`
-    numeric points of X.
+    On {x5 = 0} the gradient of X is (grad F, Q), which vanishes only at a
+    node of the hyperplane section where Q does too; Q is resampled until it
+    avoids all six nodes (exact check).  So X is proved smooth along the
+    hyperplane, and Sing(X), missing a hyperplane, is finite.  Off it,
+    nothing is proved: `spot_checks` numeric points of X on random integer
+    lines are tested, and random lines miss isolated singular points.
     """
     rng = random.Random(f"{seed}:fourfold")
     y_cubic6 = MPoly(6, {e + (0,): c for e, c in inst.cubic_y.terms.items()})
     x5 = MPoly.var(6, 5)
     for _ in range(64):
         quad = _random_quadric(rng, DEFAULT_ENTRY_RANGE)
-        if any(quad.evaluate(_pad(n.coords)) == 0 for n in inst.nodes):
+        if any(quad.evaluate(tuple(n.coords) + (0,)) == 0 for n in inst.nodes):
             continue
         four = CubicFourfold(y_cubic6 + x5 * quad, quad, inst, seed)
         _spot_check_smooth(four, rng, prec, spot_checks)
@@ -112,19 +111,24 @@ def _random_quadric(rng, entry_range) -> MPoly:
     return MPoly(6, terms)
 
 
-def _restriction_coeffs(f: MPoly, base, direc):
-    """Coefficients of f(base + t*direc) as a polynomial in t."""
-    subs = [MPoly(1, {(0,): Q(b), (1,): Q(d)}) for b, d in zip(base, direc)]
-    u = f.compose(subs)
-    out = [Fraction(0)] * (f.degree() + 1)
-    for e, c in u.terms.items():
-        out[e[0]] = c
-    return out
+def _line_restriction(terms: dict, deg: int, base, direc) -> list[int]:
+    """f(base + t direc), low degree first, for a quadratic or cubic form f
+    as an integer term dict, from f at base, direc and base +- direc."""
+    fb, fd = _int_value(terms, base), _int_value(terms, direc)
+    fp = _int_value(terms, [b + d for b, d in zip(base, direc)])
+    if deg == 2:
+        return [fb, fp - fb - fd, fd]
+    fm = _int_value(terms, [b - d for b, d in zip(base, direc)])
+    return [fb, (fp - fm) // 2 - fd, (fp + fm) // 2 - fb, fd]
 
 
 def _spot_check_smooth(four: CubicFourfold, rng, prec, count):
-    """Gradient must not (nearly) vanish at numeric sample points of X."""
-    grads = [_int_terms(g) for g in gradient(four.cubic)]
+    """Gradient must not (nearly) vanish at the points of X on random integer
+    lines b + t d, with t from `aberth_roots` on the cubic's restriction:
+    max_i |partial_i(t)| / max_j |b_j + t d_j|^2 is the gradient at the
+    normalized point."""
+    ints, _ = _int_terms(four.cubic)
+    partials = [_int_terms(g) for g in gradient(four.cubic)]
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
         fscale = _numeric.to_mpc(max(map(abs, four.cubic.terms.values()))).real
@@ -132,26 +136,24 @@ def _spot_check_smooth(four: CubicFourfold, rng, prec, count):
         attempts = 0
         while done < count and attempts < 8 * count + 64:
             attempts += 1
-            base = [Fraction(rng.randrange(-9, 10)) for _ in range(6)]
-            direc = [Fraction(rng.randrange(-9, 10)) for _ in range(6)]
-            coeffs = _restriction_coeffs(four.cubic, base, direc)
+            base = [rng.randrange(-9, 10) for _ in range(6)]
+            direc = [rng.randrange(-9, 10) for _ in range(6)]
+            coeffs = _line_restriction(ints, 3, base, direc)
             if coeffs[3] == 0:
                 continue
-            dense = [_numeric.to_mpc(c, prec) for c in coeffs]
             try:
-                roots_t = mpmath.polyroots(list(reversed(dense)), maxsteps=200,
-                                           extraprec=96)
-            except mpmath.libmp.NoConvergence:
+                roots_t = aberth_roots(coeffs, prec)
+            except RootFindingError:
                 continue
+            forms = [({(k,): c for k, c in enumerate(_line_restriction(terms, 2, base, direc))
+                       if c}, den) for terms, den in partials]
+            forms += [({(0,): b, (1,): d}, 1) for b, d in zip(base, direc)]
             for t in roots_t:
-                pt = [_numeric.to_mpc(b, prec) + t * _numeric.to_mpc(d, prec)
-                      for b, d in zip(base, direc)]
-                scale = max(abs(x) for x in pt)
+                vals = _numeric.evaluate_fixed(forms, [t], prec + 32)
+                scale = max(abs(x) for x in vals[6:])
                 if scale == 0:
                     continue
-                pt = [x / scale for x in pt]
-                gvals = _numeric.evaluate_fixed(grads, pt, prec + 32)
-                if max(abs(x) for x in gvals) <= tol * fscale:
+                if max(abs(x) for x in vals[:6]) <= tol * fscale * scale ** 2:
                     raise FourfoldError("spot check found a (near-)singular point")
                 done += 1
                 if done >= count:
@@ -170,20 +172,16 @@ def sample_line(four: CubicFourfold, seed: int = 1, prec: int = 256,
     for attempt in range(32):
         y5 = base_point if base_point is not None else \
             sample_smooth_point(four.inst, rng)
-        y = _pad(y5)
+        y = tuple(y5) + (Fraction(0),)
         cands, _elim, _mult = direction_candidates(
             four.cubic, y, prec=prec, chart_seed=f"{seed}:{attempt}")
         with mpmath.workprec(prec + 32):
-            best = None
             for d, exact in cands:
                 d_num = tuple(_numeric.to_mpc(x, prec) if exact else x for x in d)
                 dnorm = max(abs(x) for x in d_num)
                 if abs(d_num[5]) > dnorm * mpmath.mpf(2) ** (-16):
-                    best = d_num
-                    break
-            if best is not None:
-                y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
-                return ProjLine(y_num, best, exact=False, prec=prec)
+                    y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
+                    return ProjLine(y_num, d_num, exact=False, prec=prec)
         if base_point is not None:
             raise FourfoldError("all lines through the base point lie in the hyperplane")
     raise FourfoldError("no line found off the hyperplane")
@@ -258,23 +256,20 @@ def iota(four: CubicFourfold, m: ProjLine, prec: int | None = None) -> IotaResul
             raise FourfoldError("plane through m and the dual line is degenerate")
 
         coeffs = _plane_restriction(four.cubic, (y, a6, b6), prec)
-        allowed = {(1, 1, 1), (0, 2, 1), (0, 1, 2)}
+        # of t u L: the coefficients of s t u, t^2 u and t u^2 are those of L
+        allowed = ((1, 1, 1), (0, 2, 1), (0, 1, 2))
         cmax = max(abs(c) for c in coeffs.values())
         bad = max((abs(c) for e, c in coeffs.items() if e not in allowed),
                   default=mpmath.mpf(0))
         if cmax == 0 or bad > tol * cmax * _KERNEL_CHAIN_SLACK:
             raise FourfoldError("plane restriction does not factor (residual "
                                 f"{mpmath.nstr(bad / max(cmax, 1), 6)})")
-        lam_s = coeffs.get((1, 1, 1), mpmath.mpc(0))
-        lam_t = coeffs.get((0, 2, 1), mpmath.mpc(0))
-        lam_u = coeffs.get((0, 1, 2), mpmath.mpc(0))
-        kern_l = _numeric.kernel_numeric([[lam_s, lam_t, lam_u]], prec)
+        kern_l = _numeric.kernel_numeric([[coeffs.get(e, mpmath.mpc(0)) for e in allowed]],
+                                         prec)
         if len(kern_l) != 2:
             raise FourfoldError("residual factor is not a line")
-        pts = []
-        for k in kern_l:
-            pts.append(tuple(k[0] * y[j] + k[1] * a6[j] + k[2] * b6[j]
-                             for j in range(6)))
+        pts = [tuple(k[0] * y[j] + k[1] * a6[j] + k[2] * b6[j] for j in range(6))
+               for k in kern_l]
         out = ProjLine(pts[0], pts[1], exact=False, prec=prec)
         return IotaResult(out, y, b6, float(bad / cmax))
 

@@ -42,6 +42,19 @@ def _int_terms(p: "MPoly") -> tuple[dict, int]:
     return dict(zip(p.terms, ints)), den
 
 
+def _int_value(terms: dict, xs, dx: int = 1) -> int:
+    """dx^deg times the value at the rational point xs/dx of an integer term
+    dict of degree deg: the sum of c x^e dx^(deg - |e|), in integers."""
+    deg = max(map(sum, terms), default=0)
+    total = 0
+    for e, c in terms.items():
+        for x, k in zip(xs, e):
+            if k:
+                c *= x if k == 1 else x ** k
+        total += c if dx == 1 else c * dx ** (deg - sum(e))
+    return total
+
+
 def _int_product(a: dict, b: dict) -> dict:
     """Product of two integer term dicts.  A coefficient that cancels to
     zero is dropped and re-inserted if it reappears, as Fraction sums did,
@@ -209,9 +222,8 @@ class MPoly:
     def evaluate(self, point):
         """Evaluate at a point of int, Fraction, mpf or mpc entries.
 
-        At a rational point the sum runs on integers: with x = X/dx, each
-        term is taken over the common denominator den * dx^degree, and the
-        value is a Fraction.  At any other point the integer coefficients
+        At a rational point the value is an exact Fraction, summed on
+        integers by `_int_value`.  At any other point the integer coefficients
         meet the point in Gaussian-integer fixed point
         (`_numeric.evaluate_fixed`), and the value is an mpc rounded once at
         the ambient mpmath precision.
@@ -220,15 +232,8 @@ class MPoly:
             raise PolyError("point arity mismatch")
         if all(isinstance(x, (int, Fraction)) for x in point):
             xs, dx = clear_denominators(point)
-            cs, den = clear_denominators(self.terms.values())
-            deg = max(self.degree(), 0)
-            total = 0
-            for e, c in zip(self.terms, cs):
-                for x, k in zip(xs, e):
-                    if k:
-                        c *= x ** k
-                total += c * dx ** (deg - sum(e))
-            return Fraction(total, den * dx ** deg)
+            terms, den = _int_terms(self)
+            return Fraction(_int_value(terms, xs, dx), den * dx ** max(self.degree(), 0))
         return _numeric.evaluate_fixed([_int_terms(self)], point, mpmath.mp.prec)[0]
 
     def compose(self, substitutions: list["MPoly"]) -> "MPoly":
@@ -491,11 +496,7 @@ class UPoly:
         rem = list(self.coeffs)
         d = other.degree()
         lc = other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
+        while len(rem) - 1 >= d:
             k = len(rem) - 1 - d
             f = rem[-1] / lc
             q[k] = f
@@ -1065,11 +1066,6 @@ class RootFindingError(PolyError):
         self.partial = partial or []
 
 
-def _cauchy_radius(coeffs):
-    lead = abs(coeffs[-1])
-    return 1 + max(abs(c) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else mpmath.mpf(1)
-
-
 def _newton_polygon_start(cs):
     """Start points on circles from the Newton polygon of |c_i| (Bini 1996).
 
@@ -1230,9 +1226,9 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
     ints = primitive(clear_denominators(coeffs)[0])
     with mpmath.workprec(prec + 64):
         cs = [mpmath.mpf(c) for c in ints]
-        # in hardware complex: a radius beyond its range makes the circle
-        # not finite, and _float_start gives up
-        r = float(_cauchy_radius(cs))
+        # the Cauchy radius in hardware complex: a radius beyond its range
+        # makes the circle not finite, and _float_start gives up
+        r = float(1 + max(abs(c) for c in cs[:-1]) / abs(cs[-1]))
         circle = [r * cmath.exp(2j * cmath.pi * (k / deg + 1 / (2 * deg) + 1 / 7))
                   for k in range(deg)]
         start = _float_start(cs, circle, max_iter)

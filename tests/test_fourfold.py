@@ -9,7 +9,18 @@ from sixnodal.fourfold import (CubicFourfold, FourfoldError, extend_to_fourfold,
                                involution_check, iota, lines_close,
                                sample_line, sample_line_through_scroll,
                                scroll_incidence_invariance)
-from sixnodal.poly import MPoly, gradient
+from sixnodal.poly import MPoly, _int_terms, gradient
+
+
+def _restriction_coeffs(f: MPoly, base, direc):
+    """Coefficients of f(base + t*direc) as a polynomial in t, by compose:
+    the reference for the integer line restriction of the spot check."""
+    subs = [MPoly(1, {(0,): Fraction(b), (1,): Fraction(d)}) for b, d in zip(base, direc)]
+    u = f.compose(subs)
+    out = [Fraction(0)] * (f.degree() + 1)
+    for e, c in u.terms.items():
+        out[e[0]] = c
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +59,32 @@ def test_planted_bad_quadric_triggers_resample(inst1):
     f = extend_to_fourfold(inst1, seed=bad_seed, spot_checks=0)
     assert all(f.quadric.evaluate(n.coords + (Fraction(0),)) != 0
                for n in inst1.nodes)
+
+
+@pytest.mark.parametrize("inst_seed", [1, 2, 3])
+def test_line_restriction_matches_compose(inst_seed):
+    from sixnodal.detgeo import make_instance
+    from sixnodal.fourfold import _line_restriction
+    cubic = extend_to_fourfold(make_instance(inst_seed), seed=1, spot_checks=0).cubic
+    forms = [(cubic, 3)] + [(g, 2) for g in gradient(cubic)]
+    rng = random.Random(inst_seed)
+    for _ in range(50):
+        base = [rng.randrange(-9, 10) for _ in range(6)]
+        direc = [rng.randrange(-9, 10) for _ in range(6)]
+        for f, deg in forms:
+            terms, den = _int_terms(f)
+            want = [c * den for c in _restriction_coeffs(f, base, direc)]
+            assert _line_restriction(terms, deg, base, direc) == want
+
+
+def test_spot_check_fires_above_its_tolerance(inst1, monkeypatch):
+    # with a tolerance of 2^64 every sampled point looks singular, so the
+    # first check raises, and with no check the same fourfold is built
+    monkeypatch.setattr("sixnodal.fourfold._numeric.default_tolerance",
+                        lambda prec: mpmath.mpf(2) ** 64)
+    with pytest.raises(FourfoldError, match="spot check"):
+        extend_to_fourfold(inst1, seed=1, spot_checks=1)
+    extend_to_fourfold(inst1, seed=1, spot_checks=0)
 
 
 def test_bad_restriction_rejected(inst1):
@@ -169,7 +206,7 @@ def test_plane_restriction_matches_exact(four, inst1, prec):
     # of a tangent line at the last point (the other two intersections sit
     # at the point of tangency); the last one leaves the hyperplane x5 = 0
     from sixnodal._numeric import default_tolerance, to_mpc
-    from sixnodal.fourfold import _plane_restriction, _restriction_coeffs
+    from sixnodal.fourfold import _plane_restriction
     from sixnodal.poly import restrict_to_subspace
     grads = gradient(four.cubic)
     rng = random.Random(7)
@@ -260,7 +297,6 @@ def test_planted_line_appears_among_candidates(inst1):
     four_planted = CubicFourfold(cubic6, quad, inst1, 0)
 
     # the planted line lies on the fourfold exactly
-    from sixnodal.fourfold import _restriction_coeffs
     assert all(c == 0 for c in _restriction_coeffs(cubic6, y, d))
 
     # a random chart generically misses one chosen member of the line family,

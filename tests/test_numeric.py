@@ -91,6 +91,28 @@ def test_from_fixed_rounds_once(prec):
             assert abs(exact(part) - want) <= abs(want) * Fraction(1, 2 ** bits)
 
 
+@pytest.mark.parametrize("den_kind", ["power_of_two", "odd", "general"])
+def test_from_fixed_is_bit_identical_to_from_rational(den_kind):
+    # mpmath's correctly rounded division is the reference; a quotient of
+    # bits + 4 bits leaves about one case in sixteen on a halfway point once
+    # the remainder is dropped, so a missing sticky bit shows
+    rng = random.Random(den_kind)
+    for k in range(2000):
+        bits = rng.randrange(96, 545)
+        num = rng.getrandbits(rng.randrange(1, 701)) * rng.choice((1, -1)) if k % 40 else 0
+        if den_kind == "power_of_two":
+            den = 1 << rng.randrange(0, 700)
+        elif den_kind == "odd":
+            den = rng.getrandbits(rng.randrange(1, 700)) | 1
+        else:
+            den = rng.randrange(1, 2 << rng.randrange(0, 700))
+        exp = rng.randrange(-300, 300)
+        got = from_fixed(num, -num, exp, bits, den)._mpc_
+        n, d = (num << exp, den) if exp >= 0 else (num, den << -exp)
+        want = mpmath.libmp.from_rational(n, d, bits, mpmath.libmp.round_nearest)
+        assert got == (want, mpmath.libmp.mpf_neg(want)), (num, exp, den, bits)
+
+
 # ---------------------------------------------------------------------------
 # the evaluator behind MPoly.evaluate
 

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -707,6 +709,22 @@ def test_json_roundtrip():
     assert MPoly.from_json(f.to_json()) == f
     data = f.to_json()
     assert all(isinstance(c, str) and "/" in c for _, c in data["terms"])
+
+
+def test_package_has_one_root_finder():
+    # the package finds roots with aberth_roots only: no module names
+    # mpmath's polyroots, by attribute, bare name or import
+    package = pathlib.Path(poly.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert "polyroots" not in names, path.name
 
 
 def _fourfold_eliminant(inst, line_seed=1):
