@@ -1255,7 +1255,13 @@ def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
     seeded hyperplanes (the first one not through y, to kill the translation
     freedom along y) cut the directions to a P^2, on which the quadratic and
     cubic conditions restrict to a conic and a cubic.  Returns
-    (chart_basis, restricted_conic, restricted_cubic, degree-6 eliminant).
+    (chart_basis, restricted_conic, restricted_cubic, degree-6 eliminant,
+    (A, B)), with A u + B the first subresultant of the conic and the cubic
+    in u (_subresultant), which also gives the eliminant.  A chart is
+    retried when A vanishes at a root, that is when A and B have a common
+    zero (poly.macaulay_nonzero): two lines collide in it, and -B/A lifts
+    neither.  A double root where A does not vanish is a double line
+    through y, the same in every chart.
 
     In ambients above P^4 the extra hyperplanes select finitely many members
     of the positive-dimensional family of lines; pass a direction in
@@ -1282,7 +1288,6 @@ def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
                 q2 = q2 + MPoly(n, {tuple(e): coeff})
 
     rng = random.Random(f"{chart_seed}:5077:{n}")
-    clean_tries = 0
     for _ in range(64):
         h_first = [Fraction(rng.randrange(-9, 10)) for _ in range(n)]
         hy = sum(a * b for a, b in zip(h_first, y))
@@ -1311,21 +1316,30 @@ def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
         c_chart = restrict_to_subspace(f, chart)
         if q_chart.coefficient((0, 0, 2)) == 0 or c_chart.coefficient((0, 0, 3)) == 0:
             continue
-        try:
-            elim = binary_resultant(q_chart, c_chart, 2)
-        except DetGeoError:
+        elim, lift = _subresultant(q_chart, c_chart)
+        if not macaulay_nonzero(list(lift)):    # also when elim is zero
             continue
-        if elim.is_zero() or elim.degree() != 6:
-            continue
-        elim = elim.content_normalized()
-        _a0, _inf, core = _binary_form_parts(elim)
-        squarefree = core.is_squarefree()
-        if not squarefree and clean_tries < 16:
-            # a chart collision merged two shadows; try another chart
-            clean_tries += 1
-            continue
-        return chart, q_chart, c_chart, elim
+        return chart, q_chart, c_chart, elim.content_normalized(), lift
     raise DetGeoError("no usable direction chart found")
+
+
+def _subresultant(q_chart: MPoly, c_chart: MPoly):
+    """(eliminant, (A, B)) of the chart conic q = q2 u^2 + q1 u + q0 and
+    cubic c = c3 u^3 + ... + c0, with q2 and c3 nonzero constants.  Their
+    first subresultant in u is A u + B (Collins, J. ACM 14, 1967), with
+    A = det[[q2, q1, q0], [0, q2, q1], [c3, c2, c1]] and
+    B = det[[q2, q1, 0], [0, q2, q0], [c3, c2, c0]], binary forms of degrees
+    2 and 3 in (s, t).  It is q2^2 times c mod q, so over a root (s : t) of
+    Res_u(q, c) where A does not vanish, u = -B/A is the one common zero of
+    q and c.  The eliminant is returned as Res_u(q, A u + B) = q2^2
+    Res_u(q, c) = q2 B^2 - q1 A B + q0 A^2; where A vanishes it is q2 B^2,
+    so A vanishes at one of its roots exactly when A and B share a zero."""
+    q0, q1, q2 = _coeffs_in_var(q_chart, 2)
+    c0, c1, c2, c3 = _coeffs_in_var(c_chart, 2)
+    zero = MPoly.zero(2)
+    a = poly_det([[q2, q1, q0], [zero, q2, q1], [c3, c2, c1]])
+    b = poly_det([[q2, q1, zero], [zero, q2, q0], [c3, c2, c0]])
+    return poly_det([[q2, q1, q0], [a, b, zero], [zero, a, b]]), (a, b)
 
 
 def direction_candidates(f: MPoly, y, prec: int = 256, chart_seed: int = 0,
@@ -1336,10 +1350,8 @@ def direction_candidates(f: MPoly, y, prec: int = 256, chart_seed: int = 0,
     (direction, exact_flag) with the direction in ambient coordinates, as
     lifted by the same pass that lines_through_point uses.
     """
-    chart, q_chart, c_chart, elim = direction_chart(f, y, chart_seed,
-                                                    _cut_through)
-    cands, root_list, _residual_max, _single = _lift_eliminant(
-        chart, q_chart, c_chart, elim, prec)
+    cands, elim, root_list, _residual_max = _lift_eliminant(
+        direction_chart(f, y, chart_seed, _cut_through), prec)
     return cands, elim, tuple(m for _, m in root_list)
 
 
@@ -1360,73 +1372,65 @@ def _eliminant_roots(elim: MPoly, prec: int):
     return root_list
 
 
-def _lift_eliminant(chart, q_chart, c_chart, elim, prec):
-    """Lift every root of the eliminant to directions on the chart.
+def _lift_eliminant(chart_data, prec):
+    """Lift every root of the eliminant to one direction on the chart.
 
-    Rational roots lift exactly.  The others lift numerically at prec + 32
-    bits, and a numeric lift is kept only when its residual on the conic
-    and on the cubic, relative to their coefficient scales, is within
-    default_tolerance(prec); a root of multiplicity m keeps at most m of
-    them, those of least residual.  Returns (candidates, root_list, residual_max,
-    single_lifts): each candidate is (direction in ambient coordinates,
-    exact_flag), root_list is that of _eliminant_roots, residual_max is the
-    largest residual of a kept numeric lift, and single_lifts says whether
-    every irrational root kept exactly one numeric lift.
+    chart_data is what direction_chart returns, whose (A, B) has A nonzero
+    at every root (s : t), so (s, t, -B/A) is the one common zero of the
+    conic and the cubic over it.  A rational root lifts exactly, by
+    MPoly.evaluate.  An irrational one lifts at prec + 32 bits by one
+    _numeric.evaluate_fixed call on the integer terms of A and B, and its
+    residual on the conic and on the cubic, relative to their coefficient
+    scales, must be within default_tolerance(prec), else DetGeoError.
+    Returns (candidates, eliminant, root_list, residual_max): each candidate
+    is (direction in ambient coordinates, exact_flag), one per root,
+    root_list is that of _eliminant_roots, and residual_max is the largest
+    numeric residual.
     """
-    n = len(chart[0])
+    chart, q_chart, c_chart, elim, (a_form, b_form) = chart_data
     root_list = _eliminant_roots(elim, prec)
-    q_forms, c_forms = ([_int_terms(g) for g in _coeffs_in_var(f, 2)]
-                        for f in (q_chart, c_chart))
+    ab_terms = [_int_terms(a_form), _int_terms(b_form)]
+    qc_terms = [_int_terms(q_chart), _int_terms(c_chart)]
     # ambient coordinate j of a chart direction d3 is sum_k d3[k] chart[k][j]
-    to_ambient = [[[row[j] for row in chart] for j in range(n)]]
+    to_ambient = transpose(chart)
     out = []
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
         scales = [_numeric.to_mpc(max(map(abs, f.terms.values()), default=1)).real
                   for f in (q_chart, c_chart)]
         residual_max = mpmath.mpf(0)
-        single_lifts = True
-        for (s_val, t_val), mult in root_list:
-            if isinstance(s_val, Fraction) and isinstance(t_val, Fraction):
-                for u in _slice_lifts((q_chart, c_chart), s_val, t_val):
-                    d3 = (s_val, t_val, u)
-                    out.append((tuple(sum(c * chart[k][j] for k, c in enumerate(d3))
-                                      for j in range(n)), True))
+        for st, _mult in root_list:
+            if isinstance(st[0], Fraction):
+                d3 = st + (-b_form.evaluate(st) / a_form.evaluate(st),)
+                out.append((mat_vec(to_ambient, d3), True))
                 continue
-            lifts = []
-            for d3 in _lift_direction_numeric(q_forms, c_forms, s_val, t_val, prec):
-                resid = _lift_residual(q_chart, c_chart, scales, d3)
-                if resid <= tol:
-                    lifts.append((resid, len(lifts), d3))
-            # a root of multiplicity m has at most m common zeros u of the
-            # conic and the cubic: the m lifts of least residual are kept
-            kept = sorted(sorted(lifts)[:mult], key=lambda lift: lift[1])
-            for resid, _k, d3 in kept:
-                residual_max = max(residual_max, resid)
-                out.append((tuple(_numeric.linear_values(to_ambient, d3, prec)[0]), False))
-            single_lifts = single_lifts and len(kept) == 1
-    return out, root_list, residual_max, single_lifts
+            a_val, b_val = _numeric.evaluate_fixed(ab_terms, st, prec + 32)
+            d3 = st + (-b_val / a_val,)
+            resid = _lift_residual(qc_terms, scales, d3)
+            if resid > tol:
+                raise DetGeoError(f"lift residual {mpmath.nstr(resid, 8)} above tolerance")
+            residual_max = max(residual_max, resid)
+            out.append((tuple(_numeric.linear_values([to_ambient], d3, prec)[0]), False))
+    return out, elim, root_list, residual_max
 
 
-def _lift_residual(q_chart, c_chart, scales, d3):
+def _lift_residual(forms, scales, d3):
     """Residual of a numeric lift d3 on the conic and the cubic of the chart,
-    relative to scales, their largest coefficient moduli, at the ambient
-    precision."""
+    given as their _int_terms, relative to scales, their largest coefficient
+    moduli, at the ambient precision."""
     dnorm = max(1, max(abs(x) for x in d3))
+    value_q, value_c = _numeric.evaluate_fixed(forms, d3, mpmath.mp.prec)
     scale_q, scale_c = scales
-    return max(abs(q_chart.evaluate(d3)) / (scale_q * dnorm ** 2),
-               abs(c_chart.evaluate(d3)) / (scale_c * dnorm ** 3))
+    return max(abs(value_q) / (scale_q * dnorm ** 2),
+               abs(value_c) / (scale_c * dnorm ** 3))
 
 
 def _irrational_roots_conjugate(elim: MPoly, root_list) -> bool:
     """Whether the irrational roots of the eliminant are one Galois orbit
-    over Q: its core is squarefree, and the core divided by the linear
-    factors of its rational roots in root_list (exact roots, so the
-    divisions are exact) has an irreducibility certificate."""
-    _a0, _inf, core = _binary_form_parts(elim)
-    if not core.is_squarefree():
-        return False
-    rest = core
+    over Q: its core divided by the linear factors of its rational roots in
+    root_list (exact roots, so the divisions are exact) has an
+    irreducibility certificate, which also certifies it squarefree."""
+    rest = _binary_form_parts(elim)[2]
     for (s_val, t_val), _mult in root_list:
         # (0:1) and (1:0) were split off the core, which has no root at 0
         if isinstance(s_val, Fraction) and t_val == 1 and s_val != 0:
@@ -1438,11 +1442,13 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
                         chart_seed: int = 0) -> LinesThroughPoint:
     """All lines on the cubic f through a smooth point y (ambient P^4).
 
-    Rational eliminant roots, found by the modular method of poly.roots
-    (roots mod p, Hensel lifting, exact check), give exact lines, so the
-    rational P and P-dual lines always come back exact; the rest come back
-    numeric at the working precision, each with its residual checked
-    against 2^(-prec/2).  The directions are those of direction_candidates.
+    Each root (s : t) of the eliminant lifts to one direction, (s, t, -B/A)
+    on the chart of direction_chart.  Rational roots, found by the modular
+    method of poly.roots (roots mod p, Hensel lifting with early exit, exact
+    check), give exact lines, so the rational P and P-dual lines always come
+    back exact; the rest come back numeric at the working precision, each
+    with its residual checked against 2^(-prec/2) (a larger one raises
+    DetGeoError).  The directions are those of direction_candidates.
 
     With an instance attached every line gets a family tag.  An exact line
     with direction d is P when phi(d) kills the kernel vector of phi(y),
@@ -1455,25 +1461,24 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
     The sigma test runs once per Galois orbit when it can.  y, lam,
     lam_perp and phi are rational, so the sigma conditions on a direction
     are polynomial over Q, and conjugate lines share the verdict.  When the
-    eliminant core is squarefree, its irrational part has an irreducibility
-    certificate mod a prime (poly.irreducibility_prime), and each irrational
-    root kept exactly one numeric lift, the numeric lines are one orbit: the
-    first is tested and its tag goes to all.  Otherwise every numeric line
-    is tested on its own.
+    eliminant core is squarefree and its irrational part has an
+    irreducibility certificate mod a prime (poly.irreducibility_prime), the
+    numeric lines, one per irrational root, are one orbit: the first is
+    tested and its tag goes to all.  Otherwise every numeric line is tested
+    on its own.
     """
     if f.nvars != 5:
         raise DetGeoError("lines_through_point expects an ambient P^4")
     y = vec(y)
-    chart, q_chart, c_chart, elim = direction_chart(f, y, chart_seed)
-    cands, root_list, residual_max, single_lifts = _lift_eliminant(
-        chart, q_chart, c_chart, elim, prec)
+    cands, elim, root_list, residual_max = _lift_eliminant(
+        direction_chart(f, y, chart_seed), prec)
 
     if inst is not None:
         phi_y = inst.phi(y)
         kv = mat3_kernel(phi_y)
         kw = mat3_kernel(transpose(mat(phi_y)))
         numeric = _numeric_backend(prec)
-        one_orbit = single_lifts and _irrational_roots_conjugate(elim, root_list)
+        one_orbit = _irrational_roots_conjugate(elim, root_list)
     y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
     found = []
     orbit_tag = None
@@ -1507,34 +1512,6 @@ def _tag_exact_line(inst, line: ProjLine, kv, kw) -> str:
     if len(kw) == 1 and is_zero_vec(mat_vec(transpose(phi_d), kw[0])):
         return "Pdual"
     return classify_line(inst, line)
-
-
-def _lift_direction_numeric(q_forms, c_forms, s, t, prec):
-    """Lifts (s, t, u) of a numeric root (s : t).  q_forms and c_forms are the
-    conic and the cubic of the chart by powers of u: the _int_terms of their
-    _coeffs_in_var binary forms in (s, t)."""
-    with mpmath.workprec(prec + 32):
-        uq = _numeric.evaluate_fixed(q_forms, (s, t), prec + 32)
-        uc = _numeric.evaluate_fixed(c_forms, (s, t), prec + 32)
-        if len(uq) < 2:
-            return []
-        tol = _numeric.default_tolerance(prec) * max(abs(c) for c in uq + uc)
-        sols = []
-        if len(uq) == 3 and uq[2] != 0:
-            a, b, c = uq[2], uq[1], uq[0]
-            disc = mpmath.sqrt(b * b - 4 * a * c)
-            cands = [(-b + disc) / (2 * a), (-b - disc) / (2 * a)]
-        elif len(uq) >= 2 and uq[1] != 0:
-            cands = [-uq[0] / uq[1]]
-        else:
-            return []
-        for u0 in cands:
-            val = mpmath.mpc(0)
-            for k in range(len(uc) - 1, -1, -1):
-                val = val * u0 + uc[k]
-            if abs(val) <= tol * max(1, abs(u0)) ** 3:
-                sols.append((s, t, u0))
-        return sols
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf, isqrt, lcm
 from operator import add
 
 import mpmath
@@ -817,7 +817,7 @@ def _pm_sub(a, b, prime: int) -> list[int]:
 def _pm_divmod(a, b, prime: int) -> tuple[list[int], list[int]]:
     r = list(a)
     db = len(b) - 1
-    inv = pow(b[-1], -1, prime)
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, prime)
     q = [0] * max(0, len(r) - db)
     while len(r) - 1 >= db:
         c = r[-1] * inv % prime
@@ -977,6 +977,22 @@ def _fraction_from_residue(r: int, m: int, nbound: int, dbound: int):
 _COUNT_PRIMES = 4
 
 
+def _residue_root(ints: list[int], r: int, m: int, prime: int, nbound: int,
+                  dbound: int):
+    """The rational root a/b of ints with a = r b mod m, |a| <= nbound and
+    0 < b <= dbound, or None.  The reconstruction (unique when 2 nbound
+    dbound <= m) is taken only within |a| <= |c_0| and b <= |c_d|, as every
+    rational root is, with q not dividing b, so that b is a unit mod m and
+    a/b = r mod m, and when the homogenized sum of c_i a^i b^(d-i)
+    (_int_value) vanishes exactly."""
+    cand = _fraction_from_residue(r, m, nbound, dbound)
+    if (cand is None or abs(cand[0]) > abs(ints[0]) or cand[1] > abs(ints[-1])
+            or cand[1] % prime == 0
+            or _int_value({(i,): c for i, c in enumerate(ints)}, cand[:1], cand[1])):
+        return None
+    return cand
+
+
 def _int_rational_roots(ints: list[int]) -> list[tuple[int, int]]:
     """(a, b) with b > 0 for every rational root a/b of a squarefree integer
     polynomial with nonzero constant term.
@@ -987,8 +1003,13 @@ def _int_rational_roots(ints: list[int]) -> list[tuple[int, int]]:
     roots mod q are counted, as the degree of gcd(f, x^q - x) mod q, at up to
     _COUNT_PRIMES such primes: a count of 0 proves that there is no rational
     root.  Otherwise the roots mod the prime with the fewest are Hensel-lifted
-    to q^k > 2 |c_0| |c_d|, reconstructed as a/b with |a| <= |c_0| and 0 < b
-    <= |c_d|, and kept when they are roots exactly.
+    by Newton steps that square the modulus m.  While m <= 2 |c_0| |c_d|, a
+    balanced reconstruction, |a|, b <= sqrt(m/2), that _residue_root checks
+    exactly ends the lifting, so a root of h bits stops near m = 2^(2h + 1)
+    (early termination, von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 15).  A residue that gives no root there is lifted on past that
+    bound and reconstructed with |a| <= |c_0| and 0 < b <= |c_d|.  Either
+    way the result is that of the full lift.
     """
     prime = _squarefree_prime(ints, 8)
     if prime is None:
@@ -1012,20 +1033,16 @@ def _int_rational_roots(ints: list[int]) -> list[tuple[int, int]]:
     deriv = [i * c for i, c in enumerate(ints)][1:]
     out = []
     for r in sorted(_split_linear(g, prime)):
-        m = prime
-        while m <= 2 * nbound * dbound:
+        m, cand = prime, None
+        while cand is None and m <= 2 * nbound * dbound:
             # Newton step: a simple root mod m lifts to one mod m^2
             m *= m
             r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
-        cand = _fraction_from_residue(r, m, nbound, dbound)
+            if m <= 2 * nbound * dbound:    # past it, the full bounds below
+                cand = _residue_root(ints, r, m, prime, isqrt(m // 2), isqrt(m // 2))
         if cand is None:
-            continue
-        a, b = cand
-        total, bpow = 0, 1
-        for c in reversed(ints):     # sum c_i a^i b^(d-i), by Horner
-            total = total * a + c * bpow
-            bpow *= b
-        if total == 0:
+            cand = _residue_root(ints, r, m, prime, nbound, dbound)
+        if cand is not None:
             out.append(cand)
     return out
 
@@ -1252,18 +1269,12 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
 def _rational_roots_of_squarefree(p: UPoly) -> tuple[list[Fraction], UPoly]:
     """Exactly find the rational roots of a squarefree p and deflate them.
 
-    Modular method (Loos 1983): clear denominators to c_0..c_d and count the
-    roots mod each of the first four primes q >= 10007 with q not dividing
-    c_d and c mod q squarefree.  Every rational root reduces to a simple root
-    mod each such q (its denominator divides c_d), so a count of 0 at any of
-    them certifies that there is no rational root, and the roots mod any one
-    of them miss none.  Otherwise take the prime with the fewest roots,
-    Hensel-lift each root to q^k > 2|c_0||c_d|, reconstruct a/b with |a| <=
-    |c_0| and 0 < b <= |c_d|, and keep a/b only if the homogenized sum of
-    c_i a^i b^(d-i) vanishes exactly.  What is left of degree 1 after the
-    root 0 is taken out has its root -c_0/c_1 read off, with no probe.
-    Roots come back in increasing order with p divided by their linear
-    factors.
+    The root 0 is read off the constant term, and what is left of degree 1
+    has its root -c_0/c_1 read off, with no probe.  A rest of higher degree
+    goes, with its denominators cleared to c_0..c_d, to the modular method
+    of _int_rational_roots (Loos 1983): root counts mod up to four primes,
+    Hensel lifting with early exit, and an exact check of every root.  Roots
+    come back in increasing order with p divided by their linear factors.
     """
     found = []
     remaining = p
@@ -1286,7 +1297,9 @@ def roots(p: UPoly, prec: int = 256):
     Rational roots come back as exact Fractions, found by the modular method
     (root counts mod up to four primes, where a count of 0 proves there is
     none; else Hensel lifting of the roots mod the prime with the fewest,
-    rational reconstruction, exact check) and deflated exactly; the rest are
+    which ends at the first rational reconstruction that checks exactly, or
+    at the a-priori bound for a residue that is no rational root) and
+    deflated exactly; the rest are
     ComplexMP values from the Aberth iteration, whose double-precision phase
     also stops when it stalls at the rounding floor.  Residuals, |p(z)| by
     `_numeric.evaluate_fixed` on the integer coefficients of p at prec + 64

@@ -204,6 +204,17 @@ def test_reproduce_seed1_output_is_pinned(capsys):
     assert capsys.readouterr().out.encode("utf-8") == golden
 
 
+@pytest.mark.parametrize("prec", [128, 512])
+def test_reproduce_seed1_output_is_pinned_at_precision(capsys, prec):
+    # the same contract away from the default precision, where the numeric
+    # lines and the fourfold involution run at other working precisions
+    code = main(["reproduce", "--all", "--seed", "1", "--json",
+                 "--precision", str(prec)])
+    assert code == 0
+    golden = (DATA / f"reproduce_seed1_p{prec}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
 def test_broken_pipe_exits_1_quietly(tmp_path, capsys, monkeypatch):
     # `sixnodal ... --json | head`: the reader is gone, so nothing more is
     # written, no traceback is printed and the exit code is 1

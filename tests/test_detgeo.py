@@ -783,9 +783,10 @@ def test_lines_through_point_split(inst1):
 
 
 def test_simple_root_keeps_one_lift_at_64_bits():
-    # second criterion-09 point of seed 4: at 64 bits one irrational root has
-    # two lifts within the residual bound, but a simple root of the eliminant
-    # has one common zero of the conic and the cubic
+    # second criterion-09 point of seed 4: at 64 bits both roots of the conic
+    # over one irrational root were once within the residual bound, but a
+    # simple root of the eliminant has one common zero of the conic and the
+    # cubic, and -B/A gives just that one
     inst, (_, y) = _criterion09_points(4, count=2)
     res = lines_through_point(inst.cubic_y, y, prec=64, inst=inst)
     tags = Counter(t for _, t in res.lines)
@@ -797,56 +798,61 @@ def test_simple_root_keeps_one_lift_at_64_bits():
 
 @pytest.mark.parametrize("prec", [128, 256])
 def test_residual_max_counts_only_kept_lines(inst1, prec):
-    # first point of criterion 09 for seed 1; at 128 bits some numeric lifts
-    # are rejected, and their residuals must not leak into residual_max
+    # first point of criterion 09 for seed 1; the quadratic formula on the
+    # conic once gave lifts here that the residual bound rejected at 128
+    # bits.  The subresultant lift gives one lift per root and rejects none:
+    # residual_max is the largest residual of the lines returned
     y = sample_smooth_point(inst1, random.Random(501))
     res = lines_through_point(inst1.cubic_y, y, prec=prec, inst=inst1)
     assert len(res.lines) == 6
     assert res.residual_max <= default_tolerance(prec)
 
 
+def _form_value(f, point):
+    """Value of a Fraction MPoly at a numeric point, term by term in mpc at
+    the ambient precision."""
+    from sixnodal._numeric import to_mpc
+    return sum(to_mpc(c) * mpmath.fprod(x ** k for x, k in zip(point, e))
+               for e, c in f.terms.items())
+
+
 @pytest.mark.parametrize("prec", [128, 256])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_lift_residual_matches_fraction_evaluation(seed, prec):
-    # first three criterion-09 points: the residual of each numeric lift, on
-    # the exact forms through the fixed-point evaluator, agrees with an mpc
-    # evaluation of the Fraction forms at 2 prec + 64 bits, and so keeps the
-    # same lifts
+    # first three criterion-09 points: the residual of each numeric lift
+    # (s, t, -B/A), on the integer terms through the fixed-point evaluator,
+    # agrees with an mpc evaluation of the Fraction forms at 2 prec + 64
+    # bits, and every lift is within the tolerance
     from sixnodal._numeric import to_mpc
-    from sixnodal.detgeo import (_coeffs_in_var, _eliminant_roots,
-                                 _lift_direction_numeric, _lift_residual,
-                                 direction_chart)
+    from sixnodal.detgeo import _eliminant_roots, _lift_residual, direction_chart
     from sixnodal.poly import _int_terms
 
     def reference(f, d3, power):
-        value = sum(to_mpc(c) * d3[0] ** e[0] * d3[1] ** e[1] * d3[2] ** e[2]
-                    for e, c in f.terms.items())
         scale = max(abs(to_mpc(c)) for c in f.terms.values())
-        return abs(value) / (scale * max(1, max(abs(x) for x in d3)) ** power)
+        return abs(_form_value(f, d3)) / (scale * max(1, max(abs(x) for x in d3)) ** power)
 
     inst = make_instance(seed)
     rng = random.Random(seed + 500)
     tol = default_tolerance(prec)
     for _ in range(3):
         y = sample_smooth_point(inst, rng)
-        _chart, q_chart, c_chart, elim = direction_chart(inst.cubic_y, y)
-        kept = 0
-        q_forms, c_forms = ([_int_terms(g) for g in _coeffs_in_var(f, 2)]
-                            for f in (q_chart, c_chart))
+        _chart, q_chart, c_chart, elim, (a_form, b_form) = direction_chart(inst.cubic_y, y)
+        forms = [_int_terms(q_chart), _int_terms(c_chart)]
+        lifted = 0
         with mpmath.workprec(prec + 32):
             scales = [to_mpc(max(abs(c) for c in f.terms.values())).real
                       for f in (q_chart, c_chart)]
-            for (s_val, t_val), _mult in _eliminant_roots(elim, prec):
-                if isinstance(s_val, Fraction):
+            for st, _mult in _eliminant_roots(elim, prec):
+                if isinstance(st[0], Fraction):
                     continue
-                for d3 in _lift_direction_numeric(q_forms, c_forms, s_val, t_val, prec):
-                    got = _lift_residual(q_chart, c_chart, scales, d3)
-                    with mpmath.workprec(2 * prec + 64):
-                        ref = max(reference(q_chart, d3, 2), reference(c_chart, d3, 3))
-                    assert abs(got - ref) <= mpmath.mpf(2) ** -prec
-                    assert (got <= tol) == (ref <= tol)
-                    kept += got <= tol
-        assert kept == 4
+                d3 = st + (-_form_value(b_form, st) / _form_value(a_form, st),)
+                got = _lift_residual(forms, scales, d3)
+                with mpmath.workprec(2 * prec + 64):
+                    ref = max(reference(q_chart, d3, 2), reference(c_chart, d3, 3))
+                assert abs(got - ref) <= mpmath.mpf(2) ** -prec
+                assert ref <= tol
+                lifted += 1
+        assert lifted == 4
 
 
 def test_direction_candidates_agree_with_lines_through_point(inst1):
@@ -952,21 +958,114 @@ def test_orbit_tag_runs_one_sigma_test_per_point(seed, monkeypatch):
 
 
 def test_orbit_tag_needs_one_lift_per_root(monkeypatch):
-    # a root that keeps two numeric lifts breaks the one-line-per-conjugate
-    # picture, so every numeric line is tested on its own
+    # each root lifts to one line whatever its multiplicity: with every
+    # irrational root reported twice as often, there are still four numeric
+    # lines, one Galois orbit, and one sigma test for it
     inst, (y,) = _criterion09_points(1, count=1)
     calls = _counting_s_test(monkeypatch)
-    real_lift = detgeo._lift_direction_numeric
-    monkeypatch.setattr(detgeo, "_lift_direction_numeric",
-                        lambda *args: 2 * real_lift(*args))
-    # a root of multiplicity m keeps at most m lifts: report multiplicity 2
-    # for each irrational root, so that both copies of its lift are kept
     real_roots = detgeo._eliminant_roots
     monkeypatch.setattr(detgeo, "_eliminant_roots", lambda *args: [
         (r, m if isinstance(r[0], Fraction) else 2 * m) for r, m in real_roots(*args)])
     res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
-    assert sum(not l.exact for l, _ in res.lines) == 8
-    assert len(calls) == 8
+    assert res.multiplicities == (1, 1, 2, 2, 2, 2)
+    assert sum(not l.exact for l, _ in res.lines) == 4
+    assert len(calls) == 1
+    assert Counter(t for _, t in res.lines) == Counter(P=1, Pdual=1, Scomponent=4)
+
+
+def _reference_lines(inst, y, prec):
+    """The lines through y on the chart of lines_through_point, by another
+    lift: a rational root of the eliminant through the gcd of the conic and
+    cubic slices, an irrational one through the root of the conic in u,
+    by the quadratic formula at 2 prec + 64 bits, at which the cubic is
+    smaller.  Exact lines are tagged by classify_line, numeric ones by their
+    own sigma test."""
+    from sixnodal._numeric import to_mpc
+    from sixnodal.detgeo import _coeffs_in_var, _eliminant_roots, _slice_lifts
+    chart, q_chart, c_chart, elim, _lift = detgeo.direction_chart(inst.cubic_y, y)
+    n = len(chart[0])
+    out = []
+    for st, mult in _eliminant_roots(elim, prec):
+        if isinstance(st[0], Fraction):
+            (u,) = _slice_lifts((q_chart, c_chart), *st)
+            line = ProjLine(y, [sum(c * chart[k][j] for k, c in enumerate(st + (u,)))
+                                for j in range(n)])
+            out.append((line.p1, mult, classify_line(inst, line)))
+            continue
+        with mpmath.workprec(2 * prec + 64):
+            q0, q1, q2 = (_form_value(g, st) for g in _coeffs_in_var(q_chart, 2))
+            disc = mpmath.sqrt(q1 * q1 - 4 * q2 * q0)
+            d3 = min((st + ((-q1 + sign * disc) / (2 * q2),) for sign in (1, -1)),
+                     key=lambda d3: abs(_form_value(c_chart, d3)))
+            d = tuple(sum(to_mpc(chart[k][j]) * d3[k] for k in range(3)) for j in range(n))
+        carries = _numeric_sigma_test(inst, y, d, prec)
+        out.append((d, mult, "Scomponent" if carries else "unclassified"))
+    return out
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_subresultant_lift_matches_reference_lift(prec):
+    # criterion-09 points of seeds 1-20: exact lines, tags and multiplicities
+    # as the reference lift gives them, numeric lines equal to 2^-prec
+    tol = mpmath.mpf(2) ** -prec
+    for seed in range(1, 21):
+        inst, points = _criterion09_points(seed)
+        for y in points:
+            res = lines_through_point(inst.cubic_y, y, prec=prec, inst=inst)
+            ref = _reference_lines(inst, y, prec)
+            assert res.multiplicities == tuple(m for _, m, _ in ref)
+            assert [t for _, t in res.lines] == [t for _, _, t in ref]
+            for (line, _), (d, _, _) in zip(res.lines, ref, strict=True):
+                if line.exact:
+                    assert line.p1 == d
+                    continue
+                with mpmath.workprec(2 * prec + 64):
+                    assert max(abs(a - b) for a, b in zip(line.p1, d)) <= tol * max(map(abs, d))
+
+
+@pytest.mark.parametrize("root", ["(0:1)", "(1:0)"])
+def test_chart_is_retried_when_a_vanishes_at_a_root(monkeypatch, root):
+    # over a root of the eliminant where A vanishes, -B/A lifts nothing:
+    # direction_chart draws the next chart, and the lines come out the same.
+    # The first chart's A and B are replaced by forms with a common zero at
+    # (0:1) or (1:0), and its eliminant is recomputed from them
+    from sixnodal.detgeo import _coeffs_in_var
+    inst, (y,) = _criterion09_points(1, count=1)
+    first = detgeo.direction_chart(inst.cubic_y, y)
+    plain = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
+    real = detgeo._subresultant
+    s, t = MPoly.variables(2)
+    calls = []
+
+    def spoiled(q_chart, c_chart):
+        calls.append(q_chart)
+        if len(calls) > 1:
+            return real(q_chart, c_chart)
+        a, b = ((s * (s + 2 * t), s * (s * s - 3 * t * t)) if root == "(0:1)"
+                else (t * (2 * s + t), t * (s * s + 5 * t * t)))
+        q0, q1, q2 = _coeffs_in_var(q_chart, 2)
+        elim = q2 * b * b - q1 * a * b + q0 * a * a
+        assert elim.coefficient((0, 6) if root == "(0:1)" else (6, 0)) == 0
+        return elim, (a, b)
+
+    monkeypatch.setattr(detgeo, "_subresultant", spoiled)
+    second = detgeo.direction_chart(inst.cubic_y, y)
+    assert len(calls) == 2
+    assert calls[0] == first[1] and second[0] != first[0]
+    del calls[:]
+    res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
+    assert len(calls) == 2
+    assert Counter(t for _, t in res.lines) == Counter(t for _, t in plain.lines)
+    exact = [l for l, _ in res.lines if l.exact]
+    assert len(exact) == 2
+    assert all(any(l.same_line(m) for m, _ in plain.lines if m.exact) for l in exact)
+    with mpmath.workprec(256):
+        for l, _ in res.lines:
+            if not l.exact:
+                pl = l.plucker_normalized()
+                assert min(max(abs(a - b) for a, b in zip(pl, m.plucker_normalized()))
+                           for m, _ in plain.lines if not m.exact) <= default_tolerance(256)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

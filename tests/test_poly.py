@@ -3,10 +3,11 @@ import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, isqrt
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sixnodal import poly
 from sixnodal.poly import (ComplexMP, MPoly, PolyError, UPoly, divide_exact,
@@ -513,6 +514,97 @@ def test_rational_probe_matches_single_prime_reference():
         got = sorted(Fraction(a, b) for a, b in poly._int_rational_roots(ints))
         assert got == _single_prime_rational_roots(ints) == sorted(roots_planted), ints
         checked += 1
+
+
+@st.composite
+def planted_polynomials(draw):
+    """(primitive integer coefficients, planted rational roots): up to three
+    rational roots of 1 to 400 numerator bits and 1 to 120 denominator bits,
+    times irreducible factors that have roots mod many primes (spurious
+    roots mod q), some with large coefficients."""
+    roots = set()
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(1, 2 ** draw(st.integers(1, 400))))
+        b = draw(st.integers(1, 2 ** draw(st.integers(1, 120))))
+        roots.add(Fraction(draw(st.sampled_from([-1, 1])) * a, b))
+    factors = [UPoly([-r.numerator, r.denominator]) for r in roots]
+    factors += draw(st.lists(st.sampled_from(
+        [(-2, 0, 1), (-3, 0, 1), (-6, 0, 1), (-2, 0, 0, 1), (-5, 1, 0, 1),
+         (1, 0, -10, 0, 1)]), max_size=2, unique=True))
+    for _ in range(draw(st.integers(0, 1))):
+        # x^2 + b x + c with b, c of up to 300 bits and no square discriminant
+        b = draw(st.integers(-2 ** 300, 2 ** 300))
+        c = draw(st.integers(1, 2 ** 300))
+        if b * b - 4 * c < 0 or isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c:
+            factors.append((c, b, 1))
+    p = _product([f if isinstance(f, UPoly) else UPoly(list(f)) for f in factors])
+    assume(p.degree() >= 2 and p.gcd(p.derivative()).degree() == 0)
+    return poly._primitive_int_coeffs(p), sorted(roots)
+
+
+@given(planted_polynomials())
+@settings(max_examples=150, deadline=None)
+def test_early_terminating_probe_matches_full_lift(case):
+    # early termination changes when a root is found, never what is returned:
+    # each root once, in lowest terms with b > 0, as the full lift finds them
+    ints, planted = case
+    got = poly._int_rational_roots(ints)
+    assert all(b > 0 and gcd(a, b) == 1 for a, b in got)
+    assert sorted(Fraction(a, b) for a, b in got) == _single_prime_rational_roots(ints) == planted
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_early_terminating_probe_on_criterion09_eliminants(seed):
+    # the eliminant cores of the three criterion-09 points of each seed
+    from sixnodal.detgeo import (_binary_form_parts, direction_chart, make_instance,
+                                 sample_smooth_point)
+    inst = make_instance(seed)
+    rng = random.Random(seed + 500)
+    for _ in range(3):
+        y = sample_smooth_point(inst, rng)
+        core = _binary_form_parts(direction_chart(inst.cubic_y, y)[3])[2]
+        ints = poly._primitive_int_coeffs(core)
+        got = sorted(Fraction(a, b) for a, b in poly._int_rational_roots(ints))
+        assert got and got == _single_prime_rational_roots(ints)
+
+
+def test_residue_root_rejects_reconstructions_that_are_no_root():
+    # x^3 - 2 times a root of 190/140 bits: the residue of the cube root of 2
+    # mod 10007 reconstructs to fractions within the bounds at intermediate
+    # moduli, and only the exact check turns them down
+    big = Fraction(3 ** 120 + 1, 5 ** 60 + 2)
+    ints = poly._primitive_int_coeffs(
+        _product([UPoly([-2, 0, 0, 1]), UPoly([-big.numerator, big.denominator])]))
+    q = 10007
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    (r,) = [r for r in poly._split_linear(poly._linear_part_mod(ints, q), q)
+            if (r * big.denominator - big.numerator) % q]
+    offered, m = 0, q
+    while m <= 2 * abs(ints[0]) * abs(ints[-1]):
+        m *= m
+        r = (r - poly._eval_mod(ints, r, m) * pow(poly._eval_mod(deriv, r, m), -1, m)) % m
+        half = isqrt(m // 2)
+        cand = poly._fraction_from_residue(r, m, half, half)
+        offered += bool(cand and abs(cand[0]) <= abs(ints[0]) and cand[1] <= abs(ints[-1]))
+        assert poly._residue_root(ints, r, m, q, half, half) is None
+    assert offered >= 2
+    assert poly._int_rational_roots(ints) == [(big.numerator, big.denominator)]
+
+
+def test_residue_root_needs_a_unit_denominator():
+    # r = 3/5 mod q^3 but not mod q^4: at m = q^4 the balanced reconstruction
+    # is (3q, 5q), which passes the homogenized exact check, yet 3q/5q is not
+    # r mod m; only a/b with q not dividing b is taken, so a/b = r mod m
+    q = 10007
+    m = q ** 4
+    ints = poly._primitive_int_coeffs(
+        _product([UPoly([-3, 5]), UPoly([7 * q ** 3 + 1, 0, 11 * q ** 3 + 2])]))
+    genuine = 3 * pow(5, -1, m) % m
+    shifted = (genuine + q ** 3) % m
+    half = isqrt(m // 2)
+    assert poly._fraction_from_residue(shifted, m, half, half) == (3 * q, 5 * q)
+    assert poly._residue_root(ints, genuine, m, q, half, half) == (3, 5)
+    assert poly._residue_root(ints, shifted, m, q, half, half) is None
 
 
 def test_squarefree_fast_path_matches_exact_yun(monkeypatch):
