@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath
 from mpmath.libmp import from_man_exp, round_nearest
 
-from ._qlinalg import clear_denominators
+from ._qlinalg import clear_denominators, linear_terms
 
 # bits kept beyond the working precision by the fixed-point vectors
 _GUARD_BITS = 8
@@ -144,10 +144,9 @@ def linear_values(coeff_rows, point, prec: int) -> list[list]:
     given exact coefficient lists, through the fixed-point evaluator: entry
     (i, j) is sum_k coeff_rows[i][j][k] point[k], rounded once."""
     n = len(point)
-    units = [tuple(int(v == k) for v in range(n)) for k in range(n)]
     ints, den = clear_denominators([c for row in coeff_rows for coeffs in row
                                     for c in coeffs])
-    vals = evaluate_fixed([(dict(zip(units, ints[i:i + n])), den)
+    vals = evaluate_fixed([(linear_terms(ints[i:i + n]), den)
                            for i in range(0, len(ints), n)], point, prec + 32)
     width = len(coeff_rows[0])
     return [vals[i:i + width] for i in range(0, len(vals), width)]

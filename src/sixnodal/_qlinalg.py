@@ -11,6 +11,7 @@ Fraction is built only for each entry of the result.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 Vec = tuple  # tuple[Fraction, ...]
@@ -62,6 +63,18 @@ def clear_denominators(values) -> tuple[list[int], int]:
     values (ints or Fractions), and ints[i] = values[i] * den."""
     den = lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+@cache
+def _unit_exponents(n: int) -> tuple:
+    """The exponent tuples of x_0, ..., x_(n-1) in n variables."""
+    return tuple(tuple(int(i == k) for i in range(n)) for k in range(n))
+
+
+def linear_terms(coeffs) -> dict:
+    """The term dict {unit exponent: c} of the linear form sum_k coeffs[k]
+    x_k, with its zero coefficients left out."""
+    return {e: c for e, c in zip(_unit_exponents(len(coeffs)), coeffs) if c}
 
 
 def primitive(ints: list[int]) -> list[int]:

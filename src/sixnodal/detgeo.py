@@ -21,11 +21,11 @@ import mpmath
 
 from . import _numeric
 from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
-                       is_zero_vec, mat, mat_mul, mat_vec, nullspace,
+                       is_zero_vec, linear_terms, mat, mat_mul, mat_vec, nullspace,
                        primitive_int_vector, projectively_equal, rank, rref,
                        solve, transpose, vec)
-from .poly import (MPoly, UPoly, _int_terms, _monomials_of_degree,
-                   _rational_roots_of_squarefree, gradient,
+from .poly import (MPoly, UPoly, _int_accumulate, _int_product, _int_terms,
+                   _monomials_of_degree, _rational_roots_of_squarefree, gradient,
                    irreducibility_prime, macaulay_matrix, macaulay_nonzero,
                    poly_det, restrict_to_subspace, roots, sylvester_resultant)
 
@@ -53,6 +53,15 @@ def unflatten(v) -> tuple:
 def _int_mul3(a, b) -> list[int]:
     """Product of two flattened 3x3 integer matrices."""
     return [a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j] + a[3 * i + 2] * b[6 + j]
+            for i in range(3) for j in range(3)]
+
+
+def _int_adj3(a) -> list[int]:
+    """Adjugate of a flattened 3x3 integer matrix: entry (i, j) is the
+    cofactor of a[j][i], written with cyclic indices."""
+    def at(r, c):
+        return a[3 * (r % 3) + c % 3]
+    return [at(j + 1, i + 1) * at(j + 2, i + 2) - at(j + 1, i + 2) * at(j + 2, i + 1)
             for i in range(3) for j in range(3)]
 
 
@@ -1070,8 +1079,13 @@ def scroll_data(inst: DeterminantalInstance, v, vdual=None) -> ScrollData:
     Basis adapted so v is the first basis vector and the chosen functional
     annihilates the other two; T_v is then cut by the 2x2 minors of the
     bottom two rows, T_vdual by the minors of the right two columns, and the
-    union quadric is the shared lower-right minor.  The identity
-    det = (first row) . (bottom-row minors) is checked exactly.
+    union quadric is the shared lower-right minor.  The generic element of
+    lam_perp in the adapted basis g is built on integers: with g cleared to
+    an integer matrix G and B_k = ints[k] / den, g^-1 B_k g =
+    adj(G) ints[k] G / (det G den), so its entries are integer linear forms
+    over det G den, and the minors are integer products divided once.  The
+    identity det = (first row) . (bottom-row minors) is checked exactly,
+    against poly_det of the integer entries.
     """
     v = vec(v)
     if is_zero_vec(v):
@@ -1085,27 +1099,39 @@ def scroll_data(inst: DeterminantalInstance, v, vdual=None) -> ScrollData:
     others = nullspace(mat([list(vdual)]))
     if len(others) != 2:
         raise DetGeoError("degenerate functional")
-    g = transpose(mat([list(v), list(others[0]), list(others[1])]))  # columns
-    ginv = inverse(g)
-
-    # the generic element of lam_perp in the adapted basis: g^-1 B_k g
-    adapted = EndoSubspace(tuple(mat_mul(mat_mul(ginv, b), g) for b in inst.lam_perp.basis))
-    entries = [[MPoly.linear_form(f) for f in row] for row in adapted.forms]
+    columns = (v, others[0], others[1])
+    big_g = clear_denominators(flatten(transpose(mat(columns))))[0]
+    adj = _int_adj3(big_g)
+    det_g = sum(big_g[j] * adj[3 * j] for j in range(3))
+    perp = inst.lam_perp
+    conj = [_int_mul3(_int_mul3(adj, b), big_g) for b in perp.ints]
+    entries = [[linear_terms([m[3 * i + j] for m in conj]) for j in range(3)]
+               for i in range(3)]
+    scale = det_g * perp.den
 
     def minor(r1, r2, c1, c2):
-        return entries[r1][c1] * entries[r2][c2] - entries[r1][c2] * entries[r2][c1]
+        out = _int_product(entries[r1][c1], entries[r2][c2])
+        _int_accumulate(out, _int_product(entries[r1][c2], entries[r2][c1]), -1)
+        return out
 
-    quads_v = (minor(1, 2, 1, 2), minor(1, 2, 0, 2), minor(1, 2, 0, 1))
-    quads_vd = (minor(1, 2, 1, 2), minor(0, 2, 1, 2), minor(0, 1, 1, 2))
-    union_q = minor(1, 2, 1, 2)
-
-    cofactor = entries[0][0] * quads_v[0] - entries[0][1] * quads_v[1] \
-        + entries[0][2] * quads_v[2]
-    det_direct = poly_det(entries)
-    if cofactor != det_direct:
+    keys_v = ((1, 2, 1, 2), (1, 2, 0, 2), (1, 2, 0, 1))
+    minors = {key: minor(*key) for key in keys_v + ((0, 2, 1, 2), (0, 1, 1, 2))}
+    cofactor: dict = {}
+    for j, (key, sign) in enumerate(zip(keys_v, (1, -1, 1))):
+        _int_accumulate(cofactor, _int_product(entries[0][j], minors[key]), sign)
+    det_direct = poly_det([[MPoly._wrap(perp.dim, {e: Fraction(x) for e, x in entry.items()})
+                            for entry in row] for row in entries])
+    if det_direct.terms != {e: Fraction(x) for e, x in cofactor.items()}:
         raise DetGeoError("row-expansion identity failed (internal error)")
-    return ScrollData(tuple(v), tuple(vdual), quads_v, quads_vd, union_q,
-                      tuple(tuple(col) for col in transpose(g)))
+
+    def quadric(key):
+        return MPoly._wrap(perp.dim, {e: Fraction(x, scale * scale)
+                                      for e, x in minors[key].items()})
+
+    quads_v = tuple(quadric(key) for key in keys_v)
+    quads_vd = (quads_v[0], quadric((0, 2, 1, 2)), quadric((0, 1, 1, 2)))
+    return ScrollData(tuple(v), tuple(vdual), quads_v, quads_vd, quads_v[0],
+                      tuple(tuple(col) for col in columns))
 
 
 def ruling_of_scroll(inst, v, index: int = 0, rng=None) -> ProjLine:
@@ -1250,16 +1276,19 @@ class LinesThroughPoint:
 def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
     """Chart data for the lines on a cubic through a smooth point.
 
-    The direction equations are the gradient pairing, the polarized Hessian
-    form, and the cubic itself; the gradient condition plus (nvars - 4)
-    seeded hyperplanes (the first one not through y, to kill the translation
-    freedom along y) cut the directions to a P^2, on which the quadratic and
-    cubic conditions restrict to a conic and a cubic.  Returns
-    (chart_basis, restricted_conic, restricted_cubic, degree-6 eliminant,
-    (A, B)), with A u + B the first subresultant of the conic and the cubic
-    in u (_subresultant), which also gives the eliminant.  A chart is
-    retried when A vanishes at a root, that is when A and B have a common
-    zero (poly.macaulay_nonzero): two lines collide in it, and -B/A lifts
+    For a cubic form f and a direction d, f(r y + d) = r^3 f(y) +
+    r^2 grad f(y).d + r q2(d) + f(d), with q2 half the Hessian form at y.
+    A line through y in direction d lies on f when the gradient pairing,
+    q2 and f all vanish at d.  The gradient condition plus (nvars - 4)
+    seeded hyperplanes (the first one not through y, to kill the
+    translation freedom along y) cut the directions to a P^2, and f is
+    restricted once to span(y, chart): its r^1 and r^0 parts are the conic
+    q2 and the cubic f on the chart.  Returns (chart_basis,
+    restricted_conic, restricted_cubic, degree-6 eliminant, (A, B)), with
+    A u + B the first subresultant of the conic and the cubic in u
+    (_subresultant), which also gives the eliminant.  A chart is retried
+    when A vanishes at a root, that is when A and B have a common zero
+    (poly.macaulay_nonzero): two lines collide in it, and -B/A lifts
     neither.  A double root where A does not vanish is a double line
     through y, the same in every chart.
 
@@ -1268,6 +1297,8 @@ def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
     `_cut_through` to force them through one chosen line (testing hook).
     """
     n = f.nvars
+    if f.degree() != 3 or not f.is_homogeneous():
+        raise DetGeoError("direction_chart needs a homogeneous cubic")
     y = vec(y)
     if f.evaluate(y) != 0:
         raise DetGeoError("point is not on the cubic")
@@ -1276,16 +1307,6 @@ def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
         raise DetGeoError("point is singular on the cubic")
     if n < 5:
         raise DetGeoError("need at least an ambient P^4")
-    hess = hessian_matrix(f, y)
-    q2 = MPoly(n, {})
-    for i in range(n):
-        for j in range(i, n):
-            coeff = hess[i][j] if i != j else Q(hess[i][i]) / 2
-            if coeff != 0:
-                e = [0] * n
-                e[i] += 1
-                e[j] += 1
-                q2 = q2 + MPoly(n, {tuple(e): coeff})
 
     rng = random.Random(f"{chart_seed}:5077:{n}")
     for _ in range(64):
@@ -1312,8 +1333,12 @@ def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
         chart = nullspace(mat(cuts))
         if len(chart) != 3:
             continue
-        q_chart = restrict_to_subspace(q2, chart)
-        c_chart = restrict_to_subspace(f, chart)
+        # y is off the chart, as h_first . y != 0: the span has rank 4
+        parts: tuple = ({}, {})
+        for e, c in restrict_to_subspace(f, [y, *chart]).terms.items():
+            if e[0] < 2:
+                parts[e[0]][e[1:]] = c
+        c_chart, q_chart = (MPoly._wrap(3, t) for t in parts)
         if q_chart.coefficient((0, 0, 2)) == 0 or c_chart.coefficient((0, 0, 3)) == 0:
             continue
         elim, lift = _subresultant(q_chart, c_chart)

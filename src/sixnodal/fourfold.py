@@ -373,14 +373,17 @@ class ScrollIncidence:
 def _meets_scroll(four: CubicFourfold, line: ProjLine, quadrics, prec):
     """Incidence of a fourfold line with a scroll inside the hyperplane: the
     unique hyperplane point of the line must satisfy the three quadrics,
-    relative to their coefficient scales."""
+    relative to their coefficient scales.  The quadrics are evaluated in one
+    fixed-point pass at the ambient precision."""
     with mpmath.workprec(prec + 32):
         tol = _numeric.check_tolerance(prec, _SCROLL_TOL_AT_256)
         y5 = _hyperplane_point(line, prec)[2][:5]
+        values = _numeric.evaluate_fixed([_int_terms(q) for q in quadrics], y5,
+                                         mpmath.mp.prec)
         margin = mpmath.mpf(0)
-        for q in quadrics:
+        for q, value in zip(quadrics, values):
             qscale = _numeric.to_mpc(max(map(abs, q.terms.values()))).real
-            margin = max(margin, abs(q.evaluate(y5)) / qscale)
+            margin = max(margin, abs(value) / qscale)
         return bool(margin <= tol), float(margin)
 
 

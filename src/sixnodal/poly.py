@@ -20,8 +20,8 @@ from operator import add
 import mpmath
 
 from . import _numeric
-from ._qlinalg import (Q, clear_denominators, det, int_det_bareiss, mat,
-                       primitive, rank)
+from ._qlinalg import (Q, clear_denominators, det, int_det_bareiss,
+                       linear_terms, mat, primitive, rank)
 
 
 class PolyError(ValueError):
@@ -69,6 +69,30 @@ def _int_product(a: dict, b: dict) -> dict:
             else:
                 del out[e]
     return out
+
+
+def _int_power(terms: dict, k: int, nvars: int) -> dict:
+    """terms**k for an integer term dict, by binary powering as
+    MPoly.__pow__ does, so the terms come in the order of its products."""
+    result = {(0,) * nvars: 1}
+    while k:
+        if k & 1:
+            result = _int_product(result, terms)
+        k >>= 1
+        if k:
+            terms = _int_product(terms, terms)
+    return result
+
+
+def _int_accumulate(acc: dict, terms: dict, scale: int = 1) -> None:
+    """acc += scale * terms on integer term dicts, in place, with a
+    coefficient that cancels to zero dropped as in _int_product."""
+    for e, x in terms.items():
+        s = acc.get(e, 0) + scale * x
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
 
 
 class MPoly:
@@ -122,15 +146,7 @@ class MPoly:
 
     @classmethod
     def linear_form(cls, coeffs) -> "MPoly":
-        n = len(coeffs)
-        out = {}
-        for i, c in enumerate(coeffs):
-            c = Q(c)
-            if c != 0:
-                e = [0] * n
-                e[i] = 1
-                out[tuple(e)] = c
-        return cls(n, out)
+        return cls(len(coeffs), linear_terms(coeffs))
 
     # -- ring operations ---------------------------------------------------
     def _coerce(self, other):
@@ -149,12 +165,12 @@ class MPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return MPoly(self.nvars, out)
+        return MPoly._wrap(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._wrap(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -180,14 +196,9 @@ class MPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise PolyError("negative power")
-        result = MPoly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        terms, den = _int_terms(self)
+        return MPoly._wrap(self.nvars, {e: Fraction(x, den ** k) for e, x
+                                        in _int_power(terms, k, self.nvars).items()})
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
@@ -237,42 +248,50 @@ class MPoly:
         return _numeric.evaluate_fixed([_int_terms(self)], point, mpmath.mp.prec)[0]
 
     def compose(self, substitutions: list["MPoly"]) -> "MPoly":
-        """Substitute substitutions[i] for variable i."""
+        """Substitute substitutions[i] for variable i.
+
+        Runs on integers.  The product for a monomial x^e of self is that of
+        its prefix monomial (e with its last nonzero exponent e_i zeroed),
+        memoized by exponent, times substitutions[i]**e_i, memoized per
+        variable; so the terms come in the order of the Fraction products.
+        Only prefixes are kept, as each monomial of self is met once.  The
+        terms are summed over the lcm of their denominators and divided once.
+        """
         if len(substitutions) != self.nvars:
             raise PolyError("substitution arity mismatch")
         n_out = substitutions[0].nvars if substitutions else 0
         if any(s.nvars != n_out for s in substitutions):
             raise PolyError("substitutions disagree on variable count")
+        cleared = [_int_terms(s) for s in substitutions]
         # powers[i][k]: substitutions[i]**k as (integer terms, denominator)
         powers: list[dict[int, tuple]] = [dict() for _ in range(self.nvars)]
+        prefixes: dict = {}
 
-        def power(i, k):
-            if k not in powers[i]:
-                powers[i][k] = _int_terms(substitutions[i] ** k)
-            return powers[i][k]
+        def product(e):
+            """prod_i substitutions[i]**e_i as (integer terms, denominator)."""
+            i = max(i for i, k in enumerate(e) if k)
+            if e[i] not in powers[i]:
+                sub, d = cleared[i]
+                powers[i][e[i]] = (_int_power(sub, e[i], n_out), d ** e[i])
+            terms, den = powers[i][e[i]]
+            head = e[:i] + (0,) * (len(e) - i)
+            if any(head):
+                if head not in prefixes:
+                    prefixes[head] = product(head)
+                head_terms, head_den = prefixes[head]
+                terms, den = _int_product(head_terms, terms), head_den * den
+            return terms, den
 
-        # c * prod power(i, e_i) has denominator c.den * prod den(power);
-        # every term is summed as an integer over the lcm of these
+        # c * product(e) has denominator c.den * den; every term is summed as
+        # an integer over the lcm of these
         parts = []
         for e, c in self.terms.items():
-            factors = [power(i, k) for i, k in enumerate(e) if k]
-            den = c.denominator
-            for _, d in factors:
-                den *= d
-            parts.append((c.numerator, den, [t for t, _ in factors]))
+            terms, den = product(e) if any(e) else ({(0,) * n_out: 1}, 1)
+            parts.append((c.numerator, c.denominator * den, terms))
         common = lcm(*(den for _, den, _ in parts))
         out: dict = {}
-        for num, den, factors in parts:
-            prod = factors[0] if factors else {(0,) * n_out: 1}
-            for t in factors[1:]:
-                prod = _int_product(prod, t)
-            scale = num * (common // den)
-            for e, x in prod.items():
-                s = out.get(e, 0) + scale * x
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        for num, den, terms in parts:
+            _int_accumulate(out, terms, num * (common // den))
         return MPoly._wrap(n_out, {e: Fraction(s, common) for e, s in out.items()})
 
     def coefficients_in(self, i: int) -> dict[int, "MPoly"]:
@@ -384,20 +403,16 @@ def poly_det(m: list[list[MPoly]]) -> MPoly:
                 if used & bit or not entry:
                     continue
                 sign = -1 if (i + (used & (bit - 1)).bit_count()) % 2 else 1
-                acc = new_states.setdefault(used | bit, {})
-                for e, x in _int_product(val, entry).items():
-                    s = acc.get(e, 0) + sign * x
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
+                _int_accumulate(new_states.setdefault(used | bit, {}),
+                                _int_product(val, entry), sign)
         states = new_states
     full = states.get((1 << n) - 1, {})
     return MPoly._wrap(nv, {e: Fraction(x, scale) for e, x in full.items()})
 
 
 def restrict_to_subspace(f: MPoly, basis) -> MPoly:
-    """Compose f with the linear parametrization x = sum_i s_i basis[i]."""
+    """Compose f with the linear parametrization x = sum_i s_i basis[i], on
+    integers through MPoly.compose."""
     basis = [tuple(Q(x) for x in b) for b in basis]
     if not basis:
         raise PolyError("empty basis")

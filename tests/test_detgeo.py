@@ -9,8 +9,9 @@ import pytest
 
 from sixnodal import detgeo
 from sixnodal._numeric import default_tolerance
-from sixnodal._qlinalg import (identity, mat, nullspace, primitive_int_vector,
-                               projectively_equal, rank, transpose)
+from sixnodal._qlinalg import (identity, inverse, mat, mat_mul, nullspace,
+                               primitive_int_vector, projectively_equal, rank,
+                               transpose)
 from sixnodal.detgeo import (DegenerateInstance, DetGeoError,
                              DeterminantalInstance, EndoSubspace, ProjLine,
                              annihilator, classify_line, direction_candidates,
@@ -707,6 +708,47 @@ def test_ruling_lies_in_scroll(inst1):
         assert all(q.evaluate(pt) == 0 for q in sd.quadrics_v)
 
 
+def _reference_scroll_quadrics(inst, v, vdual):
+    """The scroll quadrics on Fractions: g^-1 B_k g by mat_mul, the entries
+    as MPoly linear forms and the minors by MPoly arithmetic."""
+    others = nullspace(mat([list(vdual)]))
+    g = transpose(mat([list(v), list(others[0]), list(others[1])]))
+    adapted = [mat_mul(mat_mul(inverse(g), b), g) for b in inst.lam_perp.basis]
+    entries = [[MPoly.linear_form([m[i][j] for m in adapted]) for j in range(3)]
+               for i in range(3)]
+
+    def minor(r1, r2, c1, c2):
+        return entries[r1][c1] * entries[r2][c2] - entries[r1][c2] * entries[r2][c1]
+
+    quads_v = (minor(1, 2, 1, 2), minor(1, 2, 0, 2), minor(1, 2, 0, 1))
+    quads_vd = (minor(1, 2, 1, 2), minor(0, 2, 1, 2), minor(0, 1, 1, 2))
+    return quads_v, quads_vd, minor(1, 2, 1, 2), tuple(tuple(c) for c in transpose(g))
+
+
+def test_scroll_data_matches_fraction_reference():
+    # seeds 1-20: v = (2, 3, -1) with vdual = v, a v with a zero entry and a
+    # vdual != v, and a seeded v with a seeded vdual
+    for seed in range(1, 21):
+        inst = make_instance(seed)
+        rng = random.Random(seed)
+        seeded = tuple(rng.randrange(-5, 6) or 1 for _ in range(3))
+        for v, vdual in (((2, 3, -1), None), ((0, 1, 5), (1, -2, 3)),
+                         (seeded, (1, 1, 1) if sum(seeded) else (1, 0, 0))):
+            sd = scroll_data(inst, v, vdual)
+            fv = tuple(Fraction(x) for x in v)
+            fd = fv if vdual is None else tuple(Fraction(x) for x in vdual)
+            assert sd.vdual == fd
+            assert (sd.quadrics_v, sd.quadrics_vdual, sd.union_quadric,
+                    sd.adapted_basis) == _reference_scroll_quadrics(inst, fv, fd)
+
+
+def test_scroll_data_row_expansion_is_checked(inst1, monkeypatch):
+    # a determinant that disagrees with the row expansion is an internal error
+    monkeypatch.setattr(detgeo, "poly_det", lambda m: MPoly.zero(m[0][0].nvars))
+    with pytest.raises(DetGeoError, match="row-expansion"):
+        scroll_data(inst1, (2, 3, -1))
+
+
 def test_scroll_degree_budget():
     # [T] + [T-dual] = 2 h^2 matches deg(Y cap Q) = 2 * 3
     assert 3 + 3 == 2 * 3
@@ -904,6 +946,68 @@ def _criterion09_points(seed, count=3):
     inst = make_instance(seed)
     rng = random.Random(seed + 500)
     return inst, [sample_smooth_point(inst, rng) for _ in range(count)]
+
+
+def _reference_chart_forms(f, y, chart):
+    """The chart conic and cubic restricted one at a time: the conic from
+    q2(d) = d^T H(y) d / 2 with H = hessian_matrix, each form composed with
+    the chart's linear forms by MPoly.compose."""
+    n = f.nvars
+    hess = hessian_matrix(f, y)
+    q2 = MPoly(n, {tuple(int(k == i) + int(k == j) for k in range(n)):
+                   hess[i][j] if i != j else Fraction(hess[i][i]) / 2
+                   for i in range(n) for j in range(i, n)})
+    forms = [MPoly.linear_form([b[j] for b in chart]) for j in range(n)]
+    return q2.compose(forms), f.compose(forms)
+
+
+def _fourfold_charts(monkeypatch, seeds):
+    """(f, y, direction_chart output) of every chart sample_line draws for
+    line seeds 1-3 on the fourfolds of the given instance seeds."""
+    from sixnodal.fourfold import extend_to_fourfold, sample_line
+    real = detgeo.direction_chart
+    out = []
+
+    def recording(f, y, chart_seed=0, _cut_through=None):
+        res = real(f, y, chart_seed, _cut_through)
+        out.append((f, y, res))
+        return res
+
+    monkeypatch.setattr(detgeo, "direction_chart", recording)
+    for seed in seeds:
+        four = extend_to_fourfold(make_instance(seed), seed=1, spot_checks=0)
+        for line_seed in (1, 2, 3):
+            sample_line(four, seed=line_seed)
+    return out
+
+
+def test_direction_chart_matches_hessian_reference(monkeypatch):
+    # the r^1 and r^0 parts of the one restriction of f to span(y, chart) are
+    # the conic and the cubic of the chart, restricted one at a time:
+    # criterion-09 points of seeds 1-20 in chart seeds 0-2, and the charts of
+    # sample_line on the fourfolds of instances 1-8
+    cases = []
+    for seed in range(1, 21):
+        inst, points = _criterion09_points(seed)
+        cases += [(inst.cubic_y, y, detgeo.direction_chart(inst.cubic_y, y, chart_seed))
+                  for y in points for chart_seed in (0, 1, 2)]
+    fourfold_cases = _fourfold_charts(monkeypatch, range(1, 9))
+    assert len(fourfold_cases) >= 24
+    for f, y, (chart, q_chart, c_chart, _elim, _lift) in cases + fourfold_cases:
+        ref_q, ref_c = _reference_chart_forms(f, y, chart)
+        assert q_chart == ref_q
+        assert c_chart == ref_c
+
+
+def test_direction_chart_needs_a_homogeneous_cubic():
+    x = MPoly.variables(5)
+    y = (Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+    quadric = x[1] * x[2] + x[3] * x[4]
+    not_homogeneous = x[1] ** 3 + x[2] * x[3] + x[4]
+    quartic = x[1] ** 4 + x[0] ** 3 * x[2]
+    for f in (quadric, not_homogeneous, quartic):
+        with pytest.raises(DetGeoError, match="homogeneous cubic"):
+            detgeo.direction_chart(f, y)
 
 
 def _counting_s_test(monkeypatch):

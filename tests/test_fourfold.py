@@ -200,6 +200,24 @@ def test_scroll_invariance_reuses_given_image(four):
 
 
 @pytest.mark.parametrize("prec", [128, 256])
+def test_scroll_margin_matches_per_quadric_evaluation(four, prec):
+    # one fixed-point pass over the three quadrics gives the margin that
+    # MPoly.evaluate gives quadric by quadric, to the bit
+    from sixnodal import _numeric
+    from sixnodal.fourfold import _hyperplane_point, _meets_scroll
+    v = (2, 3, -1)
+    quadrics = scroll_data(four.inst, v).quadrics_v
+    lines = [sample_line(four, seed=s, prec=prec) for s in (1, 2)]
+    lines.append(sample_line_through_scroll(four, v, seed=5, prec=prec))
+    for m in lines:
+        with mpmath.workprec(prec + 32):
+            y5 = _hyperplane_point(m, prec)[2][:5]
+            ref = max(abs(q.evaluate(y5)) / _numeric.to_mpc(max(map(abs, q.terms.values()))).real
+                      for q in quadrics)
+        assert repr(_meets_scroll(four, m, quadrics, prec)[1]) == repr(float(ref))
+
+
+@pytest.mark.parametrize("prec", [128, 256])
 def test_plane_restriction_matches_exact(four, inst1, prec):
     # plane through three rational points of the fourfold: a node of the
     # hyperplane section (smooth on the fourfold), then twice the third point

@@ -7,9 +7,10 @@ from math import gcd, isqrt
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sixnodal import poly
+from sixnodal._qlinalg import mat, rank
 from sixnodal.poly import (ComplexMP, MPoly, PolyError, UPoly, divide_exact,
                            gradient, irreducibility_prime, macaulay_nonzero,
                            macaulay_resultant, poly_det, restrict_to_subspace,
@@ -779,6 +780,42 @@ def test_restrict_to_subspace():
     assert r.is_zero()
     with pytest.raises(PolyError):
         restrict_to_subspace(x[0], [(1, 0, 0), (2, 0, 0)])
+
+
+@st.composite
+def forms_and_bases(draw):
+    """A polynomial with the monomials of one to three degrees in 0-4, in
+    k..4 variables with Fraction coefficients, and k = 1-4 Fraction basis
+    vectors, each over its own denominator."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=max(k, 2), max_value=4))
+    degrees = draw(st.sets(st.integers(min_value=0, max_value=4), min_size=1, max_size=3))
+    terms = {}
+    for deg in sorted(degrees):
+        for combo in combinations_with_replacement(range(n), deg):
+            e = tuple(combo.count(i) for i in range(n))
+            terms[e] = Fraction(draw(coeffs), draw(st.integers(min_value=1, max_value=4)))
+    dens = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=k, max_size=k,
+                         unique=True))
+    basis = [[Fraction(draw(st.integers(min_value=-5, max_value=5)), d) for _ in range(n)]
+             for d in dens]
+    return MPoly(n, terms), basis
+
+
+@given(forms_and_bases())
+@example((MPoly(3, {(2, 0, 0): Fraction(1), (0, 1, 1): Fraction(-3, 2),
+                    (0, 0, 0): Fraction(5, 7), (1, 0, 0): Fraction(2, 3)}),
+          [[Fraction(1, 2), Fraction(0), Fraction(1, 3)],
+           [Fraction(0), Fraction(2, 5), Fraction(1)]]))
+@settings(max_examples=150, deadline=None)
+def test_restrict_to_subspace_matches_fraction_reference(case):
+    # the integer compose against Fraction products of the linear forms,
+    # constant and mixed-degree terms included: equal terms in equal order
+    f, basis = case
+    assume(rank(mat(basis)) == len(basis))
+    k = len(basis)
+    forms = [MPoly.linear_form([basis[i][j] for i in range(k)]) for j in range(f.nvars)]
+    assert _same_terms(restrict_to_subspace(f, basis), _ref_compose_terms(f, forms))
 
 
 def test_restrict_line_on_cubic_vanishes(inst1):
