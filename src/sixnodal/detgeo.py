@@ -24,7 +24,7 @@ from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
                        is_zero_vec, linear_terms, mat, mat_mul, mat_vec, nullspace,
                        primitive_int_vector, projectively_equal, rank, rref,
                        solve, transpose, vec)
-from .poly import (MPoly, UPoly, _int_accumulate, _int_product, _int_terms,
+from .poly import (MPoly, UPoly, _int_accumulate, _int_jet, _int_product, _int_terms,
                    _monomials_of_degree, _rational_roots_of_squarefree, gradient,
                    irreducibility_prime, macaulay_matrix, macaulay_nonzero,
                    poly_det, restrict_to_subspace, roots, sylvester_resultant)
@@ -736,20 +736,19 @@ def linear_general_position(points) -> bool:
 def is_odp(f: MPoly, p) -> bool:
     """Ordinary double point test for a cubic hypersurface.
 
-    Move p to the last coordinate point; with f = x_n^2 A1 + x_n A2 + A3 the
-    point is an ODP iff A1 vanishes identically and the quadratic form A2 is
-    nondegenerate (rank n in n variables).
+    On integers, at p cleared of denominators: f(p) = 0 (else
+    DetGeoError), the gradient vanishes and the Hessian H has rank n - 1.
+    Moving p to the last coordinate point writes f = x_n^2 A1 + x_n A2 + A3,
+    and p is an ODP iff A1 = 0 and the quadratic form A2 is nondegenerate.
+    A1 = 0 is the gradient; then H p = 2 grad f(p) = 0, and H is congruent
+    to the Gram matrix of A2 with a zero row and column added.
     """
-    p = vec(p)
-    if f.evaluate(p) != 0:
+    if f.degree() != 3 or not f.is_homogeneous():
+        raise DetGeoError("is_odp needs a homogeneous cubic")
+    value, grad, hess = _int_jet(_int_terms(f)[0], clear_denominators(p)[0])
+    if value:
         raise DetGeoError("point is not on the hypersurface")
-    _cols, parts = _split_at_vertex(f, p)
-    if 3 in parts:
-        raise DetGeoError("cubic term survived the normalization (not on f)")
-    if 2 in parts:
-        return False
-    a2 = parts.get(1, MPoly.zero(f.nvars - 1))
-    return rank(mat(_gram_matrix(a2))) == a2.nvars
+    return not any(grad) and rank(hess) == f.nvars - 1
 
 
 def _split_at_vertex(f: MPoly, p):
@@ -767,23 +766,6 @@ def _split_at_vertex(f: MPoly, p):
     for e, c in f.compose(subs).terms.items():
         by_last.setdefault(e[n - 1], {})[e[:n - 1]] = c
     return cols, {k: MPoly(n - 1, terms) for k, terms in by_last.items()}
-
-
-def _gram_matrix(q: MPoly) -> list:
-    """Symmetric H with q(x) = x^T H x / 2, for a quadratic form q."""
-    m = q.nvars
-    h = [[Fraction(0)] * m for _ in range(m)]
-    for e, c in q.terms.items():
-        idx = [i for i in range(m) for _ in range(e[i])]
-        if len(idx) != 2:
-            raise DetGeoError("tangent-cone part is not quadratic")
-        i, j = idx
-        if i == j:
-            h[i][i] += 2 * c
-        else:
-            h[i][j] += c
-            h[j][i] += c
-    return h
 
 
 def hessian_matrix(f: MPoly, p):
@@ -877,8 +859,9 @@ def _build_instance(seed, rng) -> DeterminantalInstance:
 
     if not linear_general_position(node_coords):
         raise DegenerateInstance("nodes not in linear general position")
+    grads = gradient(cubic_y)
     for c in node_coords:
-        if any(p.evaluate(c) != 0 for p in gradient(cubic_y)):
+        if any(p.evaluate(c) != 0 for p in grads):
             raise DegenerateInstance("cubic not singular at a node")
         if not is_odp(cubic_y, c):
             raise DegenerateInstance("node is not an ordinary double point")
@@ -1222,8 +1205,6 @@ def project_from_node(inst: DeterminantalInstance, i: int) -> NodeProjection:
         raise DetGeoError("node is not an ordinary double point (unexpected)")
     a2 = parts.get(1, MPoly.zero(4))
     a3 = parts.get(0, MPoly.zero(4))
-    h = _gram_matrix(a2)
-    quadric_rank = rank(mat(h))
 
     images = []
     for j, node in enumerate(inst.nodes):
@@ -1235,19 +1216,16 @@ def project_from_node(inst: DeterminantalInstance, i: int) -> NodeProjection:
             raise DetGeoError("node image undefined (coincident nodes)")
         images.append(primitive_int_vector(img))
 
-    on_curve = tuple(a2.evaluate(n) == 0 and a3.evaluate(n) == 0 for n in images)
-    singular = []
-    for n in images:
-        jac = [ [g2.evaluate(n) for g2 in gradient(a2)],
-                [g3.evaluate(n) for g3 in gradient(a3)] ]
-        singular.append(rank(mat(jac)) <= 1)
-
-    rulings_ok = True
-    for a, b in itertools.combinations(range(5), 2):
-        bil = sum(Q(h[x][y]) * images[a][x] * images[b][y]
-                  for x in range(4) for y in range(4))
-        if bil == 0:
-            rulings_ok = False
+    # on integers, over the denominators of A2 and A3: their values and
+    # gradients at each image, and A2's Hessian, its Gram matrix H; the
+    # gradient of A2 at n is H n, so it also gives the polar pairings
+    t2, t3 = _int_terms(a2)[0], _int_terms(a3)[0]
+    jets = [(_int_jet(t2, n), _int_jet(t3, n, 1)) for n in images]
+    quadric_rank = rank(jets[0][0][2])
+    on_curve = tuple(j2[0] == 0 and j3[0] == 0 for j2, j3 in jets)
+    singular = tuple(rank([j2[1], j3[1]]) <= 1 for j2, j3 in jets)
+    rulings_ok = all(sum(map(mul, images[a], jets[b][0][1]))
+                     for a, b in itertools.combinations(range(5), 2))
     hyperplanes_ok = True
     for quad in itertools.combinations(range(5), 4):
         if rank(mat([list(images[q]) for q in quad])) != 4:
@@ -1258,7 +1236,7 @@ def project_from_node(inst: DeterminantalInstance, i: int) -> NodeProjection:
     if not distinct:
         raise DetGeoError("node images are not distinct")
     return NodeProjection(i, a2, a3, tuple(images), quadric_rank,
-                          on_curve, tuple(singular), rulings_ok, hyperplanes_ok)
+                          on_curve, singular, rulings_ok, hyperplanes_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -1300,10 +1278,12 @@ def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
     if f.degree() != 3 or not f.is_homogeneous():
         raise DetGeoError("direction_chart needs a homogeneous cubic")
     y = vec(y)
-    if f.evaluate(y) != 0:
+    # the value and gradient at y cleared of denominators: a positive
+    # multiple of grad f(y), which leaves the chart (a unique rref) alone
+    value, grad = _int_jet(_int_terms(f)[0], clear_denominators(y)[0], 1)
+    if value:
         raise DetGeoError("point is not on the cubic")
-    grad = [p.evaluate(y) for p in gradient(f)]
-    if all(x == 0 for x in grad):
+    if not any(grad):
         raise DetGeoError("point is singular on the cubic")
     if n < 5:
         raise DetGeoError("need at least an ambient P^4")
@@ -1314,7 +1294,7 @@ def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
         hy = sum(a * b for a, b in zip(h_first, y))
         if hy == 0:
             continue
-        cuts = [[Q(x) for x in grad], h_first]
+        cuts = [grad, h_first]
         if _cut_through is None:
             cuts += [[Fraction(rng.randrange(-9, 10)) for _ in range(n)]
                      for _ in range(n - 5)]
@@ -1568,8 +1548,7 @@ def sample_smooth_point(inst: DeterminantalInstance, rng) -> tuple:
         y = primitive_int_vector(y)
         if any(projectively_equal(y, n.coords) for n in inst.nodes):
             continue
-        grad = [p.evaluate(y) for p in gradient(inst.cubic_y)]
-        if all(x == 0 for x in grad):
+        if not any(_int_jet(_int_terms(inst.cubic_y)[0], y, 1)[1]):
             continue
         phi = inst.phi(y)
         if mat3_rank(phi) != 2:

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, isqrt, lcm
+from math import gcd, inf, isqrt, lcm, prod
 from operator import add
 
 import mpmath
@@ -37,9 +37,12 @@ def _grlex_key(e):
 
 
 def _int_terms(p: "MPoly") -> tuple[dict, int]:
-    """p's terms as integer numerators over one common denominator."""
-    ints, den = clear_denominators(p.terms.values())
-    return dict(zip(p.terms, ints)), den
+    """p's terms as integer numerators over one common denominator, cleared
+    once per MPoly (instances are immutable) and shared: read-only."""
+    if p._ints is None:
+        ints, den = clear_denominators(p.terms.values())
+        p._ints = dict(zip(p.terms, ints)), den
+    return p._ints
 
 
 def _int_value(terms: dict, xs, dx: int = 1) -> int:
@@ -53,6 +56,31 @@ def _int_value(terms: dict, xs, dx: int = 1) -> int:
                 c *= x if k == 1 else x ** k
         total += c if dx == 1 else c * dx ** (deg - sum(e))
     return total
+
+
+def _int_jet(terms: dict, xs, order: int = 2) -> list:
+    """[value, gradient] and, at order 2, the Hessian at the integer point xs
+    of an integer term dict, in integers.  A term c x^e is c times the
+    product of its factors x_i, one per unit of e_i; dropping the factor at
+    one position adds to a partial, and dropping two adds to the Hessian at
+    both orders of the pair (twice on the diagonal for a square)."""
+    n = len(xs)
+    value, grad = 0, [0] * n
+    hess = [[0] * n for _ in range(n)]
+    for e, c in terms.items():
+        idx = [i for i, k in enumerate(e) for _ in range(k)]
+        vals = [xs[i] for i in idx]
+        value += c * prod(vals)
+        for p, i in enumerate(idx):
+            rest = vals[:p] + vals[p + 1:]
+            grad[i] += c * prod(rest)
+            if order < 2:
+                continue
+            for q in range(p + 1, len(idx)):
+                h = c * prod(rest[:q - 1] + rest[q:])
+                hess[i][idx[q]] += h
+                hess[idx[q]][i] += h
+    return [value, grad, hess][:order + 1]
 
 
 def _int_product(a: dict, b: dict) -> dict:
@@ -102,10 +130,11 @@ class MPoly:
     Instances are treated as immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_ints")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
+        self._ints = None       # _int_terms, cleared on first use
         clean = {}
         if terms:
             for e, c in terms.items():
@@ -124,6 +153,7 @@ class MPoly:
         out = object.__new__(cls)
         out.nvars = nvars
         out.terms = terms
+        out._ints = None
         return out
 
     @classmethod
@@ -771,29 +801,45 @@ _MACAULAY_PRIME = 2 ** 30 - 35
 
 
 def _rank_mod(rows: list[list[int]], prime: int) -> int:
-    """Rank mod a prime.  Each row, as a dict {column: residue}, is reduced
-    against monic pivot rows keyed by leading column until its leading
-    column is new; stops once the rank is the column count."""
+    """Rank mod a prime, on rows packed into Python ints (delayed modular
+    reduction, after Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
+
+    A row holds one residue per slot of w = 2 bits(p) + bits(ncols) + 1 bits,
+    the column it is at in the lowest slot.  Against a monic pivot keyed by
+    that column, r = (r + (p - x) pivot) >> w clears it; each such step adds
+    less than p^2 to a slot and a row takes fewer than ncols of them, so no
+    slot carries into the next.  A row whose lowest slot is new is reduced
+    slot by slot and made monic; stops once the rank is the column count."""
     ncols = len(rows[0]) if rows else 0
-    pivots: dict[int, dict[int, int]] = {}
+    w = 2 * prime.bit_length() + ncols.bit_length() + 1
+    mask = (1 << w) - 1
+    pivots: dict[int, int] = {}
     for row in rows:
         if len(pivots) == ncols:
             break
-        r = {j: x % prime for j, x in enumerate(row) if x % prime}
+        r = col = 0                 # col: the column of the lowest slot
+        for j, x in enumerate(row):
+            x %= prime
+            if x:
+                if not r:
+                    col = j
+                r |= x << (w * (j - col))
         while r:
-            lead = min(r)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(r[lead], -1, prime)
-                pivots[lead] = {j: x * inv % prime for j, x in r.items()}
-                break
-            f = r[lead]
-            for j, x in pivot.items():
-                y = (r.get(j, 0) - f * x) % prime
-                if y:
-                    r[j] = y
-                else:
-                    del r[j]
+            x = (r & mask) % prime
+            if x:
+                pivot = pivots.get(col)
+                if pivot is None:
+                    inv = pow(x, -1, prime)
+                    monic = shift = 0
+                    while r:
+                        monic |= (r & mask) * inv % prime << shift
+                        r >>= w
+                        shift += w
+                    pivots[col] = monic
+                    break
+                r += (prime - x) * pivot
+            r >>= w
+            col += 1
     return len(pivots)
 
 

@@ -1,5 +1,8 @@
+import functools
+import itertools
 import json
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 from operator import mul
@@ -9,9 +12,9 @@ import pytest
 
 from sixnodal import detgeo
 from sixnodal._numeric import default_tolerance
-from sixnodal._qlinalg import (identity, inverse, mat, mat_mul, nullspace,
+from sixnodal._qlinalg import (identity, inverse, mat, mat_mul, mat_vec, nullspace,
                                primitive_int_vector, projectively_equal, rank,
-                               transpose)
+                               transpose, vec)
 from sixnodal.detgeo import (DegenerateInstance, DetGeoError,
                              DeterminantalInstance, EndoSubspace, ProjLine,
                              annihilator, classify_line, direction_candidates,
@@ -486,6 +489,83 @@ def test_is_odp_matches_hessian_oracle(inst1):
         assert is_odp(inst1.cubic_y, p)
 
 
+@functools.cache
+def _instance(seed):
+    return make_instance(seed)
+
+
+def _ref_gram_matrix(q: MPoly) -> list:
+    """Symmetric H with q(x) = x^T H x / 2, for a quadratic form q, in
+    Fractions."""
+    m = q.nvars
+    h = [[Fraction(0)] * m for _ in range(m)]
+    for e, c in q.terms.items():
+        i, j = [i for i in range(m) for _ in range(e[i])]
+        h[i][j] += c
+        h[j][i] += c
+    return h
+
+
+def _ref_is_odp(f: MPoly, p) -> bool:
+    """The compose-based test: with p moved to the last vertex, f = x_n^2 A1
+    + x_n A2 + A3, and p is an ODP iff A1 = 0 and A2 is nondegenerate."""
+    _cols, parts = detgeo._split_at_vertex(f, vec(p))
+    assert 3 not in parts                   # p is on f
+    if 2 in parts:
+        return False
+    a2 = parts.get(1, MPoly.zero(f.nvars - 1))
+    return rank(mat(_ref_gram_matrix(a2))) == a2.nvars
+
+
+def test_is_odp_matches_compose_reference():
+    # the six nodes of seeds 1-20, 20 smooth points, cones whose tangent
+    # cone has corank 2 and 1, a smooth point of Hessian rank n - 1, and two
+    # cones moved by a rational change of coordinates so that the vertex has
+    # denominators
+    x = MPoly.variables(5)
+    cone = x[4] * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] ** 2) + x[0] ** 3
+    degenerate = x[4] * (x[0] ** 2 + x[1] ** 2) + x[3] ** 3
+    corank1 = x[4] * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2) + x[3] ** 3
+    # smooth at the vertex, with a Hessian of rank n - 1 there all the same
+    parabolic = x[0] * x[4] ** 2 + x[4] * (x[1] ** 2 + x[2] ** 2) + x[3] ** 3
+    change = [[Fraction(1, 2), 1, 0, 0, -1], [0, 1, Fraction(2, 3), 0, 0],
+              [1, 0, 1, Fraction(-1, 5), 0], [0, 0, 0, 1, Fraction(1, 7)],
+              [1, 1, 1, 1, 1]]
+    moved_vertex = mat_vec(inverse(mat(change)), vec((0, 0, 0, 0, 1)))
+    subs = [MPoly.linear_form(row) for row in change]
+    cases = [(cone, (0, 0, 0, 0, 1), True), (degenerate, (0, 0, 0, 0, 1), False),
+             (corank1, (0, 0, 0, 0, 1), False), (parabolic, (0, 0, 0, 0, 1), False),
+             (cone.compose(subs), moved_vertex, True),
+             (degenerate.compose(subs), moved_vertex, False)]
+    for seed in range(1, 21):
+        inst = _instance(seed)
+        cases += [(inst.cubic_y, n.coords, True) for n in inst.nodes]
+        if seed <= 10:
+            rng = random.Random(seed + 800)
+            cases += [(inst.cubic_y, sample_smooth_point(inst, rng), False)
+                      for _ in range(2)]
+    assert len(cases) == 6 + 120 + 20
+    assert any(isinstance(c, Fraction) and c.denominator > 1 for c in moved_vertex)
+    for f, p, expected in cases:
+        assert _ref_is_odp(f, p) is expected
+        assert is_odp(f, p) is expected
+
+
+def test_is_odp_rejects_points_off_the_cubic_and_other_forms():
+    x = MPoly.variables(5)
+    vertex = (0, 0, 0, 0, 1)
+    off = (1, Fraction(1, 2), Fraction(-1, 3), 2, 0)
+    assert _instance(1).cubic_y.evaluate(off) != 0
+    with pytest.raises(DetGeoError, match="not on the hypersurface"):
+        is_odp(_instance(1).cubic_y, off)
+    quadric_cone = x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] ** 2
+    quartic = x[4] ** 2 * quadric_cone + x[0] ** 4
+    mixed = x[4] * quadric_cone + x[0] ** 2
+    for f in (quadric_cone, quartic, mixed):
+        with pytest.raises(DetGeoError, match="homogeneous cubic"):
+            is_odp(f, vertex)
+
+
 def test_linear_general_position():
     simplex = [tuple(identity(5)[i]) for i in range(5)]
     assert linear_general_position(simplex + [(1, 1, 1, 1, 1)])
@@ -805,6 +885,62 @@ def test_projection_jacobian_oracle(inst1):
         ja = [g.evaluate(n) for g in gradient(proj.quadric)]
         jb = [g.evaluate(n) for g in gradient(proj.cubic)]
         assert rank(mat([ja, jb])) <= 1
+
+
+def _ref_projection_checks(proj):
+    """quadric_rank, images_on_curve, images_singular and rulings_ok from
+    the Fraction Gram matrix and MPoly gradients of A2 and A3."""
+    h = _ref_gram_matrix(proj.quadric)
+    grads = [gradient(proj.quadric), gradient(proj.cubic)]
+    on_curve = tuple(proj.quadric.evaluate(n) == 0 and proj.cubic.evaluate(n) == 0
+                     for n in proj.images)
+    singular = tuple(rank(mat([[g.evaluate(n) for g in gs] for gs in grads])) <= 1
+                     for n in proj.images)
+    rulings_ok = all(sum(h[x][y] * a[x] * b[y] for x in range(4) for y in range(4)) != 0
+                     for a, b in itertools.combinations(proj.images, 2))
+    return rank(mat(h)), on_curve, singular, rulings_ok
+
+
+def test_projection_checks_match_fraction_reference():
+    for seed in range(1, 21):
+        for i in range(1, 7):
+            proj = project_from_node(_instance(seed), i)
+            assert (proj.quadric_rank, proj.images_on_curve, proj.images_singular,
+                    proj.rulings_ok) == _ref_projection_checks(proj)
+
+
+def test_projection_finds_a_planted_isotropic_pair():
+    # node 6 at the last vertex, so the images are the first four coordinates
+    # of nodes 1-5.  A2's Gram matrix has rows over the denominators 3, 15,
+    # 5 and 7, and images 4 and 5, the last pair, are h-isotropic:
+    # a . H b = 1 - 1 = 0, while clearing each row over its own denominator
+    # gives 3 - 15.  Every other pair pairs to nonzero.
+    x = MPoly.variables(5)
+    gram = [[1, Fraction(1, 3), 0, 0], [Fraction(1, 3), Fraction(1, 5), 0, 0],
+            [0, 0, Fraction(2, 5), 0], [0, 0, 0, Fraction(4, 7)]]
+    a2 = sum((x[i] * x[j] * (gram[i][j] if i != j else gram[i][i] / 2)
+              for i in range(4) for j in range(i, 4)), MPoly.zero(5))
+    cubic = x[4] * a2 + x[0] ** 3 + x[1] * x[2] * x[3]
+    points = [(1, 1, 1, 1), (1, 0, 1, 1), (2, 0, 1, -1), (1, -3, 1, 2), (1, 0, 0, 0)]
+
+    def planted(points):
+        nodes = [types.SimpleNamespace(coords=vec(p + (0,))) for p in points]
+        nodes.append(types.SimpleNamespace(coords=vec((0, 0, 0, 0, 1))))
+        return project_from_node(types.SimpleNamespace(cubic_y=cubic, nodes=nodes), 6)
+
+    proj = planted(points)
+    assert proj.images == tuple(points)
+    h = _ref_gram_matrix(proj.quadric)
+    assert [(a, b) for a, b in itertools.combinations(range(5), 2)
+            if sum(h[u][v] * points[a][u] * points[b][v]
+                   for u in range(4) for v in range(4)) == 0] == [(3, 4)]
+    assert h == [[Fraction(v) for v in row] for row in gram]
+    assert not proj.rulings_ok
+    assert _ref_projection_checks(proj)[3] is False
+    # with the last image moved to (1, 0, 0, 1), no pair is isotropic
+    fixed = planted(points[:4] + [(1, 0, 0, 1)])
+    assert fixed.rulings_ok and _ref_projection_checks(fixed)[3] is True
+    assert proj.quadric_rank == fixed.quadric_rank == 4
 
 
 # ---------------------------------------------------------------------------

@@ -755,6 +755,87 @@ def test_rank_mod_matches_reference_rank(monkeypatch):
     assert poly._rank_mod([[3, 6], [1, 5]], 3) == 1
 
 
+def test_rank_mod_slot_width_holds_on_dense_near_prime_entries():
+    # entries in [p - 50, p): after the first pivot the residues spread over
+    # [0, p), so every later reduction adds up to p^2 to a slot, and a row
+    # takes up to n - 1 of them; a slot of 2 bits(p) bits would carry into
+    # the next column, which shows on the deficient matrices
+    p = poly._MACAULAY_PRIME
+    rng = random.Random(29)
+    cases = []
+    for n in (40, 56, 64):
+        for _ in range(2):
+            cases.append([[p - rng.randrange(1, 51) for _ in range(n)] for _ in range(n)])
+        for drop in (1, 2, 5):
+            m = [[p - rng.randrange(1, 51) for _ in range(n)] for _ in range(n - drop)]
+            # copies and sums of earlier rows, placed last and in the middle
+            extra = [list(m[rng.randrange(n - drop)]) for _ in range(drop - 1)]
+            extra.append([a + b for a, b in zip(m[0], m[-1])])
+            m[n // 2:n // 2] = extra[:1]
+            cases.append(m + extra[1:])
+    cases.append([[p - rng.randrange(1, 51) for _ in range(56)] for _ in range(80)])
+    deficient = 0
+    for rows in cases:
+        expected = _ref_rank_mod(rows, p)
+        assert poly._rank_mod(rows, p) == expected, (len(rows), len(rows[0]))
+        deficient += expected < min(len(rows), len(rows[0]))
+    assert len(cases) == 16 and deficient == 9
+
+
+def _jet_reference(f: MPoly, xs):
+    """Value, gradient and Hessian of f at xs from MPoly.partial."""
+    grad = gradient(f)
+    return [f.evaluate(xs), [g.evaluate(xs) for g in grad],
+            [[g.partial(j).evaluate(xs) for j in range(f.nvars)] for g in grad]]
+
+
+def test_int_jet_matches_partials():
+    # dense and sparse polynomials of degree 0-4, with squares, cubes and
+    # fourth powers, at points with zero, negative and large coordinates
+    rng = random.Random(31)
+    polys = [random_poly(rng, nvars, deg, terms) for nvars in (1, 3, 5)
+             for deg, terms in ((0, 1), (2, 5), (4, 9))]
+    polys += [random_homogeneous(rng, 4, 3), random_homogeneous(rng, 5, 4),
+              MPoly.zero(3), MPoly.variables(2)[0] ** 4]
+    for f in polys:
+        terms, den = poly._int_terms(f)
+        for xs in ([0] * f.nvars, [rng.randrange(-9, 10) for _ in range(f.nvars)],
+                   [rng.getrandbits(80) - (1 << 79) for _ in range(f.nvars)]):
+            value, grad, hess = _jet_reference(f, xs)
+            jet = poly._int_jet(terms, xs)
+            assert jet == [value * den, [g * den for g in grad],
+                           [[h * den for h in row] for row in hess]]
+            assert poly._int_jet(terms, xs, 1) == jet[:2]
+
+
+def test_int_terms_cache_matches_fresh_clearing():
+    # every way an MPoly is built leaves the cache empty; the first call
+    # fills it with what clearing the terms gives, in term order, and later
+    # calls return that same pair
+    x = MPoly.variables(3)
+    f = MPoly(3, {(1, 0, 0): Fraction(1, 2), (0, 2, 1): Fraction(-3, 7),
+                  (0, 0, 0): Fraction(5)})
+    g = MPoly._wrap(3, {(2, 0, 0): Fraction(5, 6), (0, 1, 0): Fraction(-1, 4)})
+    assert f._ints is None and g._ints is None
+    poly._int_terms(f)
+    poly._int_terms(g)                  # operands with their caches filled
+    built = [MPoly.zero(3), MPoly.const(3, Fraction(2, 9)), x[1],
+             MPoly.linear_form([Fraction(1, 3), 0, Fraction(-2, 5)]),
+             MPoly.from_json(f.to_json()), f + g, f - g, -f, f * g, f * Fraction(3, 4),
+             g ** 3, f.partial(0), f.compose([g, x[2] * Fraction(1, 8), f]),
+             restrict_to_subspace(f, [(1, Fraction(1, 2), 0), (0, 1, Fraction(2, 3))]),
+             (f * g).content_normalized(), f.coefficients_in(1)[0]]
+    for p in built:
+        assert p._ints is None
+    for p in [f, g] + built:
+        cached = poly._int_terms(p)
+        ints, den = poly.clear_denominators(p.terms.values())
+        assert cached == (dict(zip(p.terms, ints)), den)
+        assert list(cached[0]) == list(p.terms)
+        assert poly._int_terms(p) is cached
+    assert poly._int_terms(f) == (dict(zip(f.terms, (7, -6, 70))), 14)
+
+
 def test_complexmp_precision_floor():
     with pytest.raises(PolyError):
         ComplexMP(mpmath.mpf(1), mpmath.mpf(0), 32)
