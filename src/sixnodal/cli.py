@@ -348,8 +348,7 @@ def cmd_schubert_degfano(args) -> int:
 def cmd_fourfold_extend(args) -> int:
     report = RunReport("fourfold extend", args.seed, args.precision)
     inst = _load_instance(args.instance)
-    four = ff.extend_to_fourfold(inst, seed=args.seed, prec=args.precision,
-                                 spot_checks=args.spot_checks)
+    four = ff.extend_to_fourfold(inst, seed=args.seed)
     report.data["quadric_terms"] = len(four.quadric.terms)
     node_vals = [str(four.quadric.evaluate(n.coords + (Fraction(0),)))
                  for n in inst.nodes]
@@ -362,8 +361,7 @@ def cmd_fourfold_extend(args) -> int:
 def cmd_fourfold_iota(args) -> int:
     report = RunReport("fourfold iota", args.seed, args.precision)
     inst = _load_instance(args.instance)
-    four = ff.extend_to_fourfold(inst, seed=args.seed, prec=args.precision,
-                                 spot_checks=24)
+    four = ff.extend_to_fourfold(inst, seed=args.seed)
     m = ff.sample_line(four, seed=args.line_seed, prec=args.precision)
     res = ff.iota(four, m, args.precision)
     report.data["factor_residual"] = res.factor_residual
@@ -463,8 +461,7 @@ def cmd_reproduce(args) -> int:
              for _ in range(2)]
     report.check("hexahedral projections agree", all(agree))
 
-    four = ff.extend_to_fourfold(inst, seed=args.seed, prec=args.precision,
-                                 spot_checks=24)
+    four = ff.extend_to_fourfold(inst, seed=args.seed)
     m = ff.sample_line(four, seed=1, prec=args.precision)
     ok, first, _ = ff.involution_check(four, m, args.precision)
     report.check("iota is an involution", ok)
@@ -564,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fourfold").add_subparsers(dest="sub", required=True)
     q = p.add_parser("extend")
     q.add_argument("--instance", required=True)
-    q.add_argument("--spot-checks", type=int, default=50)
     common(q)
     q.set_defaults(func=cmd_fourfold_extend)
     q = p.add_parser("iota")

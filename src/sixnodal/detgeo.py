@@ -24,8 +24,8 @@ from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
                        is_zero_vec, linear_terms, mat, mat_mul, mat_vec, nullspace,
                        primitive_int_vector, projectively_equal, rank, rref,
                        solve, transpose, vec)
-from .poly import (MPoly, UPoly, _int_accumulate, _int_jet, _int_product, _int_terms,
-                   _monomials_of_degree, _rational_roots_of_squarefree, gradient,
+from .poly import (MPoly, UPoly, _int_accumulate, _int_jet, _int_poly_det, _int_product,
+                   _int_terms, _monomials_of_degree, _rational_roots_of_squarefree, gradient,
                    irreducibility_prime, macaulay_matrix, macaulay_nonzero,
                    poly_det, restrict_to_subspace, roots, sylvester_resultant)
 
@@ -859,10 +859,7 @@ def _build_instance(seed, rng) -> DeterminantalInstance:
 
     if not linear_general_position(node_coords):
         raise DegenerateInstance("nodes not in linear general position")
-    grads = gradient(cubic_y)
     for c in node_coords:
-        if any(p.evaluate(c) != 0 for p in grads):
-            raise DegenerateInstance("cubic not singular at a node")
         if not is_odp(cubic_y, c):
             raise DegenerateInstance("node is not an ordinary double point")
 
@@ -1068,7 +1065,7 @@ def scroll_data(inst: DeterminantalInstance, v, vdual=None) -> ScrollData:
     adj(G) ints[k] G / (det G den), so its entries are integer linear forms
     over det G den, and the minors are integer products divided once.  The
     identity det = (first row) . (bottom-row minors) is checked exactly,
-    against poly_det of the integer entries.
+    against the integer determinant of the entries.
     """
     v = vec(v)
     if is_zero_vec(v):
@@ -1102,9 +1099,7 @@ def scroll_data(inst: DeterminantalInstance, v, vdual=None) -> ScrollData:
     cofactor: dict = {}
     for j, (key, sign) in enumerate(zip(keys_v, (1, -1, 1))):
         _int_accumulate(cofactor, _int_product(entries[0][j], minors[key]), sign)
-    det_direct = poly_det([[MPoly._wrap(perp.dim, {e: Fraction(x) for e, x in entry.items()})
-                            for entry in row] for row in entries])
-    if det_direct.terms != {e: Fraction(x) for e, x in cofactor.items()}:
+    if _int_poly_det(entries, perp.dim) != cofactor:
         raise DetGeoError("row-expansion identity failed (internal error)")
 
     def quadric(key):

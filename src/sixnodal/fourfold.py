@@ -27,8 +27,7 @@ from ._qlinalg import is_zero_vec, primitive_int_vector
 from .detgeo import (DEFAULT_ENTRY_RANGE, DetGeoError, DeterminantalInstance,
                      ProjLine, direction_candidates, ruling_of_scroll,
                      sample_smooth_point, scroll_data)
-from .poly import (MPoly, RootFindingError, _int_terms, _int_value, aberth_roots,
-                   gradient)
+from .poly import MPoly, _int_jet, _int_terms, gradient
 
 
 class FourfoldError(ValueError):
@@ -74,16 +73,24 @@ def lines_close(l1: ProjLine, l2: ProjLine, prec: int,
 # building fourfolds
 
 
-def extend_to_fourfold(inst: DeterminantalInstance, seed: int = 1,
-                       prec: int = 256, spot_checks: int = 200) -> CubicFourfold:
-    """X = (threefold cubic) + x5 * Q with Q a seeded random quadric.
+def extend_to_fourfold(inst: DeterminantalInstance, seed: int = 1, *,
+                       spot_checks: int | None = None) -> CubicFourfold:
+    """X = F + x5 * Q, F the threefold cubic and Q a seeded random quadric.
 
-    On {x5 = 0} the gradient of X is (grad F, Q), which vanishes only at a
-    node of the hyperplane section where Q does too; Q is resampled until it
-    avoids all six nodes (exact check).  So X is proved smooth along the
-    hyperplane, and Sing(X), missing a hyperplane, is finite.  Off it,
-    nothing is proved: `spot_checks` numeric points of X on random integer
-    lines are tested, and random lines miss isolated singular points.
+    Sing(Y), Y = {F = 0}, is exactly the six nodes.  The gradient of det on
+    lam_perp at M is B -> tr(adj(M) B), so M is singular iff adj(M) lies in
+    lam.  At rank 1, adj(M) = 0: the points of P(lam_perp) on the Segre
+    variety of rank-1 matrices, of degree 6, and the six distinct nodes
+    leave no room for another (refined Bezout).  At rank 2, adj(M) would be a rank-1 element of lam, a singular point of S,
+    which the Macaulay certificate of `make_instance` excludes.  On
+    {x5 = 0}, grad X = (grad F, Q); Q is resampled until it avoids the six
+    nodes (exact check), so Sing(X) misses the hyperplane {x5 = 0} and,
+    as a positive-dimensional set meets every hyperplane, is finite.
+    Random lines miss a finite set, so no numeric spot check is run.
+
+    `spot_checks` is accepted and ignored: the `fourfold` workload of the
+    benchmark (`bench/worker.py`) still passes it, and it goes once that
+    call drops it.
     """
     rng = random.Random(f"{seed}:fourfold")
     y_cubic6 = MPoly(6, {e + (0,): c for e, c in inst.cubic_y.terms.items()})
@@ -92,9 +99,7 @@ def extend_to_fourfold(inst: DeterminantalInstance, seed: int = 1,
         quad = _random_quadric(rng, DEFAULT_ENTRY_RANGE)
         if any(quad.evaluate(tuple(n.coords) + (0,)) == 0 for n in inst.nodes):
             continue
-        four = CubicFourfold(y_cubic6 + x5 * quad, quad, inst, seed)
-        _spot_check_smooth(four, rng, prec, spot_checks)
-        return four
+        return CubicFourfold(y_cubic6 + x5 * quad, quad, inst, seed)
     raise FourfoldError("no usable extension quadric found")
 
 
@@ -109,55 +114,6 @@ def _random_quadric(rng, entry_range) -> MPoly:
                 e[j] += 1
                 terms[tuple(e)] = Fraction(c)
     return MPoly(6, terms)
-
-
-def _line_restriction(terms: dict, deg: int, base, direc) -> list[int]:
-    """f(base + t direc), low degree first, for a quadratic or cubic form f
-    as an integer term dict, from f at base, direc and base +- direc."""
-    fb, fd = _int_value(terms, base), _int_value(terms, direc)
-    fp = _int_value(terms, [b + d for b, d in zip(base, direc)])
-    if deg == 2:
-        return [fb, fp - fb - fd, fd]
-    fm = _int_value(terms, [b - d for b, d in zip(base, direc)])
-    return [fb, (fp - fm) // 2 - fd, (fp + fm) // 2 - fb, fd]
-
-
-def _spot_check_smooth(four: CubicFourfold, rng, prec, count):
-    """Gradient must not (nearly) vanish at the points of X on random integer
-    lines b + t d, with t from `aberth_roots` on the cubic's restriction:
-    max_i |partial_i(t)| / max_j |b_j + t d_j|^2 is the gradient at the
-    normalized point."""
-    ints, _ = _int_terms(four.cubic)
-    partials = [_int_terms(g) for g in gradient(four.cubic)]
-    with mpmath.workprec(prec + 32):
-        tol = _numeric.default_tolerance(prec)
-        fscale = _numeric.to_mpc(max(map(abs, four.cubic.terms.values()))).real
-        done = 0
-        attempts = 0
-        while done < count and attempts < 8 * count + 64:
-            attempts += 1
-            base = [rng.randrange(-9, 10) for _ in range(6)]
-            direc = [rng.randrange(-9, 10) for _ in range(6)]
-            coeffs = _line_restriction(ints, 3, base, direc)
-            if coeffs[3] == 0:
-                continue
-            try:
-                roots_t = aberth_roots(coeffs, prec)
-            except RootFindingError:
-                continue
-            forms = [({(k,): c for k, c in enumerate(_line_restriction(terms, 2, base, direc))
-                       if c}, den) for terms, den in partials]
-            forms += [({(0,): b, (1,): d}, 1) for b, d in zip(base, direc)]
-            for t in roots_t:
-                vals = _numeric.evaluate_fixed(forms, [t], prec + 32)
-                scale = max(abs(x) for x in vals[6:])
-                if scale == 0:
-                    continue
-                if max(abs(x) for x in vals[:6]) <= tol * fscale * scale ** 2:
-                    raise FourfoldError("spot check found a (near-)singular point")
-                done += 1
-                if done >= count:
-                    break
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +370,7 @@ def sample_line_through_scroll(four: CubicFourfold, v, seed: int = 1,
         if is_zero_vec(z):
             continue
         z = primitive_int_vector(z)
-        gvals = [p.evaluate(z) for p in gradient(inst.cubic_y)]
-        if all(x == 0 for x in gvals):
+        if not any(_int_jet(_int_terms(inst.cubic_y)[0], z, 1)[1]):
             continue
         try:
             return sample_line(four, seed=attempt + 137 * seed, prec=prec, base_point=z)

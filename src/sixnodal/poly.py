@@ -402,12 +402,9 @@ def divide_exact(f: MPoly, g: MPoly) -> MPoly:
 def poly_det(m: list[list[MPoly]]) -> MPoly:
     """Exact determinant of a square matrix of polynomials.
 
-    Expansion over column subsets (O(n 2^n) ring products), which beats both
-    cofactor recursion and Bareiss for polynomial entries at these sizes.
-    It runs on integers: each row is scaled once to integer term dicts over
-    the lcm of its denominators, the minors on the top rows are integer term
-    dicts keyed by the bitmask of their columns, and the product of the row
-    denominators divides the result once, at the end.
+    Each row is scaled once to integer term dicts over the lcm of its
+    denominators, `_int_poly_det` expands the integer matrix, and the
+    product of the row denominators divides the result once, at the end.
     """
     n = len(m)
     if n == 0:
@@ -418,17 +415,31 @@ def poly_det(m: list[list[MPoly]]) -> MPoly:
     if any(entry.nvars != nv for row in m for entry in row):
         raise PolyError("entries disagree on variable count")
     scale = 1
-    states = {0: {(0,) * nv: 1}}
-    for i, row in enumerate(m):
+    rows = []
+    for row in m:
         parts = [_int_terms(entry) for entry in row]
         den = lcm(*(d for _, d in parts))
         scale *= den
-        entries = [{e: x * (den // d) for e, x in terms.items()} for terms, d in parts]
+        rows.append([{e: x * (den // d) for e, x in terms.items()} for terms, d in parts])
+    full = _int_poly_det(rows, nv)
+    return MPoly._wrap(nv, {e: Fraction(x, scale) for e, x in full.items()})
+
+
+def _int_poly_det(rows: list[list[dict]], nv: int) -> dict:
+    """Determinant of a square matrix of integer term dicts in nv variables.
+
+    Expansion over column subsets (O(n 2^n) ring products), which beats both
+    cofactor recursion and Bareiss for polynomial entries at these sizes:
+    the minors on the top rows are integer term dicts keyed by the bitmask
+    of their columns.
+    """
+    states = {0: {(0,) * nv: 1}}
+    for i, row in enumerate(rows):
         new_states: dict = {}
         for used, val in states.items():
             if not val:
                 continue
-            for j, entry in enumerate(entries):
+            for j, entry in enumerate(row):
                 bit = 1 << j
                 if used & bit or not entry:
                     continue
@@ -436,8 +447,7 @@ def poly_det(m: list[list[MPoly]]) -> MPoly:
                 _int_accumulate(new_states.setdefault(used | bit, {}),
                                 _int_product(val, entry), sign)
         states = new_states
-    full = states.get((1 << n) - 1, {})
-    return MPoly._wrap(nv, {e: Fraction(x, scale) for e, x in full.items()})
+    return states.get((1 << len(rows)) - 1, {})
 
 
 def restrict_to_subspace(f: MPoly, basis) -> MPoly:

@@ -35,7 +35,7 @@ def instances():
 
 @pytest.fixture(scope="module")
 def four(instances):
-    return ff.extend_to_fourfold(instances[1], seed=1, spot_checks=40)
+    return ff.extend_to_fourfold(instances[1], seed=1)
 
 
 def test_criterion_01_lattice_tables():

@@ -824,7 +824,7 @@ def test_scroll_data_matches_fraction_reference():
 
 def test_scroll_data_row_expansion_is_checked(inst1, monkeypatch):
     # a determinant that disagrees with the row expansion is an internal error
-    monkeypatch.setattr(detgeo, "poly_det", lambda m: MPoly.zero(m[0][0].nvars))
+    monkeypatch.setattr(detgeo, "_int_poly_det", lambda rows, nv: {})
     with pytest.raises(DetGeoError, match="row-expansion"):
         scroll_data(inst1, (2, 3, -1))
 
@@ -1111,7 +1111,7 @@ def _fourfold_charts(monkeypatch, seeds):
 
     monkeypatch.setattr(detgeo, "direction_chart", recording)
     for seed in seeds:
-        four = extend_to_fourfold(make_instance(seed), seed=1, spot_checks=0)
+        four = extend_to_fourfold(make_instance(seed), seed=1)
         for line_seed in (1, 2, 3):
             sample_line(four, seed=line_seed)
     return out

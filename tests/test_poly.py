@@ -942,7 +942,7 @@ def _fourfold_eliminant(inst, line_seed=1):
     # seed-1 fourfold (base point and chart as in sample_line(four, line_seed))
     from sixnodal.detgeo import _binary_form_parts, direction_chart, sample_smooth_point
     from sixnodal.fourfold import extend_to_fourfold
-    four = extend_to_fourfold(inst, seed=1, spot_checks=0)
+    four = extend_to_fourfold(inst, seed=1)
     y = tuple(sample_smooth_point(inst, random.Random(f"1:{line_seed}:line"))) + (Fraction(0),)
     core = _binary_form_parts(direction_chart(four.cubic, y, f"{line_seed}:0")[3])[2]
     assert core.degree() == 6
