@@ -7,10 +7,11 @@ coefficients meet numeric coordinates, they run on Python integers:
 integers over one shared power of two, sums and products of these are exact,
 and `from_fixed` rounds each result once to an mpc.  Exact forms are
 evaluated this way (`evaluate_fixed`, behind `MPoly.evaluate` and the
-u-slices of the line lift), exact matrices meet numeric vectors this way
-(`linear_values`: the chart map of the line lift, the lam and lam_perp
-matrices of `iota` and of the sigma test, and there also the exact phi(y),
-so sigma phi(y) comes from one rounding per entry), and `kernel_numeric`
+u-slices of the line lift), exact matrices, as `_qlinalg.Layout`s cleared
+of denominators once, meet numeric vectors this way, by integer dot
+products (`linear_values`: the chart map of the line lift, the lam and
+lam_perp matrices of `iota` and of the sigma test, and there also the exact
+phi(y), so sigma phi(y) comes from one rounding per entry), and `kernel_numeric`
 eliminates this way, rounding each entry once per row update.  The
 multiprecision Aberth sweeps of `poly.aberth_roots` and the residual
 certificate of `poly.roots` run in the same Gaussian-integer fixed point.
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 from mpmath.libmp import from_man_exp, round_nearest
 
-from ._qlinalg import clear_denominators, linear_terms
+from ._qlinalg import Layout
 
 # bits kept beyond the working precision by the fixed-point vectors
 _GUARD_BITS = 8
@@ -139,16 +141,21 @@ def evaluate_fixed(forms, point, bits: int) -> list:
     return out
 
 
-def linear_values(coeff_rows, point, prec: int) -> list[list]:
-    """Matrix of the values at a numeric point of the linear forms with the
-    given exact coefficient lists, through the fixed-point evaluator: entry
-    (i, j) is sum_k coeff_rows[i][j][k] point[k], rounded once."""
-    n = len(point)
-    ints, den = clear_denominators([c for row in coeff_rows for coeffs in row
-                                    for c in coeffs])
-    vals = evaluate_fixed([(linear_terms(ints[i:i + n]), den)
-                           for i in range(0, len(ints), n)], point, prec + 32)
-    width = len(coeff_rows[0])
+def linear_values(layout, point, prec: int) -> list[list]:
+    """Matrix of the values at a numeric point of the exact linear forms of
+    a _qlinalg.Layout (nested coefficient lists are made into one here):
+    the point goes to fixed point once, entry (i, j) is the exact integer
+    dot product of its row of layout.ints with it, rounded once over
+    layout.den at prec + 32 bits."""
+    if not isinstance(layout, Layout):
+        layout = Layout(layout)
+    bits = prec + 32
+    xs, shift = to_fixed(point, bits)
+    res, ims = [x for x, _ in xs], [y for _, y in xs]
+    vals = [from_fixed(sum(map(mul, row, res)), sum(map(mul, row, ims)), -shift, bits,
+                       layout.den)
+            for row in layout.ints]
+    width = layout.width
     return [vals[i:i + width] for i in range(0, len(vals), width)]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import mul
 
 Vec = tuple  # tuple[Fraction, ...]
 Mat = tuple  # tuple[Vec, ...]
@@ -63,6 +64,31 @@ def clear_denominators(values) -> tuple[list[int], int]:
     values (ints or Fractions), and ints[i] = values[i] * den."""
     den = lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+class Layout(tuple):
+    """A matrix of exact linear forms: rows of coefficient lists, as given,
+    with the coefficients cleared once to `ints`, one integer row per entry
+    in row-major order, over the common denominator `den`; `width` entries
+    per row.  Entry (i, j) at x is sum_k ints[i * width + j][k] x_k / den."""
+
+    def __new__(cls, coeff_rows):
+        self = super().__new__(cls, coeff_rows)
+        entries = [coeffs for row in self for coeffs in row]
+        ints, self.den = clear_denominators([c for coeffs in entries for c in coeffs])
+        it = iter(ints)
+        self.ints = [[next(it) for _ in coeffs] for coeffs in entries]
+        self.width = len(self[0]) if self else 0
+        return self
+
+    def int_values(self, v) -> tuple[list[list[int]], int]:
+        """(rows, den): the values of the forms at an exact vector v are
+        rows[i][j] / den, the integer dot products of `ints` with v cleared
+        of denominators."""
+        vs, dv = clear_denominators(v)
+        flat = [sum(map(mul, row, vs)) for row in self.ints]
+        w = self.width
+        return [flat[i:i + w] for i in range(0, len(flat), w)], self.den * dv
 
 
 @cache

@@ -14,18 +14,20 @@ import itertools
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
 import mpmath
 
 from . import _numeric
-from ._qlinalg import (Q, clear_denominators, det as qdet, identity, inverse,
+from ._qlinalg import (Q, Layout, clear_denominators, det as qdet, identity, inverse,
                        is_zero_vec, linear_terms, mat, mat_mul, mat_vec, nullspace,
                        primitive_int_vector, projectively_equal, rank, rref,
                        solve, transpose, vec)
-from .poly import (MPoly, UPoly, _int_accumulate, _int_jet, _int_poly_det, _int_product,
-                   _int_terms, _monomials_of_degree, _rational_roots_of_squarefree, gradient,
+from .poly import (MPoly, UPoly, _checked_aberth_roots, _int_accumulate, _int_jet,
+                   _int_poly_det, _int_product, _int_terms, _monomials_of_degree,
+                   _primitive_int_coeffs, _rational_roots_of_squarefree, gradient,
                    irreducibility_prime, macaulay_matrix, macaulay_nonzero,
                    poly_det, restrict_to_subspace, roots, sylvester_resultant)
 
@@ -65,16 +67,11 @@ def _int_adj3(a) -> list[int]:
             for i in range(3) for j in range(3)]
 
 
-def _values(forms, v) -> list:
-    """Matrix of the values at an exact vector v of the exact linear forms
-    with the coefficient lists forms[i][j]: integer sums over the common
-    denominators of the coefficients and of v, one Fraction per entry."""
-    ints, den = clear_denominators([c for row in forms for coeffs in row for c in coeffs])
-    vs, dv = clear_denominators(v)
-    n, width = len(vs), len(forms[0])
-    flat = [Fraction(sum(map(mul, ints[s:s + n], vs)), den * dv)
-            for s in range(0, len(ints), n)]
-    return [flat[i:i + width] for i in range(0, len(flat), width)]
+def _values(layout: Layout, v) -> list:
+    """Matrix of the values at an exact vector v of the exact linear forms of
+    a layout, one Fraction per entry of Layout.int_values."""
+    rows, den = layout.int_values(v)
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 def rank1(v, w):
@@ -120,14 +117,14 @@ class EndoSubspace:
     """Subspace of End(V) given by an independent basis B_0..B_{n-1} of 3x3
     matrices.
 
-    The linear maps read off the basis tensor B_k[i][j] are kept as
-    coefficient layouts, each a matrix whose entries are coefficient lists
-    of exact linear forms (applied by _values, or _numeric.linear_values):
-    forms[i][j] = [B_k[i][j]]_k, the generic element sum_k c_k B_k, and
-    forms_t its transpose, as forms in c; image[i][k] = B_k[i], the rows of
-    c -> B(c) u, and image_t[i][k] = [B_k[r][i]]_r, those of c -> B(c)^T u,
-    as forms in u.  ints holds the flattened B_k as integers over the common
-    denominator den.
+    ints holds the flattened B_k as integers over the common denominator
+    den.  The linear maps read off the basis tensor B_k[i][j] are kept as
+    coefficient layouts (_qlinalg.Layout, applied by _values or
+    _numeric.linear_values), each built on first use with its integer rows
+    cleared once: forms[i][j] = [B_k[i][j]]_k, the generic element
+    sum_k c_k B_k, and forms_t its transpose, as forms in c; image[i][k] =
+    B_k[i], the rows of c -> B(c) u, and image_t[i][k] = [B_k[r][i]]_r, those
+    of c -> B(c)^T u, as forms in u.
     """
 
     basis: tuple
@@ -139,13 +136,24 @@ class EndoSubspace:
         if flat and rank(mat(flat)) != len(flat):
             raise DetGeoError("basis is not linearly independent")
         ints, den = clear_denominators([x for f in flat for x in f])
-        for name, value in (
-                ("forms", [[tuple(m[i][j] for m in b) for j in range(3)] for i in range(3)]),
-                ("forms_t", [[tuple(m[j][i] for m in b) for j in range(3)] for i in range(3)]),
-                ("image", [[m[i] for m in b] for i in range(3)]),
-                ("image_t", [[tuple(row[i] for row in m) for m in b] for i in range(3)]),
-                ("ints", [ints[9 * k:9 * k + 9] for k in range(len(b))]), ("den", den)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "ints", [ints[9 * k:9 * k + 9] for k in range(len(b))])
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def forms(self) -> Layout:
+        return Layout([[[m[i][j] for m in self.basis] for j in range(3)] for i in range(3)])
+
+    @cached_property
+    def forms_t(self) -> Layout:
+        return Layout([[[m[j][i] for m in self.basis] for j in range(3)] for i in range(3)])
+
+    @cached_property
+    def image(self) -> Layout:
+        return Layout([[m[i] for m in self.basis] for i in range(3)])
+
+    @cached_property
+    def image_t(self) -> Layout:
+        return Layout([[[row[i] for row in m] for m in self.basis] for i in range(3)])
 
     @property
     def dim(self) -> int:
@@ -160,7 +168,8 @@ class EndoSubspace:
 
     def coordinates_of(self, m):
         """Coordinates of a matrix in this basis, or None if outside."""
-        return solve(flatten(self.forms), vec(flatten(m)))
+        return solve([[b[i][j] for b in self.basis] for i in range(3) for j in range(3)],
+                     vec(flatten(m)))
 
     def contains(self, m) -> bool:
         return self.coordinates_of(m) is not None
@@ -207,7 +216,8 @@ def tangent_sigma1_contains(b, m) -> bool:
 
 def determinant_on_subspace(space: EndoSubspace) -> MPoly:
     """det of the generic element sum_i x_i basis_i, as a cubic MPoly."""
-    return poly_det([[MPoly.linear_form(f) for f in row] for row in space.forms])
+    return poly_det([[MPoly.linear_form([m[i][j] for m in space.basis]) for j in range(3)]
+                     for i in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -901,22 +911,7 @@ def special_line(inst: DeterminantalInstance, kind: str, param) -> ProjLine:
     sigma phi sigma = 0 (sigma of rank 2 in lam, given by its coordinates or
     the matrix itself).
     """
-    space = inst.lam_perp
-    if kind == "fromV":
-        rows = _values(space.image, vec(param))
-    elif kind == "fromVdual":
-        rows = _values(space.image_t, vec(param))
-    elif kind == "fromS":
-        sigma = _sigma_matrix(inst, param)
-        if mat3_rank(sigma) != 2:
-            raise DetGeoError("fromS parameter must have rank 2")
-        # integer rows, up to a scale that does not change the kernel
-        sig, _ = clear_denominators(flatten(sigma))
-        prods = [_int_mul3(sig, _int_mul3(m, sig)) for m in space.ints]
-        rows = [[p[q] for p in prods] for q in range(9)]
-    else:
-        raise DetGeoError(f"unknown line kind {kind!r}")
-    kernel = nullspace(rows)
+    kernel = nullspace(_line_rows(inst, kind, param))
     if len(kernel) != 2:
         raise DetGeoError(f"{kind} parameter is degenerate (solution dimension "
                           f"{len(kernel) - 1} != 1)")
@@ -924,6 +919,25 @@ def special_line(inst: DeterminantalInstance, kind: str, param) -> ProjLine:
     if not restrict_to_subspace(inst.cubic_y, [line.p0, line.p1]).is_zero():
         raise DetGeoError("constructed line does not lie on the threefold")
     return line
+
+
+def _line_rows(inst: DeterminantalInstance, kind: str, param) -> list:
+    """Integer rows of the linear conditions on the lam_perp coordinates
+    whose kernel is the special_line of that kind and parameter, each a
+    positive multiple of the exact condition, which leaves the kernel."""
+    space = inst.lam_perp
+    if kind == "fromV":
+        return space.image.int_values(vec(param))[0]
+    if kind == "fromVdual":
+        return space.image_t.int_values(vec(param))[0]
+    if kind == "fromS":
+        sigma = _sigma_matrix(inst, param)
+        if mat3_rank(sigma) != 2:
+            raise DetGeoError("fromS parameter must have rank 2")
+        sig, _ = clear_denominators(flatten(sigma))
+        prods = [_int_mul3(sig, _int_mul3(m, sig)) for m in space.ints]
+        return [[p[q] for p in prods] for q in range(9)]
+    raise DetGeoError(f"unknown line kind {kind!r}")
 
 
 def _sigma_matrix(inst, param):
@@ -1009,8 +1023,8 @@ def _sigma_test(backend: _Backend, inst, phi_y, d) -> bool:
     """
     kernel, values = backend.kernel, backend.values
     lam = inst.lam
-    # the row c phi_y, linear in c
-    row_times_phi_y = [[[phi_y[i][j] for i in range(3)] for j in range(3)]]
+    # the row c phi_y, linear in c, cleared once for every row it is applied to
+    row_times_phi_y = Layout([[[phi_y[i][j] for i in range(3)] for j in range(3)]])
     phi_d = values(inst.lam_perp.forms, d)
     ann_y, ann_d = (kernel(transpose(phi)) for phi in (phi_y, phi_d))
     if len(ann_y) != 1 or len(ann_d) != 1:
@@ -1355,24 +1369,71 @@ def direction_candidates(f: MPoly, y, prec: int = 256, chart_seed: int = 0,
     return cands, elim, tuple(m for _, m in root_list)
 
 
-def _eliminant_roots(elim: MPoly, prec: int):
-    """Projective roots of the binary eliminant with multiplicities."""
+def _eliminant_roots(elim: MPoly, prec: int, known=None):
+    """Projective roots of the binary eliminant with multiplicities: (0:1)
+    and (1:0) split off, then those of its core by poly.roots (rational
+    roots by the modular probe, exact, in increasing order, then the
+    irrational ones by Aberth).  known, when given, is (rational, rest):
+    the core's rational roots in increasing order and the rest that
+    _split_rational certified irreducible, so every root is simple; then
+    the probe is skipped, and only the rest goes to Aberth and to the
+    residual check on the core (poly._checked_aberth_roots)."""
     a0, inf_mult, core = _binary_form_parts(elim)
     root_list = []
     if a0 > 0:
         root_list.append(((Fraction(0), Fraction(1)), a0))
     if inf_mult > 0:
         root_list.append(((Fraction(1), Fraction(0)), inf_mult))
-    if core.degree() >= 1:
-        for r, m in roots(core, prec):
-            if isinstance(r, Fraction):
-                root_list.append(((r, Fraction(1)), m))
-            else:
-                root_list.append(((r.to_mpc(), 1), m))
+    if known is not None:
+        rational, rest = known
+        core_roots = [(r, 1) for r in rational] + \
+            [(z, 1) for z in _checked_aberth_roots(core, rest, prec)]
+    else:
+        core_roots = roots(core, prec) if core.degree() >= 1 else []
+    for r, m in core_roots:
+        if isinstance(r, Fraction):
+            root_list.append(((r, Fraction(1)), m))
+        else:
+            root_list.append(((r.to_mpc(), 1), m))
     return root_list
 
 
-def _lift_eliminant(chart_data, prec):
+def _split_rational(core: UPoly, rational) -> UPoly | None:
+    """The core divided by b x - a for each r = a/b in rational, as a
+    primitive integer polynomial with positive leading coefficient, or None.
+
+    The division runs on the primitive integer coefficients of the core,
+    from the top; b x - a is primitive, so by Gauss's lemma the quotient by
+    an exact root is integral, and a division that is not exact, or a
+    remainder that is not 0, shows that r is not a root.  None unless the r
+    are distinct, each is an exact root, and the quotient has degree >= 2
+    and an irreducibility certificate (poly.irreducibility_prime).  That one
+    certificate proves that rational holds every rational root of the core,
+    each simple, and that the other roots are one Galois orbit over Q."""
+    if len(set(rational)) != len(rational):
+        return None
+    ints = _primitive_int_coeffs(core)
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    for r in rational:
+        a, b = r.numerator, r.denominator
+        quot, carry = [], 0
+        for c in reversed(ints[1:]):
+            q, rem = divmod(c + carry, b)
+            if rem:
+                return None
+            quot.append(q)
+            carry = a * q
+        if ints[0] + carry:
+            return None
+        ints = quot[::-1]
+    if len(ints) < 3:
+        return None
+    rest = UPoly(ints)
+    return rest if irreducibility_prime(rest) is not None else None
+
+
+def _lift_eliminant(chart_data, prec, known=None):
     """Lift every root of the eliminant to one direction on the chart.
 
     chart_data is what direction_chart returns, whose (A, B) has A nonzero
@@ -1384,15 +1445,15 @@ def _lift_eliminant(chart_data, prec):
     scales, must be within default_tolerance(prec), else DetGeoError.
     Returns (candidates, eliminant, root_list, residual_max): each candidate
     is (direction in ambient coordinates, exact_flag), one per root,
-    root_list is that of _eliminant_roots, and residual_max is the largest
-    numeric residual.
+    root_list is that of _eliminant_roots (given known), and residual_max
+    is the largest numeric residual.
     """
     chart, q_chart, c_chart, elim, (a_form, b_form) = chart_data
-    root_list = _eliminant_roots(elim, prec)
+    root_list = _eliminant_roots(elim, prec, known)
     ab_terms = [_int_terms(a_form), _int_terms(b_form)]
     qc_terms = [_int_terms(q_chart), _int_terms(c_chart)]
     # ambient coordinate j of a chart direction d3 is sum_k d3[k] chart[k][j]
-    to_ambient = transpose(chart)
+    to_ambient = Layout([transpose(chart)])
     out = []
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
@@ -1402,7 +1463,7 @@ def _lift_eliminant(chart_data, prec):
         for st, _mult in root_list:
             if isinstance(st[0], Fraction):
                 d3 = st + (-b_form.evaluate(st) / a_form.evaluate(st),)
-                out.append((mat_vec(to_ambient, d3), True))
+                out.append((mat_vec(to_ambient[0], d3), True))
                 continue
             a_val, b_val = _numeric.evaluate_fixed(ab_terms, st, prec + 32)
             d3 = st + (-b_val / a_val,)
@@ -1410,7 +1471,7 @@ def _lift_eliminant(chart_data, prec):
             if resid > tol:
                 raise DetGeoError(f"lift residual {mpmath.nstr(resid, 8)} above tolerance")
             residual_max = max(residual_max, resid)
-            out.append((tuple(_numeric.linear_values([to_ambient], d3, prec)[0]), False))
+            out.append((tuple(_numeric.linear_values(to_ambient, d3, prec)[0]), False))
     return out, elim, root_list, residual_max
 
 
@@ -1425,17 +1486,28 @@ def _lift_residual(forms, scales, d3):
                abs(value_c) / (scale_c * dnorm ** 3))
 
 
-def _irrational_roots_conjugate(elim: MPoly, root_list) -> bool:
-    """Whether the irrational roots of the eliminant are one Galois orbit
-    over Q: its core divided by the linear factors of its rational roots in
-    root_list (exact roots, so the divisions are exact) has an
-    irreducibility certificate, which also certifies it squarefree."""
-    rest = _binary_form_parts(elim)[2]
-    for (s_val, t_val), _mult in root_list:
-        # (0:1) and (1:0) were split off the core, which has no root at 0
-        if isinstance(s_val, Fraction) and t_val == 1 and s_val != 0:
-            rest = rest.divmod(UPoly([-s_val, 1]))[0]
-    return rest.degree() >= 2 and irreducibility_prime(rest) is not None
+def _special_roots(inst, chart, kv, kw) -> list | None:
+    """The chart roots s/t of the P line and the P-dual line through y,
+    where kv and kw are the kernel and cokernel of phi(y), or None.
+
+    The P line is the fromV line of kv, {z : phi(z) kv = 0}, the P-dual line
+    the fromVdual line of kw, and both pass through y.  Each meets the span
+    of the chart, which lies in the tangent hyperplane of y and misses y, in
+    one direction chart^T (s, t, u): the kernel of the rows of its
+    special_line times chart^T.  None when a kernel has another dimension
+    or t = 0; the roots are checked by _split_rational."""
+    if len(kv) != 1 or len(kw) != 1:
+        return None
+    # row . chart^T, up to a positive scale per row, which leaves the kernel
+    on_chart = Layout([chart])
+    out = []
+    for kind, param in (("fromV", kv[0]), ("fromVdual", kw[0])):
+        kernel = nullspace([on_chart.int_values(row)[0][0]
+                            for row in _line_rows(inst, kind, param)])
+        if len(kernel) != 1 or kernel[0][1] == 0:
+            return None
+        out.append(kernel[0][0] / kernel[0][1])
+    return sorted(out)
 
 
 def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
@@ -1443,12 +1515,22 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
     """All lines on the cubic f through a smooth point y (ambient P^4).
 
     Each root (s : t) of the eliminant lifts to one direction, (s, t, -B/A)
-    on the chart of direction_chart.  Rational roots, found by the modular
-    method of poly.roots (roots mod p, Hensel lifting with early exit, exact
-    check), give exact lines, so the rational P and P-dual lines always come
-    back exact; the rest come back numeric at the working precision, each
-    with its residual checked against 2^(-prec/2) (a larger one raises
-    DetGeoError).  The directions are those of direction_candidates.
+    on the chart of direction_chart.  Rational roots give exact lines, so
+    the rational P and P-dual lines always come back exact; the rest come
+    back numeric at the working precision, each with its residual checked
+    against 2^(-prec/2) (a larger one raises DetGeoError).  The directions
+    are those of direction_candidates.
+
+    With an instance attached, the rational roots come from phi(y): the P
+    and P-dual lines through y give two chart roots (_special_roots), and
+    the core of the eliminant divided by their linear factors, with the
+    remainder 0 as the exact check, has an irreducibility certificate mod a
+    prime (_split_rational).  That certificate proves there is no other
+    rational root, so only the irrational rest goes to Aberth.  Without an
+    instance, or when any of this fails (a kernel of another dimension, a
+    root that does not divide exactly, t = 0, coinciding roots, a rest of
+    degree < 2, no certificate), the core goes to poly.roots, whose modular
+    probe finds the rational roots.
 
     With an instance attached every line gets a family tag.  An exact line
     with direction d is P when phi(d) kills the kernel vector of phi(y),
@@ -1460,25 +1542,27 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
 
     The sigma test runs once per Galois orbit when it can.  y, lam,
     lam_perp and phi are rational, so the sigma conditions on a direction
-    are polynomial over Q, and conjugate lines share the verdict.  When the
-    eliminant core is squarefree and its irrational part has an
-    irreducibility certificate mod a prime (poly.irreducibility_prime), the
-    numeric lines, one per irrational root, are one orbit: the first is
-    tested and its tag goes to all.  Otherwise every numeric line is tested
-    on its own.
+    are polynomial over Q, and conjugate lines share the verdict.  With the
+    certificate above, the numeric lines, one per root of the irreducible
+    rest, are one orbit: the first is tested and its tag goes to all.  On
+    the fallback every numeric line is tested on its own.
     """
     if f.nvars != 5:
         raise DetGeoError("lines_through_point expects an ambient P^4")
     y = vec(y)
-    cands, elim, root_list, residual_max = _lift_eliminant(
-        direction_chart(f, y, chart_seed), prec)
-
+    chart_data = direction_chart(f, y, chart_seed)
+    known = None
     if inst is not None:
         phi_y = inst.phi(y)
         kv = mat3_kernel(phi_y)
         kw = mat3_kernel(transpose(mat(phi_y)))
-        numeric = _numeric_backend(prec)
-        one_orbit = _irrational_roots_conjugate(elim, root_list)
+        rational = _special_roots(inst, chart_data[0], kv, kw)
+        if rational is not None:
+            rest = _split_rational(_binary_form_parts(chart_data[3])[2], rational)
+            known = (rational, rest) if rest is not None else None
+    cands, elim, root_list, residual_max = _lift_eliminant(chart_data, prec, known)
+
+    numeric = _numeric_backend(prec)
     y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
     found = []
     orbit_tag = None
@@ -1496,7 +1580,7 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
                     with mpmath.workprec(prec + 32):
                         tag = ("Scomponent" if _sigma_test(numeric, inst, phi_y, d)
                                else "unclassified")
-                    if one_orbit:
+                    if known is not None:
                         orbit_tag = tag
         found.append((line, tag))
     return LinesThroughPoint(tuple(found), elim,

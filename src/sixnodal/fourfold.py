@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
@@ -59,14 +60,27 @@ class CubicFourfold:
         if rest != self.inst.cubic_y:
             raise FourfoldError("restriction to the hyperplane is not the threefold")
 
+    @cached_property
+    def _threefold_gradient(self) -> list:
+        """The integer terms of the partials of the threefold cubic, built on
+        first use for the smoothness check of iota."""
+        return [_int_terms(g) for g in gradient(self.inst.cubic_y)]
+
 
 def lines_close(l1: ProjLine, l2: ProjLine, prec: int,
                 tol: float = 1e-30) -> bool:
-    """Coordinatewise comparison of normalized Pluecker vectors."""
+    """Coordinatewise comparison of the Pluecker vectors, both divided by
+    their entry at the coordinate where the first is largest in modulus, so
+    that two lines whose largest entries tie cannot be normalized at
+    different coordinates.  A second vector that is 0 there is far away."""
     with mpmath.workprec(prec + 32):
-        a = l1.plucker_normalized()
-        b = l2.plucker_normalized()
-        return max(abs(x - y) for x, y in zip(a, b)) < mpmath.mpf(tol)
+        a, b = l1._wedge(), l2._wedge()
+        k = max(range(len(a)), key=lambda i: abs(a[i]))
+        if abs(a[k]) == 0:
+            raise DetGeoError("degenerate line")
+        if abs(b[k]) == 0:
+            return False
+        return max(abs(x / a[k] - y / b[k]) for x, y in zip(a, b)) < mpmath.mpf(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +200,7 @@ def iota(four: CubicFourfold, m: ProjLine, prec: int | None = None) -> IotaResul
         # smoothness of the threefold at y and the unique dual-family line
         y5 = y[:5]
         cubic_y = four.inst.cubic_y
-        grads = _numeric.evaluate_fixed([_int_terms(g) for g in gradient(cubic_y)],
-                                        y5, prec + 32)
+        grads = _numeric.evaluate_fixed(four._threefold_gradient, y5, prec + 32)
         gscale = _numeric.to_mpc(max(map(abs, cubic_y.terms.values()))).real
         if max(abs(x) for x in grads) <= tol * gscale * _NEAR_ZERO_SLACK:
             raise FourfoldError("hyperplane point is singular on the threefold")

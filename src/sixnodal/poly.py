@@ -1362,6 +1362,28 @@ def _rational_roots_of_squarefree(p: UPoly) -> tuple[list[Fraction], UPoly]:
     return sorted(found), remaining
 
 
+def _checked_aberth_roots(p: UPoly, rest: UPoly, prec: int) -> list:
+    """The roots of a squarefree factor `rest` of p by aberth_roots, as
+    ComplexMP values, each with its residual on p, |p(z)| by
+    `_numeric.evaluate_fixed` on the integer coefficients of p at prec + 64
+    bits, checked against 2^(-prec/2) relative to the coefficient magnitude
+    (RootFindingError above it)."""
+    zs = aberth_roots(list(rest.coeffs), prec)
+    ints, den = clear_denominators(p.coeffs)
+    form = ({(k,): c for k, c in enumerate(ints) if c}, den)
+    out = []
+    with mpmath.workprec(prec + 64):
+        scale = max(abs(mpmath.mpf(c.numerator) / c.denominator) for c in p.coeffs)
+        tol = mpmath.mpf(2) ** (-(prec // 2)) * max(1, scale)
+        for z in zs:
+            resid = abs(_numeric.evaluate_fixed([form], [z], prec + 64)[0])
+            if resid > tol * max(1, abs(z)) ** p.degree():
+                raise RootFindingError(f"residual {mpmath.nstr(resid, 8)} above tolerance",
+                                       partial=[ComplexMP.from_mpc(w, prec) for w in zs])
+            out.append(ComplexMP.from_mpc(z, prec))
+    return out
+
+
 def roots(p: UPoly, prec: int = 256):
     """All complex roots with multiplicities.
 
@@ -1372,10 +1394,8 @@ def roots(p: UPoly, prec: int = 256):
     at the a-priori bound for a residue that is no rational root) and
     deflated exactly; the rest are
     ComplexMP values from the Aberth iteration, whose double-precision phase
-    also stops when it stalls at the rounding floor.  Residuals, |p(z)| by
-    `_numeric.evaluate_fixed` on the integer coefficients of p at prec + 64
-    bits, are checked against 2^(-prec/2) relative to the coefficient
-    magnitude.
+    also stops when it stalls at the rounding floor, each with its residual
+    on p checked by _checked_aberth_roots.
     """
     if p.degree() < 1:
         raise PolyError("degree must be >= 1")
@@ -1384,23 +1404,9 @@ def roots(p: UPoly, prec: int = 256):
     out = []
     for q, mult in p.squarefree_decomposition():
         rational, rest = _rational_roots_of_squarefree(q)
-        for r in rational:
-            out.append((r, mult))
+        out += [(r, mult) for r in rational]
         if rest.degree() >= 1:
-            zs = aberth_roots(list(rest.coeffs), prec)
-            ints, den = clear_denominators(p.coeffs)
-            form = ({(k,): c for k, c in enumerate(ints) if c}, den)
-            with mpmath.workprec(prec + 64):
-                scale = max(abs(mpmath.mpf(c.numerator) / c.denominator)
-                            for c in p.coeffs)
-                tol = mpmath.mpf(2) ** (-(prec // 2)) * max(1, scale)
-                for z in zs:
-                    resid = abs(_numeric.evaluate_fixed([form], [z], prec + 64)[0])
-                    if resid > tol * max(1, abs(z)) ** p.degree():
-                        raise RootFindingError(
-                            f"residual {mpmath.nstr(resid, 8)} above tolerance",
-                            partial=[ComplexMP.from_mpc(w, prec) for w in zs])
-                    out.append((ComplexMP.from_mpc(z, prec), mult))
+            out += [(z, mult) for z in _checked_aberth_roots(p, rest, prec)]
     total = sum(m for _, m in out)
     if total != p.degree():
         raise RootFindingError(f"found multiplicity total {total}, expected {p.degree()}",

@@ -96,6 +96,56 @@ def test_endo_subspace_layouts_are_the_explicit_products(seed):
                         assert abs(y - to_mpc(x)) <= mpmath.mpf(2) ** -128 * scale
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_endo_subspace_layouts_are_cleared_once(seed, monkeypatch):
+    # the four layouts are built on first use only, once each, and give
+    # bit-identical numeric values to the term-dict evaluator on the
+    # cleared coefficients, and the Fraction sums exactly
+    from sixnodal import _qlinalg
+    from sixnodal._numeric import evaluate_fixed, linear_values
+    from sixnodal._qlinalg import clear_denominators, linear_terms
+    names = ("forms", "forms_t", "image", "image_t")
+    inst = make_instance(seed)
+    for space in (inst.lam, inst.lam_perp):
+        assert not any(name in vars(space) for name in names)
+    built = []
+    real = _qlinalg.Layout.__new__
+
+    def counting(cls, rows):
+        built.append(rows)
+        return real(cls, rows)
+
+    monkeypatch.setattr(_qlinalg.Layout, "__new__", counting)
+
+    def reference(layout, point, prec):
+        n = len(point)
+        ints, den = clear_denominators([c for row in layout for coeffs in row for c in coeffs])
+        vals = evaluate_fixed([(linear_terms(ints[i:i + n]), den)
+                               for i in range(0, len(ints), n)], point, prec + 32)
+        width = len(layout[0])
+        return [vals[i:i + width] for i in range(0, len(vals), width)]
+
+    rng = random.Random(seed + 77)
+    for space in (inst.lam, inst.lam_perp):
+        for name in names:
+            layout = getattr(space, name)
+            assert getattr(space, name) is layout
+            n = len(layout[0][0])
+            exact = tuple(Fraction(rng.randrange(-99, 100), rng.randrange(1, 50))
+                          for _ in range(n))
+            assert detgeo._values(layout, exact) == [
+                [sum(Fraction(c) * x for c, x in zip(coeffs, exact)) for coeffs in row]
+                for row in layout]
+            for prec in (64, 128, 256):
+                with mpmath.workprec(2 * prec):
+                    point = [mpmath.mpc(mpmath.rand() - 0.5, mpmath.rand() - 0.5)
+                             for _ in range(n)]
+                got, ref = linear_values(layout, point, prec), reference(layout, point, prec)
+                assert [[x._mpc_ for x in row] for row in got] == \
+                    [[x._mpc_ for x in row] for row in ref]
+    assert len(built) == 8
+
+
 def test_tangent_sigma2_contains():
     a = ((1, 0, 0), (0, 1, 0), (0, 0, 0))
     assert tangent_sigma2_contains(a, a)            # a kills its own kernel
@@ -1211,6 +1261,71 @@ def test_orbit_tag_needs_one_lift_per_root(monkeypatch):
     assert sum(not l.exact for l, _ in res.lines) == 4
     assert len(calls) == 1
     assert Counter(t for _, t in res.lines) == Counter(P=1, Pdual=1, Scomponent=4)
+
+
+def _counting_probe(monkeypatch):
+    """Count the calls of the modular rational-root probe."""
+    from sixnodal import poly
+    calls = []
+    real = poly._int_rational_roots
+
+    def counting(ints):
+        calls.append(ints)
+        return real(ints)
+
+    monkeypatch.setattr(poly, "_int_rational_roots", counting)
+    return calls
+
+
+def _line_summary(res):
+    return ([(repr(l.p0), repr(l.p1), l.exact, t) for l, t in res.lines],
+            res.multiplicities, repr(res.residual_max), res.eliminant)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rational_roots_from_phi_match_the_probe(seed, monkeypatch):
+    # with an instance the P and P-dual roots come from phi(y) under one
+    # irreducibility certificate, and the probe never runs; without the
+    # certificate the call falls back to poly.roots and its probe, with the
+    # same lines, tags and multiplicities
+    inst, points = _criterion09_points(seed)
+    probes = _counting_probe(monkeypatch)
+    certified = [lines_through_point(inst.cubic_y, y, prec=256, inst=inst) for y in points]
+    assert probes == []
+    assert all(sum(l.exact for l, _ in r.lines) == 2 for r in certified)
+    monkeypatch.setattr(detgeo, "irreducibility_prime", lambda g: None)
+    probed = [lines_through_point(inst.cubic_y, y, prec=256, inst=inst) for y in points]
+    assert len(probes) >= len(points)
+    assert [_line_summary(r) for r in probed] == [_line_summary(r) for r in certified]
+
+
+def test_inexact_supplied_root_falls_back(monkeypatch):
+    # the P root moved by 1/997 does not divide the eliminant core: the
+    # split is refused and the probe finds the roots, with the same lines
+    from sixnodal._qlinalg import solve
+    inst, (y,) = _criterion09_points(1, count=1)
+    plain = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
+    chart = detgeo.direction_chart(inst.cubic_y, y)[0]
+    (d_p,) = [l.p1 for l, t in plain.lines if t == "P"]
+    w = solve(transpose(chart), d_p)
+    r_p = w[0] / w[1]
+    real = detgeo._special_roots
+
+    def moved(*args):
+        rational = real(*args)
+        assert r_p in rational
+        return sorted(r + Fraction(1, 997) if r == r_p else r for r in rational)
+
+    core = detgeo._binary_form_parts(plain.eliminant)[2]
+    phi_y = inst.phi(y)
+    kv, kw = mat3_kernel(phi_y), mat3_kernel(transpose(mat(phi_y)))
+    assert detgeo._split_rational(core, real(inst, chart, kv, kw)) is not None
+    assert detgeo._split_rational(core, moved(inst, chart, kv, kw)) is None
+    monkeypatch.setattr(detgeo, "_special_roots", moved)
+    probes = _counting_probe(monkeypatch)
+    res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
+    assert probes
+    assert _line_summary(res) == _line_summary(plain)
 
 
 def _reference_lines(inst, y, prec):

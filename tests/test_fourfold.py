@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sixnodal.detgeo import ruling_of_scroll, scroll_data
+from sixnodal.detgeo import ProjLine, ruling_of_scroll, scroll_data
 from sixnodal.fourfold import (CubicFourfold, FourfoldError, extend_to_fourfold,
                                involution_check, iota, lines_close,
                                sample_line, sample_line_through_scroll,
@@ -267,6 +267,38 @@ def test_lines_close_detects_difference(four):
     m2 = sample_line(four, seed=2)
     assert lines_close(m1, m1, 256)
     assert not lines_close(m1, m2, 256)
+
+
+def test_lines_close_normalizes_ties_at_one_coordinate():
+    # two lines 2^-200 apart whose two largest Pluecker entries tie in
+    # modulus are close; lines far away, or 0 where the first is largest,
+    # are not
+    prec = 288
+    with mpmath.workprec(prec + 32):
+        eps = mpmath.mpf(2) ** -200
+        e1 = tuple(mpmath.mpc(int(i == 1)) for i in range(6))
+
+        def line(*p0):
+            return ProjLine(tuple(mpmath.mpc(x) for x in p0), e1, exact=False, prec=prec)
+
+        a = line(1 + eps, 0, 1, 0, 0, 0)
+        assert lines_close(a, line(1, 0, 1 + eps, 0, 0, 0), prec)
+        assert lines_close(line(1, 0, 1 + eps, 0, 0, 0), a, prec)
+        assert not lines_close(a, line(1, 0, 2, 0, 0, 0), prec)
+        assert not lines_close(a, line(0, 0, 1, 0, 0, 0), prec)
+
+
+def test_iota_builds_the_threefold_gradient_once(inst1, monkeypatch):
+    # the integer partials of the threefold cubic are built on the first
+    # iota call of a fourfold and read by the later ones
+    from sixnodal import fourfold
+    four = extend_to_fourfold(inst1, seed=1)
+    m = sample_line(four, seed=1)
+    calls = []
+    monkeypatch.setattr(fourfold, "gradient", lambda f: calls.append(f) or gradient(f))
+    first = iota(four, m)
+    assert iota(four, m) == first and iota(four, first.line).line is not None
+    assert calls == [inst1.cubic_y]
 
 
 def test_planted_line_appears_among_candidates(inst1):
