@@ -6,17 +6,17 @@ coefficients meet numeric coordinates, they run on Python integers:
 `to_fixed` reads int, Fraction, mpf or mpc entries exactly as Gaussian
 integers over one shared power of two, sums and products of these are exact,
 and `from_fixed` rounds each result once to an mpc.  Exact forms are
-evaluated this way (`evaluate_fixed`, behind `MPoly.evaluate` and the
-u-slices of the line lift), exact matrices, as `_qlinalg.Layout`s cleared
-of denominators once, meet numeric vectors this way, by integer dot
+evaluated this way (`evaluate_fixed`, behind `MPoly.evaluate`, the line
+lift's A and B and its residual), exact matrices, as `_qlinalg.Layout`s
+cleared of denominators once, meet numeric vectors this way, by integer dot
 products (`linear_values`: the chart map of the line lift, the lam and
 lam_perp matrices of `iota` and of the sigma test, and there also the exact
 phi(y), so sigma phi(y) comes from one rounding per entry), and `kernel_numeric`
 eliminates this way, rounding each entry once per row update.  The
 multiprecision Aberth sweeps of `poly.aberth_roots` and the residual
 certificate of `poly.roots` run in the same Gaussian-integer fixed point.
-Products of numeric values run on mpc scalars: the quadratic formula of the
-line lift and the products of numeric matrices in sigma phi sigma.
+Products of numeric values run on mpc scalars: the lift u = -B/A of the line
+lift and the products of numeric matrices in sigma phi sigma.
 """
 
 from __future__ import annotations
@@ -141,14 +141,11 @@ def evaluate_fixed(forms, point, bits: int) -> list:
     return out
 
 
-def linear_values(layout, point, prec: int) -> list[list]:
+def linear_values(layout: Layout, point, prec: int) -> list[list]:
     """Matrix of the values at a numeric point of the exact linear forms of
-    a _qlinalg.Layout (nested coefficient lists are made into one here):
-    the point goes to fixed point once, entry (i, j) is the exact integer
-    dot product of its row of layout.ints with it, rounded once over
-    layout.den at prec + 32 bits."""
-    if not isinstance(layout, Layout):
-        layout = Layout(layout)
+    a _qlinalg.Layout: the point goes to fixed point once, entry (i, j) is
+    the exact integer dot product of its row of layout.ints with it, rounded
+    once over layout.den at prec + 32 bits."""
     bits = prec + 32
     xs, shift = to_fixed(point, bits)
     res, ims = [x for x, _ in xs], [y for _, y in xs]
@@ -159,14 +156,14 @@ def linear_values(layout, point, prec: int) -> list[list]:
     return [vals[i:i + width] for i in range(0, len(vals), width)]
 
 
-def kernel_numeric(rows, prec: int, rtol=None):
+def kernel_numeric(rows, prec: int):
     """Right kernel basis of a small matrix of numeric or rational entries,
     as vectors of mpc entries.
 
     Gauss-Jordan elimination with full pivoting on the fixed-point matrix at
-    prec + 32 bits.  Pivots of squared modulus at most (rtol * scale)^2,
-    scale the largest entry modulus, count as zero; both sides are compared
-    exactly.  A row update rounds each entry once to the fixed-point unit,
+    prec + 32 bits.  Pivots of squared modulus at most (tol * scale)^2,
+    with tol = default_tolerance(prec) and scale the largest entry modulus,
+    count as zero; both sides are compared exactly.  A row update rounds each entry once to the fixed-point unit,
     and a kernel entry is an exact quotient of two entries rounded once.
     """
     bits = prec + 32
@@ -174,7 +171,7 @@ def kernel_numeric(rows, prec: int, rtol=None):
     ncols = len(rows[0]) if nrows else 0
     flat, _shift = to_fixed([x for r in rows for x in r], bits)
     m = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-    limit = Fraction(*_ratio(rtol if rtol is not None else default_tolerance(prec))) ** 2 \
+    limit = Fraction(*_ratio(default_tolerance(prec))) ** 2 \
         * max((a * a + b * b for a, b in flat), default=0)
     zero, one = mpmath.mpc(0), mpmath.mpc(1)
     col_perm = list(range(ncols))
@@ -216,6 +213,6 @@ def kernel_numeric(rows, prec: int, rtol=None):
     return basis
 
 
-def rank_numeric(rows, prec: int, rtol=None) -> int:
+def rank_numeric(rows, prec: int) -> int:
     ncols = len(rows[0]) if rows else 0
-    return ncols - len(kernel_numeric(rows, prec, rtol))
+    return ncols - len(kernel_numeric(rows, prec))

@@ -1,11 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
-here is small (dimension <= 10ish) and on the hot path of the geometry
-modules.  Results are exact Fractions, but the eliminations run on Python
-ints: each row is scaled once to integers over the lcm of its denominators,
-rref is fraction-free Gauss-Jordan, and det is integer Bareiss, so a
-Fraction is built only for each entry of the result.
+A matrix is a sequence of rows, a vector a sequence of entries, each entry an
+int or a Fraction, taken as given: rank, rref, nullspace, solve, inverse and
+det clear each row to integers themselves, so a caller never converts its
+entries first, and their results are Fractions.  A float is refused
+(TypeError), never read as the binary fraction it stores.  Everything here
+is small (dimension <= 10ish) and on the hot path of the geometry modules.
+The eliminations run on Python ints: each row is scaled once to integers
+over the lcm of its denominators, rref is fraction-free Gauss-Jordan, and
+det is integer Bareiss, so a Fraction is built only for each entry of the
+result.  vec and Q convert once, for values that are stored or divided.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import cache
 from math import gcd, lcm
 from operator import mul
 
-Vec = tuple  # tuple[Fraction, ...]
+Vec = tuple  # of ints or Fractions; results hold Fractions
 Mat = tuple  # tuple[Vec, ...]
 
 
@@ -25,13 +29,6 @@ def Q(x) -> Fraction:
 
 def vec(entries) -> Vec:
     return tuple(Q(x) for x in entries)
-
-
-def mat(rows) -> Mat:
-    m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    return m
 
 
 def identity(n: int) -> Mat:
@@ -61,8 +58,12 @@ def is_zero_vec(u: Vec) -> bool:
 
 def clear_denominators(values) -> tuple[list[int], int]:
     """(ints, den): den is the lcm of the denominators of the rational
-    values (ints or Fractions), and ints[i] = values[i] * den."""
-    den = lcm(*(x.denominator for x in values))
+    values (ints or Fractions), and ints[i] = values[i] * den.  Any other
+    entry, a float among them, is a TypeError."""
+    try:
+        den = lcm(*(x.denominator for x in values))
+    except AttributeError:
+        raise TypeError("exact entries must be ints or Fractions") from None
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
@@ -182,7 +183,7 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     """One solution of a x = b, or None if inconsistent."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    aug = mat(tuple(tuple(a[i]) + (b[i],) for i in range(rows)))
+    aug = [[*a[i], b[i]] for i in range(rows)]
     r, pivots = rref(aug)
     if cols in pivots:
         return None
@@ -205,7 +206,7 @@ def det(a: Mat) -> Fraction:
 
 def inverse(a: Mat) -> Mat:
     n = len(a)
-    aug = mat(tuple(tuple(a[i]) + tuple(identity(n)[i]) for i in range(n)))
+    aug = [[*a[i], *(int(i == j) for j in range(n))] for i in range(n)]
     r, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")

@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import __version__, lattice, schubert, segre3, surf27
 from . import detgeo, fourfold as ff
 from ._numeric import check_tolerance, default_precision
+from ._qlinalg import rank
 
 
 @dataclass
@@ -235,7 +236,7 @@ def run_instance_checks(inst, report: RunReport, slice_certificate: bool = False
                 for a in inst.lam.basis for b in inst.lam_perp.basis)
     report.check("lambda orthogonal to perp", ortho)
     report.check("six rank-1 nodes",
-                 all(detgeo.mat3_rank(n.matrix) == 1 for n in inst.nodes))
+                 all(rank(n.matrix) == 1 for n in inst.nodes))
     report.check("linear general position",
                  detgeo.linear_general_position([n.coords for n in inst.nodes]))
     grads = gradient(inst.cubic_y)

@@ -22,7 +22,7 @@ import mpmath
 
 from . import _numeric
 from ._qlinalg import (Q, Layout, clear_denominators, det as qdet, identity, inverse,
-                       is_zero_vec, linear_terms, mat, mat_mul, mat_vec, nullspace,
+                       is_zero_vec, linear_terms, mat_mul, mat_vec, nullspace,
                        primitive_int_vector, projectively_equal, rank, rref,
                        solve, transpose, vec)
 from .poly import (MPoly, UPoly, _checked_aberth_roots, _int_accumulate, _int_jet,
@@ -88,28 +88,17 @@ def mat3(m):
     return tuple(tuple(Q(x) for x in row) for row in m)
 
 
-def mat3_rank(m) -> int:
-    return rank(mat(m))
-
-
-def mat3_kernel(m) -> list:
-    return nullspace(mat(m))
-
-
 def mat3_image_basis(m) -> list:
-    cols = [tuple(row[j] for row in m) for j in range(3)]
-    out: list = []
-    for c in cols:
-        if rank(mat([list(x) for x in out] + [list(c)])) > len(out):
-            out.append(c)
-    return out
+    """The columns of m at the pivots of its rref, which are the first
+    columns that raise the rank: a basis of the image."""
+    return [tuple(row[j] for row in m) for j in rref(m)[1]]
 
 
 def annihilator(vectors) -> list:
     """Covectors (as dot-pairing vectors) killing the span."""
     if not vectors:
         return [tuple(row) for row in identity(3)]
-    return nullspace(mat([list(v) for v in vectors]))
+    return nullspace(vectors)
 
 
 @dataclass(frozen=True)
@@ -133,7 +122,7 @@ class EndoSubspace:
         b = tuple(mat3(m) for m in self.basis)
         object.__setattr__(self, "basis", b)
         flat = [flatten(m) for m in b]
-        if flat and rank(mat(flat)) != len(flat):
+        if flat and rank(flat) != len(flat):
             raise DetGeoError("basis is not linearly independent")
         ints, den = clear_denominators([x for f in flat for x in f])
         object.__setattr__(self, "ints", [ints[9 * k:9 * k + 9] for k in range(len(b))])
@@ -169,7 +158,7 @@ class EndoSubspace:
     def coordinates_of(self, m):
         """Coordinates of a matrix in this basis, or None if outside."""
         return solve([[b[i][j] for b in self.basis] for i in range(3) for j in range(3)],
-                     vec(flatten(m)))
+                     flatten(m))
 
     def contains(self, m) -> bool:
         return self.coordinates_of(m) is not None
@@ -179,39 +168,37 @@ def trace_perp(s: EndoSubspace) -> EndoSubspace:
     """Orthogonal complement under (A,B) = tr(AB); dimensions sum to 9."""
     if s.dim == 0:
         return EndoSubspace(tuple(unflatten(row) for row in identity(9)))
-    rows = [flatten(transpose(mat(b))) for b in s.basis]  # tr(XB) = flat(B^T).flat(X)
-    kernel = nullspace(mat(rows))
+    rows = [flatten(transpose(b)) for b in s.basis]  # tr(XB) = flat(B^T).flat(X)
+    kernel = nullspace(rows)
     return EndoSubspace(tuple(unflatten(v) for v in kernel))
 
 
 def maps_into(m, domain_vectors, image_vectors) -> bool:
     """Does m send span(domain_vectors) into span(image_vectors)?"""
-    img = [list(v) for v in image_vectors]
-    base_rank = rank(mat(img)) if img else 0
+    img = list(image_vectors)
+    base_rank = rank(img)
     for d in domain_vectors:
-        out = mat_vec(mat(m), vec(d))
+        out = mat_vec(m, d)
         if not img:
             if not is_zero_vec(out):
                 return False
-        elif rank(mat(img + [list(out)])) > base_rank:
+        elif rank(img + [out]) > base_rank:
             return False
     return True
 
 
 def tangent_sigma2_contains(a, m) -> bool:
     """True iff m maps ker(a) into im(a), for a of rank exactly 2."""
-    a = mat3(a)
-    if mat3_rank(a) != 2:
+    if rank(a) != 2:
         raise DetGeoError("tangent space test requires a rank-2 matrix")
-    return maps_into(m, mat3_kernel(a), mat3_image_basis(a))
+    return maps_into(m, nullspace(a), mat3_image_basis(a))
 
 
 def tangent_sigma1_contains(b, m) -> bool:
     """Tangent space of the rank-1 locus at b: m(ker b) inside im(b)."""
-    b = mat3(b)
-    if mat3_rank(b) != 1:
+    if rank(b) != 1:
         raise DetGeoError("rank-1 point expected")
-    return maps_into(m, mat3_kernel(b), mat3_image_basis(b))
+    return maps_into(m, nullspace(b), mat3_image_basis(b))
 
 
 def determinant_on_subspace(space: EndoSubspace) -> MPoly:
@@ -412,24 +399,24 @@ def residual_rank1_point(five_matrices):
     and checked exactly.
     """
     bs = [mat3(b) for b in five_matrices]
-    if len(bs) != 5 or any(mat3_rank(b) != 1 for b in bs):
+    if len(bs) != 5 or any(rank(b) != 1 for b in bs):
         raise DetGeoError("expected five rank-1 matrices")
-    if rank(mat([flatten(b) for b in bs])) != 5:
+    if rank([flatten(b) for b in bs]) != 5:
         raise DegenerateInstance("five matrices do not span a 5-dimensional space")
     space = EndoSubspace(tuple(bs))
     vs, ws = zip(*(_split_rank1(b) for b in bs))
-    gale_v = nullspace(transpose(mat(vs)))
-    gale_w = nullspace(transpose(mat(ws)))
+    gale_v = nullspace(transpose(vs))
+    gale_w = nullspace(transpose(ws))
     if len(gale_v) != 2 or len(gale_w) != 2:
         raise DegenerateInstance("image or cokernel directions do not span V")
     rows = [[alpha[k] * beta[k] for k in range(5)]
             for alpha in gale_v for beta in gale_w]
-    kern = nullspace(mat(rows))
+    kern = nullspace(rows)
     if len(kern) != 1 or any(x == 0 for x in kern[0]):
         raise DegenerateInstance("no unique residual point off the coordinate hyperplanes")
     p6 = space.element([1 / x for x in kern[0]])
     p6 = mat3(unflatten(primitive_int_vector(flatten(p6))))
-    if mat3_rank(p6) != 1:
+    if rank(p6) != 1:
         raise DegenerateInstance("residual point is not rank 1")
     if not space.contains(p6):
         raise DegenerateInstance("residual point escaped the span")
@@ -467,15 +454,12 @@ class DualityWitness:
 
 def _condition_apply(u, i):
     """Condition matrix C with <C, M> = (M u)_i."""
-    c = [[Fraction(0)] * 3 for _ in range(3)]
-    for j in range(3):
-        c[i][j] = Q(u[j])
-    return tuple(tuple(row) for row in c)
+    return tuple(tuple(u[j] if r == i else 0 for j in range(3)) for r in range(3))
 
 
 def _condition_bilinear(covector, u):
     """Condition matrix C with <C, M> = covector^T M u."""
-    return tuple(tuple(Q(covector[i]) * Q(u[j]) for j in range(3)) for i in range(3))
+    return tuple(tuple(covector[i] * u[j] for j in range(3)) for i in range(3))
 
 
 def _solve_in_space(space: EndoSubspace, conditions):
@@ -518,10 +502,10 @@ def linalg_duality_witness(lam: EndoSubspace, case: str, witness=None) -> Dualit
             a0 = found[0]
         else:
             a0 = mat3(witness)
-            if mat3_rank(a0) != 1 or not lam.contains(a0):
+            if rank(a0) != 1 or not lam.contains(a0):
                 raise DetGeoError("witness must be a rank-1 element of the subspace")
         img = mat3_image_basis(a0)            # 1-dim
-        kern = mat3_kernel(a0)                # 2-dim
+        kern = nullspace(a0)                  # 2-dim
         ker_cut = annihilator(kern)           # 1 covector
         conditions = [_condition_apply(img[0], i) for i in range(3)]
         conditions += [_condition_bilinear(c, k) for c in ker_cut for k in kern]
@@ -529,7 +513,7 @@ def linalg_duality_witness(lam: EndoSubspace, case: str, witness=None) -> Dualit
         if not sols:
             raise DetGeoError("dual witness system has no solution (unexpected)")
         b = sols[0]
-        if mat3_rank(b) == 2:
+        if rank(b) == 2:
             ok = all(tangent_sigma2_contains(b, m) for m in perp.basis)
             return DualityWitness(
                 "witness", case, primal_point=a0, dual_point=b,
@@ -544,11 +528,11 @@ def linalg_duality_witness(lam: EndoSubspace, case: str, witness=None) -> Dualit
         if witness is None:
             raise DetGeoError("tangentSigma2 requires the tangency point")
         a0 = mat3(witness)
-        if mat3_rank(a0) != 2 or not lam.contains(a0):
+        if rank(a0) != 2 or not lam.contains(a0):
             raise DetGeoError("witness must be a rank-2 element of the subspace")
         if not all(tangent_sigma2_contains(a0, m) for m in lam.basis):
             raise DetGeoError("subspace is not tangent to the rank-2 locus there")
-        kern = mat3_kernel(a0)[0]
+        kern = nullspace(a0)[0]
         img = mat3_image_basis(a0)
         img_cov = annihilator(img)[0]
         b0 = rank1(kern, img_cov)             # ker B0 = im A0, im B0 = ker A0
@@ -571,7 +555,7 @@ def linalg_duality_witness(lam: EndoSubspace, case: str, witness=None) -> Dualit
 
 
 def _second_sigma1_direction(perp: EndoSubspace, b):
-    kern = mat3_kernel(b)
+    kern = nullspace(b)
     img_cov = annihilator(mat3_image_basis(b))
     conditions = [_condition_bilinear(c, k) for c in img_cov for k in kern]
     for cand in _solve_in_space(perp, conditions):
@@ -601,7 +585,7 @@ class ProjLine:
         if self.exact:
             object.__setattr__(self, "p0", vec(self.p0))
             object.__setattr__(self, "p1", vec(self.p1))
-            if rank(mat([self.p0, self.p1])) != 2:
+            if rank([self.p0, self.p1]) != 2:
                 raise DetGeoError("spanning vectors are dependent")
         object.__setattr__(self, "_plucker", None)
 
@@ -633,14 +617,13 @@ class ProjLine:
         """Echelonized exact spanning pair (for equality tests)."""
         if not self.exact:
             raise DetGeoError("canonical basis needs the exact path")
-        from ._qlinalg import rref
-        r, pivots = rref(mat([self.p0, self.p1]))
+        r, pivots = rref([self.p0, self.p1])
         return (r[0], r[1])
 
     def contains_point(self, pt) -> bool:
         if not self.exact:
             raise DetGeoError("exact containment needs the exact path")
-        return rank(mat([self.p0, self.p1, vec(pt)])) == 2
+        return rank([self.p0, self.p1, pt]) == 2
 
     def same_line(self, other: "ProjLine") -> bool:
         if self.exact and other.exact:
@@ -658,7 +641,7 @@ class ProjLine:
 
 def lines_meet(l1: ProjLine, l2: ProjLine) -> bool:
     """Two distinct exact lines meet iff their joint span has rank 3."""
-    return rank(mat([l1.p0, l1.p1, l2.p0, l2.p1])) <= 3
+    return rank([l1.p0, l1.p1, l2.p0, l2.p1]) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +716,11 @@ class DeterminantalInstance:
 
 def linear_general_position(points) -> bool:
     """Six points of P^4: every 5-subset must have full rank 5."""
-    pts = [vec(p) for p in points]
-    if len(pts) != 6:
+    if len(points) != 6:
         raise DetGeoError("need exactly six points")
     for drop in range(6):
-        sub = [list(pts[i]) for i in range(6) if i != drop]
-        if rank(mat(sub)) != 5:
+        sub = [points[i] for i in range(6) if i != drop]
+        if rank(sub) != 5:
             return False
     return True
 
@@ -825,7 +807,7 @@ def _build_instance(seed, rng) -> DeterminantalInstance:
         vs.append(v)
         ws.append(w)
         bs.append(rank1(v, w))
-    if rank(mat([flatten(b) for b in bs])) != 5:
+    if rank([flatten(b) for b in bs]) != 5:
         raise DegenerateInstance("five samples are linearly dependent")
     for i in range(5):
         for j in range(i + 1, 5):
@@ -858,10 +840,10 @@ def _build_instance(seed, rng) -> DeterminantalInstance:
     node_mats = [lam_perp.element(c) for c in node_coords]
     nodes = []
     for m, c in zip(node_mats, node_coords):
-        if mat3_rank(m) != 1:
+        if rank(m) != 1:
             raise DegenerateInstance("node is not rank 1")
         v = mat3_image_basis(m)[0]
-        w_cov = annihilator(mat3_kernel(m))
+        w_cov = annihilator(nullspace(m))
         if len(w_cov) != 1:
             raise DegenerateInstance("node kernel is not a hyperplane")
         nodes.append(NodeData(m, c, primitive_int_vector(v),
@@ -888,7 +870,7 @@ def certify_finite_singular_locus(inst: DeterminantalInstance) -> bool:
     rng = random.Random(inst.seed + 104729)
     for _ in range(8):
         normal = [Fraction(rng.randrange(-9, 10)) for _ in range(5)]
-        basis = nullspace(mat([normal]))
+        basis = nullspace([normal])
         if len(basis) != 4:
             continue
         sliced = restrict_to_subspace(inst.cubic_y, basis)
@@ -927,12 +909,12 @@ def _line_rows(inst: DeterminantalInstance, kind: str, param) -> list:
     positive multiple of the exact condition, which leaves the kernel."""
     space = inst.lam_perp
     if kind == "fromV":
-        return space.image.int_values(vec(param))[0]
+        return space.image.int_values(param)[0]
     if kind == "fromVdual":
-        return space.image_t.int_values(vec(param))[0]
+        return space.image_t.int_values(param)[0]
     if kind == "fromS":
         sigma = _sigma_matrix(inst, param)
-        if mat3_rank(sigma) != 2:
+        if rank(sigma) != 2:
             raise DetGeoError("fromS parameter must have rank 2")
         sig, _ = clear_denominators(flatten(sigma))
         prods = [_int_mul3(sig, _int_mul3(m, sig)) for m in space.ints]
@@ -966,12 +948,9 @@ def classify_line(inst: DeterminantalInstance, line: ProjLine) -> str:
             return "singular-locus"
     phi1 = inst.phi(line.p0)
     phi2 = inst.phi(line.p1)
-    stacked = [list(row) for row in phi1] + [list(row) for row in phi2]
-    if nullspace(mat(stacked)):
+    if nullspace([*phi1, *phi2]):
         return "P"
-    stacked_t = [list(row) for row in transpose(mat(phi1))] + \
-                [list(row) for row in transpose(mat(phi2))]
-    if nullspace(mat(stacked_t)):
+    if nullspace([*transpose(phi1), *transpose(phi2)]):
         return "Pdual"
     if _sigma_test(_EXACT, inst, phi1, line.p1):
         return "Scomponent"
@@ -1090,11 +1069,11 @@ def scroll_data(inst: DeterminantalInstance, v, vdual=None) -> ScrollData:
     pairing = sum(a * b for a, b in zip(vdual, v))
     if pairing == 0:
         raise DetGeoError("functional vanishes on v; no adapted basis")
-    others = nullspace(mat([list(vdual)]))
+    others = nullspace([vdual])
     if len(others) != 2:
         raise DetGeoError("degenerate functional")
     columns = (v, others[0], others[1])
-    big_g = clear_denominators(flatten(transpose(mat(columns))))[0]
+    big_g = clear_denominators(flatten(transpose(columns)))[0]
     adj = _int_adj3(big_g)
     det_g = sum(big_g[j] * adj[3 * j] for j in range(3))
     perp = inst.lam_perp
@@ -1126,10 +1105,11 @@ def scroll_data(inst: DeterminantalInstance, v, vdual=None) -> ScrollData:
                       tuple(tuple(col) for col in columns))
 
 
-def ruling_of_scroll(inst, v, index: int = 0, rng=None) -> ProjLine:
-    """A ruling of T_v: the fromVdual-line of a functional vanishing on v."""
-    others = nullspace(mat([list(vec(v))]))
-    rng = rng or random.Random(index)
+def ruling_of_scroll(inst, v, index: int = 0) -> ProjLine:
+    """A ruling of T_v: the fromVdual-line of a functional vanishing on v,
+    drawn from random.Random(index)."""
+    others = nullspace([v])
+    rng = random.Random(index)
     for _ in range(16):
         c0 = rng.randrange(-5, 6)
         c1 = rng.randrange(-5, 6)
@@ -1161,9 +1141,9 @@ def twisted_quartic_check(inst: DeterminantalInstance, sigma_param) -> TwistedQu
     degenerate boundary and raises.
     """
     sigma = _sigma_matrix(inst, sigma_param)
-    if mat3_rank(sigma) != 2:
+    if rank(sigma) != 2:
         raise DetGeoError("sigma must have rank 2 (smooth surface point)")
-    v = mat3_kernel(sigma)[0]
+    v = nullspace(sigma)[0]
     w = annihilator(mat3_image_basis(sigma))[0]
     if sum(a * b for a, b in zip(w, v)) == 0:
         raise DetGeoError("kernel of sigma lies in its image (degenerate s)")
@@ -1209,7 +1189,7 @@ def project_from_node(inst: DeterminantalInstance, i: int) -> NodeProjection:
     if not 1 <= i <= 6:
         raise DetGeoError("node index out of range")
     cols, parts = _split_at_vertex(inst.cubic_y, inst.nodes[i - 1].coords)
-    t_inv = inverse(transpose(mat(cols)))       # columns are the new basis
+    t_inv = inverse(transpose(cols))            # columns are the new basis
     if 3 in parts or 2 in parts:
         raise DetGeoError("node is not an ordinary double point (unexpected)")
     a2 = parts.get(1, MPoly.zero(4))
@@ -1219,7 +1199,7 @@ def project_from_node(inst: DeterminantalInstance, i: int) -> NodeProjection:
     for j, node in enumerate(inst.nodes):
         if j == i - 1:
             continue
-        moved = mat_vec(t_inv, vec(node.coords))
+        moved = mat_vec(t_inv, node.coords)
         img = tuple(moved[:4])
         if is_zero_vec(img):
             raise DetGeoError("node image undefined (coincident nodes)")
@@ -1237,7 +1217,7 @@ def project_from_node(inst: DeterminantalInstance, i: int) -> NodeProjection:
                      for a, b in itertools.combinations(range(5), 2))
     hyperplanes_ok = True
     for quad in itertools.combinations(range(5), 4):
-        if rank(mat([list(images[q]) for q in quad])) != 4:
+        if rank([images[q] for q in quad]) != 4:
             hyperplanes_ok = False
 
     distinct = all(not projectively_equal(images[a], images[b])
@@ -1319,7 +1299,7 @@ def direction_chart(f: MPoly, y, chart_seed: int = 0, _cut_through=None):
                 rd = sum(a * b for a, b in zip(r, d_star))
                 r[pivot] -= rd / d_star[pivot]
                 cuts.append(r)
-        chart = nullspace(mat(cuts))
+        chart = nullspace(cuts)
         if len(chart) != 3:
             continue
         # y is off the chart, as h_first . y != 0: the span has rank 4
@@ -1554,8 +1534,8 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
     known = None
     if inst is not None:
         phi_y = inst.phi(y)
-        kv = mat3_kernel(phi_y)
-        kw = mat3_kernel(transpose(mat(phi_y)))
+        kv = nullspace(phi_y)
+        kw = nullspace(transpose(phi_y))
         rational = _special_roots(inst, chart_data[0], kv, kw)
         if rational is not None:
             rest = _split_rational(_binary_form_parts(chart_data[3])[2], rational)
@@ -1590,11 +1570,12 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
 def _tag_exact_line(inst, line: ProjLine, kv, kw) -> str:
     """Family tag of the exact line spanned by y = line.p0 and a direction
     line.p1, where kv and kw are the kernel and cokernel of phi(y)."""
-    phi_d = inst.phi(line.p1)
-    if len(kv) == 1 and is_zero_vec(mat_vec(phi_d, kv[0])):
-        return "P"
-    if len(kw) == 1 and is_zero_vec(mat_vec(transpose(phi_d), kw[0])):
-        return "Pdual"
+    ds = clear_denominators(line.p1)[0]
+    for kind, k, tag in (("fromV", kv, "P"), ("fromVdual", kw, "Pdual")):
+        # each row at d is an entry of phi(d) kv, or of kw^T phi(d)
+        if len(k) == 1 and not any(sum(map(mul, row, ds))
+                                   for row in _line_rows(inst, kind, k[0])):
+            return tag
     return classify_line(inst, line)
 
 
@@ -1614,7 +1595,7 @@ def sample_smooth_point(inst: DeterminantalInstance, rng) -> tuple:
         if is_zero_vec(v):
             continue
         # a fromV line meets node i iff v lies in ker(p_i), i.e. w_i . v = 0
-        if any(sum(Q(a) * b for a, b in zip(n.w, v)) == 0 for n in inst.nodes):
+        if any(sum(map(mul, n.w, v)) == 0 for n in inst.nodes):
             continue
         try:
             line = special_line(inst, "fromV", v)
@@ -1630,13 +1611,13 @@ def sample_smooth_point(inst: DeterminantalInstance, rng) -> tuple:
         if not any(_int_jet(_int_terms(inst.cubic_y)[0], y, 1)[1]):
             continue
         phi = inst.phi(y)
-        if mat3_rank(phi) != 2:
+        if rank(phi) != 2:
             continue
         # the dual line through y meets node i iff coker(phi) kills v_i
-        coker = mat3_kernel(transpose(mat(phi)))
+        coker = nullspace(transpose(phi))
         if len(coker) != 1:
             continue
-        if any(sum(Q(a) * b for a, b in zip(coker[0], n.v)) == 0 for n in inst.nodes):
+        if any(sum(map(mul, coker[0], n.v)) == 0 for n in inst.nodes):
             continue
         return vec(y)
     raise DetGeoError("no smooth sample point found")
@@ -1646,28 +1627,26 @@ def s_circ_ok(inst: DeterminantalInstance, sigma) -> bool:
     """The surface-point predicate used for the hexahedral comparison:
     sigma of rank 2, kernel direction distinct from every q_i and off the 15
     lines joining pairs of them."""
-    sigma = mat3(sigma)
-    if mat3_rank(sigma) != 2:
+    if rank(sigma) != 2:
         return False
-    b = mat3_kernel(sigma)[0]
+    b = nullspace(sigma)[0]
     for node in inst.nodes:
         if projectively_equal(b, node.v):
             return False
     for i in range(6):
         for j in range(i + 1, 6):
-            if qdet(mat([list(inst.nodes[i].v), list(inst.nodes[j].v), list(b)])) == 0:
+            if qdet([inst.nodes[i].v, inst.nodes[j].v, b]) == 0:
                 return False
     return True
 
 
-def sample_surface_point(inst: DeterminantalInstance, rng,
-                         require_s_circ: bool = True) -> tuple:
+def sample_surface_point(inst: DeterminantalInstance, rng) -> tuple:
     """Rational point of the cubic surface via a chord through two lines.
 
     Points on the exceptional lines are rational; the third intersection of
     the chord through one point on each of two such lines is again rational
-    and generically lies off all 27 lines.  Returns coordinates in the lam
-    basis.
+    and generically lies off all 27 lines.  Only points that pass s_circ_ok
+    are returned, as coordinates in the lam basis.
     """
     for _ in range(96):
         i, j = rng.sample(range(6), 2)
@@ -1687,13 +1666,13 @@ def sample_surface_point(inst: DeterminantalInstance, rng,
             continue
         sigma = tuple(tuple(-c_quad * c1[a][b] + c_lin * c2[a][b] for b in range(3))
                       for a in range(3))
-        if mat3_rank(sigma) != 2:
+        if rank(sigma) != 2:
             continue
         coords = inst.lam.coordinates_of(sigma)
         if coords is None:
             continue
         coords = primitive_int_vector(coords)
-        if require_s_circ and not s_circ_ok(inst, inst.lam.element(coords)):
+        if not s_circ_ok(inst, inst.lam.element(coords)):
             continue
         return vec(coords)
     raise DetGeoError("no surface sample point found")
@@ -1712,6 +1691,6 @@ def _random_on(pair, rng):
     for _ in range(16):
         s, t = rng.randrange(-5, 6), rng.randrange(-5, 6)
         m = tuple(tuple(s * a[i][j] + t * b[i][j] for j in range(3)) for i in range(3))
-        if mat3_rank(m) == 2:
+        if rank(m) == 2:
             return m
     return tuple(tuple(a[i][j] + b[i][j] for j in range(3)) for i in range(3))

@@ -380,7 +380,12 @@ class ChamberLocation(NamedTuple):
     coords: tuple[Fraction, Fraction]  # coordinates in (s_k, s_{k+1})
 
 
-def chamber_locate(v: LatticeClass, max_index: int = 4096) -> ChamberLocation:
+# bound on the chamber walk of chamber_locate, whose class can come from the
+# command line
+CHAMBER_WALK_LIMIT = 4096
+
+
+def chamber_locate(v: LatticeClass) -> ChamberLocation:
     """Locate a primitive interior class in the chamber fan.
 
     Chamber k is Cone(s_k, s_{k+1}) with s_1 = alpha_1, s_0 = alpha_1^v.
@@ -395,9 +400,9 @@ def chamber_locate(v: LatticeClass, max_index: int = 4096) -> ChamberLocation:
 
     a, b = _coords_in_rays(v, chamber_ray(0, v.ctx), chamber_ray(1, v.ctx))
     if a < 0:
-        candidates = range(1, max_index)
+        candidates = range(1, CHAMBER_WALK_LIMIT)
     elif b < 0:
-        candidates = range(-1, -max_index, -1)
+        candidates = range(-1, -CHAMBER_WALK_LIMIT, -1)
     else:
         candidates = [0]
     k = None
@@ -409,7 +414,7 @@ def chamber_locate(v: LatticeClass, max_index: int = 4096) -> ChamberLocation:
             coords = (a, b)
             break
     if k is None:
-        raise LatticeError("chamber walk exceeded max_index")
+        raise LatticeError(f"chamber walk exceeded {CHAMBER_WALK_LIMIT} chambers")
 
     if a == 0:      # v on the ray s_{k+1}: wall between k and k+1
         indices = (k, k + 1)

@@ -20,8 +20,8 @@ from operator import add
 import mpmath
 
 from . import _numeric
-from ._qlinalg import (Q, clear_denominators, det, int_det_bareiss,
-                       linear_terms, mat, primitive, rank)
+from ._qlinalg import (Q, clear_denominators, det, int_det_bareiss, linear_terms,
+                       primitive, rank)
 
 
 class PolyError(ValueError):
@@ -453,12 +453,12 @@ def _int_poly_det(rows: list[list[dict]], nv: int) -> dict:
 def restrict_to_subspace(f: MPoly, basis) -> MPoly:
     """Compose f with the linear parametrization x = sum_i s_i basis[i], on
     integers through MPoly.compose."""
-    basis = [tuple(Q(x) for x in b) for b in basis]
+    basis = list(basis)
     if not basis:
         raise PolyError("empty basis")
     if any(len(b) != f.nvars for b in basis):
         raise PolyError("basis vectors have wrong length")
-    if rank(mat(basis)) != len(basis):
+    if rank(basis) != len(basis):
         raise PolyError("basis not linearly independent")
     k = len(basis)
     subs = [MPoly.linear_form([basis[i][j] for i in range(k)]) for j in range(f.nvars)]
@@ -766,7 +766,7 @@ def _macaulay_attempts(forms: list[MPoly]):
     # fully symmetric inputs defeat permutations; a generic substitution does not
     for _ in range(_MACAULAY_RETRIES):
         g = [[Fraction(rng.randrange(-5, 6)) for _ in range(n)] for _ in range(n)]
-        if det(mat(g)) == 0:
+        if det(g) == 0:
             continue
         subs = [MPoly.linear_form(row) for row in g]
         yield [f.compose(subs) for f in forms]

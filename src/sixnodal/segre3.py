@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._qlinalg import Q, mat, nullspace
-from .detgeo import (DeterminantalInstance, annihilator, mat3,
-                     mat3_image_basis, mat3_kernel, s_circ_ok)
+from ._qlinalg import Q, nullspace
+from .detgeo import (DeterminantalInstance, annihilator, mat3, mat3_image_basis,
+                     s_circ_ok)
 from .poly import MPoly, gradient
 
 
@@ -187,7 +187,7 @@ def _first_distinct_triple(t: SixTupleOnLine):
 def project_tuple_from(center, points) -> SixTupleOnLine:
     """Project six points of P^2 from a center point onto a P^1 of lines."""
     center = tuple(Q(x) for x in center)
-    chart = nullspace(mat([list(center)]))
+    chart = nullspace([center])
     if len(chart) != 2:
         raise SegreError("degenerate projection center")
     imgs = []
@@ -208,7 +208,7 @@ def jmap_tuples(inst: DeterminantalInstance, sigma_param):
         not hasattr(sigma_param[0], "__len__") else mat3(sigma_param)
     if not s_circ_ok(inst, sigma):
         raise SegreError("point violates the off-the-lines conditions")
-    b = mat3_kernel(sigma)[0]
+    b = nullspace(sigma)[0]
     w = annihilator(mat3_image_basis(sigma))[0]
     t = project_tuple_from(b, inst.q_points)
     t_dual = project_tuple_from(w, inst.q_dual_points)

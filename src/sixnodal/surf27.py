@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from ._qlinalg import inverse, mat, mat_mul, transpose
+from ._qlinalg import inverse, mat_mul, transpose
 
 
 class Surf27Error(ValueError):
@@ -167,16 +166,13 @@ class PicAutomorphism:
         return PicClass.from_vector(image)
 
     def is_isometry(self) -> bool:
-        gram = [[Fraction(0)] * 7 for _ in range(7)]
-        gram[0][0] = Fraction(1)
-        for i in range(1, 7):
-            gram[i][i] = Fraction(-1)
-        m = mat(self.matrix)
-        return mat_mul(mat_mul(transpose(m), mat(gram)), m) == mat(gram)
+        gram = tuple(tuple(0 if i != j else 1 if i == 0 else -1 for j in range(7))
+                     for i in range(7))
+        m = self.matrix
+        return mat_mul(mat_mul(transpose(m), gram), m) == gram
 
     def order_two(self) -> bool:
-        m = mat(self.matrix)
-        sq = mat_mul(m, m)
+        sq = mat_mul(self.matrix, self.matrix)
         return all(sq[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
 
 
@@ -188,8 +184,8 @@ def double_six_involution(sextuple) -> PicAutomorphism:
     to be integral.
     """
     partner = partner_sextuple(sextuple)
-    basis = mat([K_CLASS.vector()] + [c.vector() for c in sextuple])
-    images = mat([K_CLASS.vector()] + [c.vector() for c in partner])
+    basis = [K_CLASS.vector()] + [c.vector() for c in sextuple]
+    images = [K_CLASS.vector()] + [c.vector() for c in partner]
     # columns are the basis classes: solve M * basis^T = images^T
     m = mat_mul(transpose(images), inverse(transpose(basis)))
     rows = []

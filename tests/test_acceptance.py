@@ -16,6 +16,7 @@ import pytest
 
 from sixnodal import lattice, schubert, segre3, surf27
 from sixnodal import detgeo, fourfold as ff
+from sixnodal._qlinalg import rank
 from sixnodal.poly import gradient, macaulay_resultant
 
 SEEDS = list(range(1, 21))
@@ -124,7 +125,7 @@ def test_criterion_07_instance_pipeline(instances):
     worst = 0.0
     for seed, inst in instances.items():
         t_inst = time.time()
-        assert all(detgeo.mat3_rank(n.matrix) == 1 for n in inst.nodes)
+        assert all(rank(n.matrix) == 1 for n in inst.nodes)
         assert all(isinstance(x, Fraction)
                    for n in inst.nodes for x in detgeo.flatten(n.matrix))
         assert detgeo.linear_general_position([n.coords for n in inst.nodes])

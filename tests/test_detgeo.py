@@ -12,7 +12,7 @@ import pytest
 
 from sixnodal import detgeo
 from sixnodal._numeric import default_tolerance
-from sixnodal._qlinalg import (identity, inverse, mat, mat_mul, mat_vec, nullspace,
+from sixnodal._qlinalg import (identity, inverse, mat_mul, mat_vec, nullspace,
                                primitive_int_vector, projectively_equal, rank,
                                transpose, vec)
 from sixnodal.detgeo import (DegenerateInstance, DetGeoError,
@@ -21,9 +21,8 @@ from sixnodal.detgeo import (DegenerateInstance, DetGeoError,
                              flatten, hessian_matrix, is_odp,
                              linalg_duality_witness, linear_general_position,
                              lines_meet, lines_through_point, make_instance,
-                             mat3_image_basis, mat3_kernel, mat3_rank,
-                             project_from_node, rank1, residual_rank1_point,
-                             ruling_of_scroll, sample_smooth_point,
+                             mat3_image_basis, project_from_node, rank1,
+                             residual_rank1_point, ruling_of_scroll, sample_smooth_point,
                              sample_surface_point, scroll_data, special_line,
                              tangent_sigma2_contains, trace_pair, trace_perp,
                              twisted_quartic_check, unflatten)
@@ -191,11 +190,11 @@ def test_duality_witness_rank1_member():
     lam = _subspace_containing([planted], rng)
     report = linalg_duality_witness(lam, "meetsSigma1")
     assert report.status == "witness"
-    assert mat3_rank(report.primal_point) == 1
+    assert rank(report.primal_point) == 1
     b = report.dual_point
     perp = trace_perp(lam)
     assert perp.contains(b)
-    if mat3_rank(b) == 2:
+    if rank(b) == 2:
         assert all(tangent_sigma2_contains(b, m) for m in perp.basis)
     else:
         assert report.dual_direction is not None
@@ -224,7 +223,7 @@ def test_duality_witness_tangent_case():
     report = linalg_duality_witness(lam, "tangentSigma2", witness=a0)
     assert report.status == "witness"
     b0, b1 = report.dual_point, report.dual_direction
-    assert mat3_rank(b0) == 1
+    assert rank(b0) == 1
     perp = trace_perp(lam)
     assert perp.contains(b0) and perp.contains(b1)
     # b1 is tangent to the rank-1 locus at b0
@@ -394,7 +393,7 @@ def test_duality_witness_planted_corpus():
         assert not _v_locus_meets_line(lam, (1, 2, -3), (2, -1, 5)), t
         images = {primitive_int_vector(mat3_image_basis(p)[0]) for p in found}
         assert images == {primitive_int_vector(v) for v in vs}, t
-        assert all(mat3_rank(p) == 1 and lam.contains(p) for p in found), t
+        assert all(rank(p) == 1 and lam.contains(p) for p in found), t
         report = linalg_duality_witness(lam, "meetsSigma1")
         assert report.status == "witness" and report.primal_point == found[0], t
     assert raised == [15, 27]
@@ -413,7 +412,7 @@ def test_residual_recovers_planted_point():
         mats = [rank1(v, w) for v, w in zip(vs, ws)]
         if any(all(x == 0 for x in flatten(m)) for m in mats):
             continue
-        if rank(mat([flatten(m) for m in mats])) != 5:
+        if rank([flatten(m) for m in mats]) != 5:
             continue
         try:
             p6 = residual_rank1_point(mats)
@@ -422,12 +421,12 @@ def test_residual_recovers_planted_point():
         except DegenerateInstance:
             continue
     assert p6 is not None
-    assert mat3_rank(p6) == 1
+    assert rank(p6) == 1
     span = EndoSubspace(tuple(five))
     assert span.contains(p6)
     perp = trace_perp(span)
     v6 = mat3_image_basis(p6)[0]
-    w6 = annihilator(mat3_kernel(p6))[0]
+    w6 = annihilator(nullspace(p6))[0]
     # all four 3x3 minors of the stacked system vanish at the recovered point
     from sixnodal.detgeo import rank1_system_minors
     for minor in rank1_system_minors(perp):
@@ -449,7 +448,7 @@ def test_seed4_first_draw_yields_sixth_node():
     from sixnodal import detgeo
     inst = detgeo._build_instance(4, random.Random(4))
     p6 = inst.nodes[5].matrix
-    assert mat3_rank(p6) == 1
+    assert rank(p6) == 1
     assert EndoSubspace(tuple(n.matrix for n in inst.nodes[:5])).contains(p6)
 
 
@@ -502,13 +501,13 @@ def test_residual_batch_rational(inst1):
         if any(all(x == 0 for x in v) for v in vs + ws):
             continue
         mats = [rank1(v, w) for v, w in zip(vs, ws)]
-        if rank(mat([flatten(m) for m in mats])) != 5:
+        if rank([flatten(m) for m in mats]) != 5:
             continue
         try:
             p6 = residual_rank1_point(mats)
         except DegenerateInstance:
             continue
-        assert mat3_rank(p6) == 1
+        assert rank(p6) == 1
         assert all(isinstance(x, Fraction) for x in flatten(p6))
         successes += 1
     assert successes >= 8
@@ -535,7 +534,7 @@ def test_is_odp_matches_hessian_oracle(inst1):
         p = node.coords
         assert all(g.evaluate(p) == 0 for g in gradient(inst1.cubic_y))
         h = hessian_matrix(inst1.cubic_y, p)
-        assert rank(mat(h)) == 4
+        assert rank(h) == 4
         assert is_odp(inst1.cubic_y, p)
 
 
@@ -564,7 +563,7 @@ def _ref_is_odp(f: MPoly, p) -> bool:
     if 2 in parts:
         return False
     a2 = parts.get(1, MPoly.zero(f.nvars - 1))
-    return rank(mat(_ref_gram_matrix(a2))) == a2.nvars
+    return rank(_ref_gram_matrix(a2)) == a2.nvars
 
 
 def test_is_odp_matches_compose_reference():
@@ -581,7 +580,7 @@ def test_is_odp_matches_compose_reference():
     change = [[Fraction(1, 2), 1, 0, 0, -1], [0, 1, Fraction(2, 3), 0, 0],
               [1, 0, 1, Fraction(-1, 5), 0], [0, 0, 0, 1, Fraction(1, 7)],
               [1, 1, 1, 1, 1]]
-    moved_vertex = mat_vec(inverse(mat(change)), vec((0, 0, 0, 0, 1)))
+    moved_vertex = mat_vec(inverse(change), vec((0, 0, 0, 0, 1)))
     subs = [MPoly.linear_form(row) for row in change]
     cases = [(cone, (0, 0, 0, 0, 1), True), (degenerate, (0, 0, 0, 0, 1), False),
              (corank1, (0, 0, 0, 0, 1), False), (parabolic, (0, 0, 0, 0, 1), False),
@@ -637,7 +636,7 @@ def test_instance_invariants(inst1):
     assert inst1.cubic_y == _det_on(inst1.lam_perp)
     assert linear_general_position([n.coords for n in inst1.nodes])
     for n in inst1.nodes:
-        assert mat3_rank(n.matrix) == 1
+        assert rank(n.matrix) == 1
         assert inst1.lam_perp.contains(n.matrix)
         assert is_odp(inst1.cubic_y, n.coords)
     assert macaulay_resultant(gradient(inst1.cubic_s)) != 0
@@ -706,7 +705,7 @@ def test_classify_roundtrip_50_per_kind(inst1):
 
 
 def test_line_through_node_tag(inst1):
-    kv = mat3_kernel(inst1.nodes[0].matrix)[0]
+    kv = nullspace(inst1.nodes[0].matrix)[0]
     line = special_line(inst1, "fromV", kv)
     assert line.contains_point(inst1.nodes[0].coords)
     assert classify_line(inst1, line) == "singular-locus"
@@ -806,7 +805,7 @@ def test_scroll_data_and_samples(inst1):
 def test_scroll_dual_samples(inst1):
     v = (2, 3, -1)
     sd = scroll_data(inst1, v)           # vdual defaults to v itself
-    others = nullspace(mat([[Fraction(x) for x in sd.vdual]]))
+    others = nullspace([[Fraction(x) for x in sd.vdual]])
     rng = random.Random(3)
     count = 0
     for _ in range(10):
@@ -841,8 +840,8 @@ def test_ruling_lies_in_scroll(inst1):
 def _reference_scroll_quadrics(inst, v, vdual):
     """The scroll quadrics on Fractions: g^-1 B_k g by mat_mul, the entries
     as MPoly linear forms and the minors by MPoly arithmetic."""
-    others = nullspace(mat([list(vdual)]))
-    g = transpose(mat([list(v), list(others[0]), list(others[1])]))
+    others = nullspace([list(vdual)])
+    g = transpose([list(v), list(others[0]), list(others[1])])
     adapted = [mat_mul(mat_mul(inverse(g), b), g) for b in inst.lam_perp.basis]
     entries = [[MPoly.linear_form([m[i][j] for m in adapted]) for j in range(3)]
                for i in range(3)]
@@ -907,7 +906,7 @@ def test_twisted_quartic_degenerate_on_exceptional_line(inst1):
     from sixnodal.detgeo import _line_in_lambda
     pair = _line_in_lambda(inst1, 0)
     sigma = pair[0]
-    if mat3_rank(sigma) != 2:
+    if rank(sigma) != 2:
         sigma = tuple(tuple(a + b for a, b in zip(r1, r2))
                       for r1, r2 in zip(pair[0], pair[1]))
     with pytest.raises(DetGeoError):
@@ -934,7 +933,7 @@ def test_projection_jacobian_oracle(inst1):
     for n in proj.images:
         ja = [g.evaluate(n) for g in gradient(proj.quadric)]
         jb = [g.evaluate(n) for g in gradient(proj.cubic)]
-        assert rank(mat([ja, jb])) <= 1
+        assert rank([ja, jb]) <= 1
 
 
 def _ref_projection_checks(proj):
@@ -944,11 +943,11 @@ def _ref_projection_checks(proj):
     grads = [gradient(proj.quadric), gradient(proj.cubic)]
     on_curve = tuple(proj.quadric.evaluate(n) == 0 and proj.cubic.evaluate(n) == 0
                      for n in proj.images)
-    singular = tuple(rank(mat([[g.evaluate(n) for g in gs] for gs in grads])) <= 1
+    singular = tuple(rank([[g.evaluate(n) for g in gs] for gs in grads]) <= 1
                      for n in proj.images)
     rulings_ok = all(sum(h[x][y] * a[x] * b[y] for x in range(4) for y in range(4)) != 0
                      for a, b in itertools.combinations(proj.images, 2))
-    return rank(mat(h)), on_curve, singular, rulings_ok
+    return rank(h), on_curve, singular, rulings_ok
 
 
 def test_projection_checks_match_fraction_reference():
@@ -1113,9 +1112,9 @@ def test_exact_line_tags_match_classify_line(seed):
     for _ in range(3):
         y = sample_smooth_point(inst, rng)
         phi = inst.phi(y)
-        special = {"P": special_line(inst, "fromV", mat3_kernel(phi)[0]),
+        special = {"P": special_line(inst, "fromV", nullspace(phi)[0]),
                    "Pdual": special_line(inst, "fromVdual",
-                                         mat3_kernel(transpose(mat(phi)))[0])}
+                                         nullspace(transpose(phi))[0])}
         res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
         exact_tags = []
         for line, tag in res.lines:
@@ -1318,7 +1317,7 @@ def test_inexact_supplied_root_falls_back(monkeypatch):
 
     core = detgeo._binary_form_parts(plain.eliminant)[2]
     phi_y = inst.phi(y)
-    kv, kw = mat3_kernel(phi_y), mat3_kernel(transpose(mat(phi_y)))
+    kv, kw = nullspace(phi_y), nullspace(transpose(phi_y))
     assert detgeo._split_rational(core, real(inst, chart, kv, kw)) is not None
     assert detgeo._split_rational(core, moved(inst, chart, kv, kw)) is None
     monkeypatch.setattr(detgeo, "_special_roots", moved)
@@ -1453,8 +1452,8 @@ def test_sigma_test_backends_agree_with_classify_line(seed):
     # that of phi(y) in ker sigma, so sigma solves the linear conditions and
     # only sigma phi(d) sigma = 0 fails
     y = line.p0
-    coker_y = mat3_kernel(transpose(mat(inst.phi(y))))[0]
-    w = next(w for w in nullspace([list(mat3_kernel(sigma)[0])])
+    coker_y = nullspace(transpose(inst.phi(y)))[0]
+    w = next(w for w in nullspace([list(nullspace(sigma)[0])])
              if not projectively_equal(w, coker_y))
     cases.append((y, special_line(inst, "fromVdual", w).p0, False))
     for y, d, expected in cases:
@@ -1468,7 +1467,7 @@ def test_lines_through_point_contains_planted(inst1):
     rng = random.Random(43)
     y = sample_smooth_point(inst1, rng)
     phi = inst1.phi(y)
-    planted = special_line(inst1, "fromV", mat3_kernel(phi)[0])
+    planted = special_line(inst1, "fromV", nullspace(phi)[0])
     res = lines_through_point(inst1.cubic_y, y, prec=256, inst=inst1)
     exact_lines = [l for l, _ in res.lines if l.exact]
     assert any(l.same_line(planted) for l in exact_lines)
@@ -1500,7 +1499,7 @@ def test_sample_smooth_point_is_smooth(inst1):
     y = sample_smooth_point(inst1, rng)
     assert inst1.cubic_y.evaluate(y) == 0
     assert any(g.evaluate(y) != 0 for g in gradient(inst1.cubic_y))
-    assert mat3_rank(inst1.phi(y)) == 2
+    assert rank(inst1.phi(y)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1513,7 +1512,7 @@ def test_instance_pipeline_seeds(seed):
     inst = make_instance(seed)
     assert linear_general_position([n.coords for n in inst.nodes])
     for n in inst.nodes:
-        assert mat3_rank(n.matrix) == 1
+        assert rank(n.matrix) == 1
         assert is_odp(inst.cubic_y, n.coords)
     assert macaulay_resultant(gradient(inst.cubic_s)) != 0
     rng = random.Random(seed * 11)

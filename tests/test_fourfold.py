@@ -304,7 +304,7 @@ def test_iota_builds_the_threefold_gradient_once(inst1, monkeypatch):
 def test_planted_line_appears_among_candidates(inst1):
     """Engineer the extension quadric so the fourfold contains a chosen
     rational line off the hyperplane; the direction solver must find it."""
-    from sixnodal._qlinalg import mat, rank, solve, vec
+    from sixnodal._qlinalg import rank, solve, vec
     from sixnodal.detgeo import (direction_candidates, hessian_matrix,
                                  sample_smooth_point)
     rng = random.Random(71)
@@ -331,7 +331,7 @@ def test_planted_line_appears_among_candidates(inst1):
     rows = [[d[5] * mono_eval(ij, y) for ij in monomials],
             [d[5] * mono_polar(ij, y, d) for ij in monomials],
             [d[5] * mono_eval(ij, d) for ij in monomials]]
-    coeffs = solve(mat(rows), vec((-c1, -c2, -c3)))
+    coeffs = solve(rows, vec((-c1, -c2, -c3)))
     assert coeffs is not None
     terms = {}
     for (i, j), c in zip(monomials, coeffs):
@@ -354,6 +354,6 @@ def test_planted_line_appears_among_candidates(inst1):
                                                 _cut_through=d)
     hits = 0
     for cand, exact in cands:
-        if exact and rank(mat([list(y), list(d), list(cand)])) == 2:
+        if exact and rank([list(y), list(d), list(cand)]) == 2:
             hits += 1
     assert hits == 1

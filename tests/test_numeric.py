@@ -14,6 +14,7 @@ import pytest
 from sixnodal._numeric import (_GUARD_BITS, default_tolerance, from_fixed,
                                kernel_numeric, linear_values, rank_numeric,
                                to_fixed, to_mpc)
+from sixnodal._qlinalg import Layout
 from sixnodal.poly import MPoly
 
 PRECISIONS = [96, 128, 256, 512]
@@ -198,7 +199,7 @@ def test_linear_values_match_high_precision(prec):
                   [mpmath.mpc(mpmath.rand() - 0.5, mpmath.rand() - 0.5) for _ in range(4)]]
     points += evaluation_points(rng, 2 * bits, 4)
     for pt in points:
-        got = linear_values(rows, pt, prec)
+        got = linear_values(Layout(rows), pt, prec)
         assert [len(r) for r in got] == [3, 3]
         for row, got_row in zip(rows, got):
             for coeffs, value in zip(row, got_row):
@@ -211,16 +212,16 @@ def test_linear_values_match_high_precision(prec):
                     assert err <= mpmath.mpf(2) ** -prec * size
                     assert err <= mpmath.mpf(2) ** -bits * abs(ref) \
                         + mpmath.mpf(2) ** -(bits + 4) * size
-    assert linear_values(rows, [0] * 4, prec) == [[0] * 3] * 2
+    assert linear_values(Layout(rows), [0] * 4, prec) == [[0] * 3] * 2
 
 
 # ---------------------------------------------------------------------------
 # kernel_numeric
 
 
-def kernel_mpc(rows, prec, rtol=None):
+def kernel_mpc(rows, prec):
     """Reference: Gauss-Jordan with full pivoting on mpc entries."""
-    rtol = rtol if rtol is not None else default_tolerance(prec)
+    rtol = default_tolerance(prec)
     with mpmath.workprec(prec + 32):
         m = [[to_mpc(x) for x in r] for r in rows]
         nrows = len(m)
@@ -263,9 +264,9 @@ def kernel_mpc(rows, prec, rtol=None):
         return basis
 
 
-def assert_same_kernel(rows, prec, rtol=None):
-    got = kernel_numeric(rows, prec, rtol)
-    want = kernel_mpc(rows, prec, rtol)
+def assert_same_kernel(rows, prec):
+    got = kernel_numeric(rows, prec)
+    want = kernel_mpc(rows, prec)
     assert len(got) == len(want)
     with mpmath.workprec(prec + 32):
         for a, b in zip(got, want):
@@ -314,14 +315,13 @@ def test_kernel_of_zero_matrix_is_mpc_identity():
 @pytest.mark.parametrize("prec", PRECISIONS)
 @pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(2)])
 def test_kernel_pivot_at_the_threshold(prec, factor):
-    # the second pivot is factor * rtol * scale: below the threshold it
-    # counts as zero, above it is a pivot; rtol as an mpf and as a float
-    rtol_mpf = default_tolerance(prec)
-    for rtol in (None, float(rtol_mpf)):
-        small = to_mpc(exact(rtol_mpf) * factor * 16).real    # scale is 16
-        for entry in (mpmath.mpc(small, 0), mpmath.mpc(0, -small)):
-            # the first pivot, 16, clears the first row; the second pivot
-            # is then the small entry or nothing
-            rows = [[8, 1, 3, Fraction(1, 2)], [0, entry, 0, 0], [16, 2, 6, 1]]
-            got = assert_same_kernel(rows, prec, rtol)
-            assert len(got) == (2 if factor > 1 else 3)
+    # the second pivot is factor * rtol * scale, rtol = default_tolerance:
+    # below the threshold it counts as zero, above it is a pivot
+    rtol = default_tolerance(prec)
+    small = to_mpc(exact(rtol) * factor * 16).real    # scale is 16
+    for entry in (mpmath.mpc(small, 0), mpmath.mpc(0, -small)):
+        # the first pivot, 16, clears the first row; the second pivot
+        # is then the small entry or nothing
+        rows = [[8, 1, 3, Fraction(1, 2)], [0, entry, 0, 0], [16, 2, 6, 1]]
+        got = assert_same_kernel(rows, prec)
+        assert len(got) == (2 if factor > 1 else 3)

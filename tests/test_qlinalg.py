@@ -5,10 +5,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sixnodal._qlinalg import (_int_rref, clear_denominators, det, inverse,
                                mat_vec, nullspace, primitive_int_vector, rank,
                                rref, solve)
+from sixnodal.detgeo import ProjLine, mat3_image_basis
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +231,90 @@ def test_clear_denominators_and_primitive_vector():
     assert clear_denominators([]) == ([], 1)
     assert primitive_int_vector((Fraction(-2, 3), Fraction(4, 9), 0)) == (3, -2, 0)
     assert primitive_int_vector((0, 0)) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# rows as given: ints, Fractions or both, never floats
+
+
+@st.composite
+def _int_matrix_three_ways(draw):
+    """A small square integer matrix as int rows, as Fraction rows and as
+    rows that mix the two, with an integer right-hand side."""
+    n = draw(st.integers(1, 4))
+    ints = [[draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(n)]
+    mask = [[draw(st.booleans()) for _ in range(n)] for _ in range(n)]
+    b = [draw(st.integers(-5, 5)) for _ in range(n)]
+    fracs = [[Fraction(x) for x in row] for row in ints]
+    mixed = [[Fraction(x) if f else x for x, f in zip(row, frow)]
+             for row, frow in zip(ints, mask)]
+    return ints, fracs, mixed, b
+
+
+def _results(a, b):
+    out = [rank(a), nullspace(a), rref(a), solve(a, b), det(a)]
+    try:
+        out.append(inverse(a))
+    except ValueError:
+        out.append(None)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_int_matrix_three_ways())
+def test_int_fraction_and_mixed_rows_agree(case):
+    ints, fracs, mixed, b = case
+    want = _results(fracs, [Fraction(x) for x in b])
+    assert _results(ints, b) == want
+    assert _results(mixed, b) == want
+    rank_, kernel, (r, _), x, d, inv = _results(ints, b)
+    assert rank_ == len(ref_rref(fracs)[1]) and kernel == ref_nullspace(fracs)
+    assert d == ref_det(fracs) and isinstance(d, Fraction)
+    assert _all_fractions(kernel) and _all_fractions(r)
+    assert x is None or _all_fractions([x])
+    assert (inv is None) == (d == 0) and (inv is None or _all_fractions(inv))
+
+
+def _greedy_image_basis(m):
+    """Reference: the columns of m, left to right, that raise the rank of
+    the columns kept before them."""
+    out = []
+    for j in range(len(m[0])):
+        c = tuple(row[j] for row in m)
+        if len(ref_rref(out + [c])[1]) > len(out):
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("target", [0, 1, 2, 3])
+def test_image_basis_is_the_greedy_column_choice(target):
+    rng = random.Random(target)
+    seen = 0
+    while seen < 25:
+        # a 3xk times kx3 integer product, with zero columns now and then
+        left = [[rng.randrange(-4, 5) for _ in range(target)] for _ in range(3)]
+        right = [[rng.randrange(-4, 5) * (rng.random() < 0.8) for _ in range(3)]
+                 for _ in range(target)]
+        m = tuple(tuple(sum(left[i][k] * right[k][j] for k in range(target))
+                        for j in range(3)) for i in range(3))
+        if len(ref_rref(m)[1]) != target:
+            continue
+        seen += 1
+        basis = mat3_image_basis(m)
+        assert basis == _greedy_image_basis(m)
+        assert len(basis) == target
+
+
+def test_float_entries_are_refused():
+    # a float is a binary fraction, not the decimal it was typed as: every
+    # exact entry point refuses it instead of reading Fraction(0.1)
+    for a in ([[0.1, 1], [2, 3]], [[Fraction(1, 3), 2], [1, 0.5]]):
+        for call in (rank, nullspace, rref, det, inverse, lambda a: solve(a, [1, 2])):
+            with pytest.raises(TypeError):
+                call(a)
+    with pytest.raises(TypeError):
+        solve([[1, 0], [0, 1]], [0.5, 1])
+    with pytest.raises(TypeError):
+        clear_denominators([1, 2.0])
+    with pytest.raises(TypeError):
+        ProjLine((1, 0, 0), (0, 1, 0)).contains_point((0.5, 0, 0))

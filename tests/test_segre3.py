@@ -125,9 +125,9 @@ def test_jmap_excluded_center(inst1):
     # sigma whose kernel hits a marked point violates the predicate
     import sixnodal.detgeo as detgeo
     v1 = inst1.nodes[0].v
-    rows = [[detgeo.mat_vec(detgeo.mat(b), detgeo.vec(v1))[k]
+    rows = [[detgeo.mat_vec(b, detgeo.vec(v1))[k]
              for b in inst1.lam.basis] for k in range(3)]
-    kern = detgeo.nullspace(detgeo.mat(rows))
+    kern = detgeo.nullspace(rows)
     sigma_coords = kern[0]
     with pytest.raises(SegreError):
         jmap_tuples(inst1, sigma_coords)
