@@ -364,17 +364,16 @@ def cmd_fourfold_iota(args) -> int:
     inst = _load_instance(args.instance)
     four = ff.extend_to_fourfold(inst, seed=args.seed)
     m = ff.sample_line(four, seed=args.line_seed, prec=args.precision)
-    res = ff.iota(four, m, args.precision)
+    res = ff.iota(four, m)
     report.data["factor_residual"] = res.factor_residual
     report.check("plane restriction factors",
                  res.factor_residual < check_tolerance(args.precision, 1e-30))
     if args.check_involution:
-        ok, _, _ = ff.involution_check(four, m, args.precision)
+        ok, _, _ = ff.involution_check(four, m)
         report.check("iota is an involution", ok)
     if args.check_scroll:
         v = tuple(Fraction(x) for x in args.check_scroll.split(","))
-        si = ff.scroll_incidence_invariance(four, m, v, args.precision,
-                                            image=res.line)
+        si = ff.scroll_incidence_invariance(four, m, v, image=res.line)
         report.check("scroll incidence invariant", si.invariant,
                      before=si.meets_before, after=si.meets_after)
     return _emit(report, args)
@@ -464,10 +463,9 @@ def cmd_reproduce(args) -> int:
 
     four = ff.extend_to_fourfold(inst, seed=args.seed)
     m = ff.sample_line(four, seed=1, prec=args.precision)
-    ok, first, _ = ff.involution_check(four, m, args.precision)
+    ok, first, _ = ff.involution_check(four, m)
     report.check("iota is an involution", ok)
-    si = ff.scroll_incidence_invariance(four, m, (2, 3, -1), args.precision,
-                                        image=first.line)
+    si = ff.scroll_incidence_invariance(four, m, (2, 3, -1), image=first.line)
     report.check("scroll incidence invariant under iota", si.invariant)
 
     report.data["cone_svg_chars"] = len(cone_svg(2))

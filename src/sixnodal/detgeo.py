@@ -21,8 +21,8 @@ from operator import mul
 import mpmath
 
 from . import _numeric
-from ._qlinalg import (Q, Layout, clear_denominators, det as qdet, identity, inverse,
-                       is_zero_vec, linear_terms, mat_mul, mat_vec, nullspace,
+from ._qlinalg import (Q, Layout, _int_rref, clear_denominators, det as qdet, identity,
+                       inverse, is_zero_vec, linear_terms, mat_mul, mat_vec, nullspace,
                        primitive_int_vector, projectively_equal, rank, rref,
                        solve, transpose, vec)
 from .poly import (MPoly, UPoly, _checked_aberth_roots, _int_accumulate, _int_jet,
@@ -572,7 +572,8 @@ def _second_sigma1_direction(perp: EndoSubspace, b):
 class ProjLine:
     """2-dimensional subspace of a coordinate space with cached Pluecker
     coordinates; spanning vectors exact (Fraction) or numeric (mpc), the
-    numeric ones at working precision prec."""
+    numeric ones at working precision prec.  An exact line also keeps them
+    cleared to integer reduced echelon rows, as (pivot column, row) pairs."""
 
     p0: tuple
     p1: tuple
@@ -585,8 +586,10 @@ class ProjLine:
         if self.exact:
             object.__setattr__(self, "p0", vec(self.p0))
             object.__setattr__(self, "p1", vec(self.p1))
-            if rank([self.p0, self.p1]) != 2:
+            rows, pivots = _int_rref([self.p0, self.p1])
+            if len(pivots) != 2:
                 raise DetGeoError("spanning vectors are dependent")
+            object.__setattr__(self, "_echelon", tuple(zip(pivots, rows)))
         object.__setattr__(self, "_plucker", None)
 
     @property
@@ -613,22 +616,20 @@ class ProjLine:
             raise DetGeoError("degenerate line")
         return tuple(x / lead for x in pl)
 
-    def canonical_basis(self):
-        """Echelonized exact spanning pair (for equality tests)."""
-        if not self.exact:
-            raise DetGeoError("canonical basis needs the exact path")
-        r, pivots = rref([self.p0, self.p1])
-        return (r[0], r[1])
-
     def contains_point(self, pt) -> bool:
         if not self.exact:
             raise DetGeoError("exact containment needs the exact path")
-        return rank([self.p0, self.p1, pt]) == 2
+        v = clear_denominators(pt)[0]
+        for c, row in self._echelon:
+            v = [row[c] * x - v[c] * y for x, y in zip(v, row)]
+        return not any(v)
 
     def same_line(self, other: "ProjLine") -> bool:
-        if self.exact and other.exact:
-            return self.canonical_basis() == other.canonical_basis()
-        raise DetGeoError("use numeric comparison for numeric lines")
+        """The same pivots, and the echelon rows equal up to scale."""
+        if not (self.exact and other.exact):
+            raise DetGeoError("use numeric comparison for numeric lines")
+        return all(c == d and [x * s[d] for x in r] == [y * r[c] for y in s]
+                   for (c, r), (d, s) in zip(self._echelon, other._echelon))
 
     def point_at(self, s, t):
         return tuple(s * a + t * b for a, b in zip(self.p0, self.p1))
@@ -1490,8 +1491,7 @@ def _special_roots(inst, chart, kv, kw) -> list | None:
     return sorted(out)
 
 
-def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
-                        chart_seed: int = 0) -> LinesThroughPoint:
+def lines_through_point(f: MPoly, y, prec: int = 256, inst=None) -> LinesThroughPoint:
     """All lines on the cubic f through a smooth point y (ambient P^4).
 
     Each root (s : t) of the eliminant lifts to one direction, (s, t, -B/A)
@@ -1530,7 +1530,7 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None,
     if f.nvars != 5:
         raise DetGeoError("lines_through_point expects an ambient P^4")
     y = vec(y)
-    chart_data = direction_chart(f, y, chart_seed)
+    chart_data = direction_chart(f, y)
     known = None
     if inst is not None:
         phi_y = inst.phi(y)

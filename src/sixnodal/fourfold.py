@@ -184,15 +184,16 @@ def _hyperplane_point(line: ProjLine, prec):
     return p0, p1, tuple(x / ynorm for x in y)
 
 
-def iota(four: CubicFourfold, m: ProjLine, prec: int | None = None) -> IotaResult:
+def iota(four: CubicFourfold, m: ProjLine) -> IotaResult:
     """Residual line of the plane spanned by m and the dual-family line
     through its hyperplane-section point.
 
     The plane restriction factors as t * u * L; the seven coefficients not
     divisible by t*u must vanish, their relative size is reported, and the
-    residual line is {L = 0}.
+    residual line is {L = 0}.  It works at the line's own precision m.prec
+    (256 bits for an exact m), and the residual line carries it too.
     """
-    prec = prec or m.prec or 256
+    prec = m.prec or 256
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
         p0, p1, y = _hyperplane_point(m, prec)
@@ -311,15 +312,15 @@ def _plane_restriction(cubic: MPoly, basis3, prec):
             for key, (re, im) in out.items()}
 
 
-def involution_check(four: CubicFourfold, m: ProjLine,
-                     prec: int | None = None, tol: float | None = None):
-    """Apply iota twice and compare with the input line, by default within
+def involution_check(four: CubicFourfold, m: ProjLine, tol: float | None = None):
+    """Apply iota twice and compare with the input line, at the line's own
+    precision prec = m.prec (256 bits for an exact m) and by default within
     check_tolerance(prec, 1e-30)."""
-    prec = prec or m.prec or 256
+    prec = m.prec or 256
     if tol is None:
         tol = _numeric.check_tolerance(prec, 1e-30)
-    first = iota(four, m, prec)
-    second = iota(four, first.line, prec)
+    first = iota(four, m)
+    second = iota(four, first.line)
     return lines_close(second.line, m, prec, tol), first, second
 
 
@@ -357,15 +358,16 @@ def _meets_scroll(four: CubicFourfold, line: ProjLine, quadrics, prec):
 
 
 def scroll_incidence_invariance(four: CubicFourfold, m: ProjLine, v,
-                                prec: int | None = None,
                                 image: ProjLine | None = None) -> ScrollIncidence:
     """Does iota preserve incidence with the scroll of v?  `image` is iota(m)
-    when the caller already has it; otherwise it is computed here."""
-    prec = prec or m.prec or 256
+    when the caller already has it; otherwise it is computed here.  Both
+    incidences are tested at the line's own precision m.prec (256 bits for
+    an exact m)."""
+    prec = m.prec or 256
     sd = scroll_data(four.inst, v)
     before, margin_b = _meets_scroll(four, m, sd.quadrics_v, prec)
     if image is None:
-        image = iota(four, m, prec).line
+        image = iota(four, m).line
     after, margin_a = _meets_scroll(four, image, sd.quadrics_v, prec)
     return ScrollIncidence(before, after, margin_b, margin_a)
 

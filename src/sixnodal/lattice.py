@@ -1,10 +1,12 @@
-"""Exact engine for rank-2 lattices with integral symmetric pairing.
+"""Exact engine for J12, the one rank-2 lattice of the paper.
 
-Specialized to the Gram matrix [[6,6],[6,2]] (discriminant -24): reflection
-group, (-10)-class orbits, chamber decomposition of the positive cone, and
-the transfer of a rank-2 middle-cohomology lattice with <h^2,h^2>=3 to the
-degree-2 side.  Coordinates always live in the ordered basis (g, tau);
-isometries act by left multiplication on coordinate columns.
+J12 has basis (g, tau) and Gram matrix [[6,6],[6,2]] (discriminant -24): its
+reflection group, (-10)-class orbits, and the chamber decomposition of its
+positive cone, whose boundary rays lie in Q(sqrt(6)).  Also the transfer of a
+rank-2 middle-cohomology lattice with <h^2,h^2>=3 to the degree-2 side, the
+one place where another Gram matrix appears.  Coordinates always live in the
+ordered basis (g, tau); isometries act by left multiplication on coordinate
+columns.
 """
 
 from __future__ import annotations
@@ -23,47 +25,38 @@ class LatticeError(ValueError):
 
 @dataclass(frozen=True)
 class QuadExtScalar:
-    """Exact scalar a + b*sqrt(d) with rational a, b and squarefree d > 0."""
+    """Exact scalar a + b*sqrt(6) with rational a, b."""
 
     a: Fraction
     b: Fraction
-    d: int = 6
 
     @classmethod
-    def of(cls, x, d: int = 6) -> "QuadExtScalar":
-        if isinstance(x, QuadExtScalar):
-            if x.d != d:
-                raise LatticeError("mixed radicands")
-            return x
-        return cls(Q(x), Fraction(0), d)
+    def of(cls, x) -> "QuadExtScalar":
+        return x if isinstance(x, QuadExtScalar) else cls(Q(x), Fraction(0))
 
     @classmethod
-    def sqrt_d(cls, d: int = 6) -> "QuadExtScalar":
-        return cls(Fraction(0), Fraction(1), d)
-
-    def _check(self, other) -> "QuadExtScalar":
-        other = QuadExtScalar.of(other, self.d)
-        return other
+    def sqrt_d(cls) -> "QuadExtScalar":
+        return cls(Fraction(0), Fraction(1))
 
     def __add__(self, other):
-        other = self._check(other)
-        return QuadExtScalar(self.a + other.a, self.b + other.b, self.d)
+        other = QuadExtScalar.of(other)
+        return QuadExtScalar(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExtScalar(-self.a, -self.b, self.d)
+        return QuadExtScalar(-self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        return self + (-QuadExtScalar.of(other))
 
     def __rsub__(self, other):
-        return self._check(other) - self
+        return QuadExtScalar.of(other) - self
 
     def __mul__(self, other):
-        other = self._check(other)
-        return QuadExtScalar(self.a * other.a + self.d * self.b * other.b,
-                             self.a * other.b + self.b * other.a, self.d)
+        other = QuadExtScalar.of(other)
+        return QuadExtScalar(self.a * other.a + 6 * self.b * other.b,
+                             self.a * other.b + self.b * other.a)
 
     __rmul__ = __mul__
 
@@ -71,7 +64,7 @@ class QuadExtScalar:
         return self.a == 0 and self.b == 0
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d)."""
+        """Exact sign of a + b*sqrt(6)."""
         if self.b == 0:
             return (self.a > 0) - (self.a < 0)
         if self.a == 0:
@@ -80,15 +73,15 @@ class QuadExtScalar:
             return 1
         if self.a < 0 and self.b < 0:
             return -1
-        # mixed signs: compare a^2 against d b^2
+        # mixed signs: compare a^2 against 6 b^2
         lhs = self.a * self.a
-        rhs = self.d * self.b * self.b
+        rhs = 6 * self.b * self.b
         if self.a > 0:  # b < 0
             return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
         return -1 if lhs > rhs else (1 if lhs < rhs else 0)
 
     def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.d}))"
+        return f"({self.a} + {self.b}*sqrt(6))"
 
 
 def _scalar(x):
@@ -130,31 +123,24 @@ K12 = ((3, 3), (3, 7))  # middle-cohomology side; input to transfer_K_to_J
 
 @dataclass(frozen=True)
 class LatticeClass:
-    """Integer (or exact-extension) pair x*g + y*tau over a Gram context."""
+    """Integer (or exact-extension) pair x*g + y*tau of J12."""
 
     x: object
     y: object
-    ctx: GramContext = J12
 
     def __post_init__(self):
         object.__setattr__(self, "x", _scalar(self.x))
         object.__setattr__(self, "y", _scalar(self.y))
 
     # -- arithmetic --------------------------------------------------------
-    def _same(self, other: "LatticeClass"):
-        if self.ctx != other.ctx:
-            raise LatticeError("Gram context mismatch")
-
     def __add__(self, other):
-        self._same(other)
-        return LatticeClass(self.x + other.x, self.y + other.y, self.ctx)
+        return LatticeClass(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other):
-        self._same(other)
-        return LatticeClass(self.x - other.x, self.y - other.y, self.ctx)
+        return LatticeClass(self.x - other.x, self.y - other.y)
 
     def __neg__(self):
-        return LatticeClass(-self.x, -self.y, self.ctx)
+        return LatticeClass(-self.x, -self.y)
 
     def is_zero(self) -> bool:
         return _is_zero(self.x) and _is_zero(self.y)
@@ -172,12 +158,15 @@ class LatticeClass:
     def to_json(self):
         if not self.is_integral():
             raise LatticeError("only integral classes serialize to JSON")
-        return {"x": int(self.x), "y": int(self.y), "gram": self.ctx.to_json()}
+        return {"x": int(self.x), "y": int(self.y), "gram": J12.to_json()}
 
     @classmethod
     def from_json(cls, data) -> "LatticeClass":
-        gram = GramContext(tuple(tuple(r) for r in data["gram"]))
-        return cls(data["x"], data["y"], gram)
+        """Read a class written by to_json; its Gram matrix must be J12's."""
+        if GramContext(tuple(tuple(r) for r in data["gram"])) != J12:
+            raise LatticeError(f"a class of J12 has Gram matrix {J12.to_json()}, "
+                               f"not {data['gram']}")
+        return cls(data["x"], data["y"])
 
     def __repr__(self):
         return f"({self.x})g + ({self.y})tau"
@@ -187,19 +176,17 @@ def _is_zero(x) -> bool:
     return x.is_zero() if isinstance(x, QuadExtScalar) else x == 0
 
 
-def g_class(ctx: GramContext = J12) -> LatticeClass:
-    return LatticeClass(1, 0, ctx)
+def g_class() -> LatticeClass:
+    return LatticeClass(1, 0)
 
 
-def tau_class(ctx: GramContext = J12) -> LatticeClass:
-    return LatticeClass(0, 1, ctx)
+def tau_class() -> LatticeClass:
+    return LatticeClass(0, 1)
 
 
 def eval_form(v: LatticeClass, w: LatticeClass):
-    """Bilinear pairing v^T G w."""
-    if v.ctx != w.ctx:
-        raise LatticeError("Gram context mismatch")
-    e = v.ctx.entries
+    """Bilinear pairing v^T G w with G the Gram matrix of J12."""
+    e = J12.entries
     return (v.x * (e[0][0] * w.x + e[0][1] * w.y)
             + v.y * (e[1][0] * w.x + e[1][1] * w.y))
 
@@ -210,8 +197,8 @@ def square(v: LatticeClass):
 
 def divisibility(v: LatticeClass) -> int:
     """gcd of the pairings with the basis; 0 exactly for the zero class."""
-    a = eval_form(v, g_class(v.ctx))
-    b = eval_form(v, tau_class(v.ctx))
+    a = eval_form(v, g_class())
+    b = eval_form(v, tau_class())
     if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
         raise LatticeError("divisibility needs an integral class")
     return gcd(int(a), int(b))
@@ -223,53 +210,49 @@ def divisibility(v: LatticeClass) -> int:
 
 @dataclass(frozen=True)
 class Isometry:
-    """2x2 integer matrix with M^T G M = G, acting on coordinate columns."""
+    """2x2 integer matrix with M^T G M = G for J12's G, acting on coordinate
+    columns."""
 
     matrix: tuple[tuple[int, int], tuple[int, int]]
-    ctx: GramContext = J12
     name: str | None = None
 
     def __post_init__(self):
         m = tuple(tuple(int(x) for x in row) for row in self.matrix)
         object.__setattr__(self, "matrix", m)
-        if not is_isometry(m, self.ctx):
-            raise LatticeError(f"matrix {m} is not an isometry of {self.ctx.entries}")
+        if not is_isometry(m):
+            raise LatticeError(f"matrix {m} is not an isometry of {J12.entries}")
 
     def apply(self, v: LatticeClass) -> LatticeClass:
-        if v.ctx != self.ctx:
-            raise LatticeError("Gram context mismatch")
         m = self.matrix
         return LatticeClass(m[0][0] * v.x + m[0][1] * v.y,
-                            m[1][0] * v.x + m[1][1] * v.y, v.ctx)
+                            m[1][0] * v.x + m[1][1] * v.y)
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
-        if self.ctx != other.ctx:
-            raise LatticeError("Gram context mismatch")
         a, b = self.matrix, other.matrix
         prod = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
                      for i in range(2))
         name = None
         if self.name and other.name:
             name = self.name + other.name
-        return Isometry(prod, self.ctx, name)
+        return Isometry(prod, name)
 
     def __repr__(self):
         return f"Isometry({self.name or self.matrix})"
 
 
-def is_isometry(m, ctx: GramContext) -> bool:
-    """True iff m^T G m = G."""
-    g = ctx.entries
+def is_isometry(m) -> bool:
+    """True iff m^T G m = G for the Gram matrix G of J12."""
+    g = J12.entries
     mt_g_m = [[sum(m[k][i] * g[k][l] * m[l][j] for k in range(2) for l in range(2))
                for j in range(2)] for i in range(2)]
     return all(mt_g_m[i][j] == g[i][j] for i in range(2) for j in range(2))
 
 
 # columns are the images of g and tau
-R1 = Isometry(((1, 2), (0, -1)), J12, "R1")
-R2 = Isometry(((-1, 0), (6, 1)), J12, "R2")
-R3 = Isometry(((11, 20), (-6, -11)), J12, "R3")
-IDENTITY = Isometry(((1, 0), (0, 1)), J12, "I")
+R1 = Isometry(((1, 2), (0, -1)), "R1")
+R2 = Isometry(((-1, 0), (6, 1)), "R2")
+R3 = Isometry(((11, 20), (-6, -11)), "R3")
+IDENTITY = Isometry(((1, 0), (0, 1)), "I")
 
 _NAMED = {"R1": R1, "R2": R2, "R3": R3, "I": IDENTITY}
 
@@ -302,7 +285,7 @@ _ORBIT_SEEDS = {
 }
 
 
-def orbit_classes(kind: str, count: int, ctx: GramContext = J12) -> list[LatticeClass]:
+def orbit_classes(kind: str, count: int) -> list[LatticeClass]:
     """First `count` entries of the recursive class sequence of the given kind."""
     if kind not in _ORBIT_SEEDS:
         raise LatticeError(f"unknown orbit kind {kind!r}")
@@ -310,7 +293,7 @@ def orbit_classes(kind: str, count: int, ctx: GramContext = J12) -> list[Lattice
         raise LatticeError("count must be >= 1")
     seeds, word = _ORBIT_SEEDS[kind]
     step = word_isometry(word)
-    out = [LatticeClass(x, y, ctx) for x, y in seeds]
+    out = [LatticeClass(x, y) for x, y in seeds]
     while len(out) < count:
         out.append(step.apply(out[-2]))
     return out[:count]
@@ -330,7 +313,7 @@ def positive_cone_membership(v: LatticeClass) -> str:
         raise LatticeError("zero class has no cone position")
     q = square(v)
     s = _sign_of(q)
-    pg = _sign_of(eval_form(v, g_class(v.ctx)))
+    pg = _sign_of(eval_form(v, g_class()))
     if s > 0:
         return "interior_P" if pg > 0 else "interior_negP"
     if s == 0:
@@ -338,29 +321,27 @@ def positive_cone_membership(v: LatticeClass) -> str:
     return "outside"
 
 
-def isotropic_generators(ctx: GramContext = J12) -> tuple[LatticeClass, LatticeClass]:
+def isotropic_generators() -> tuple[LatticeClass, LatticeClass]:
     """The two boundary rays of P: g - (3 - sqrt6) tau and (3 + sqrt6) tau - g."""
-    if ctx != J12:
-        raise LatticeError("isotropic generators are tabulated for J12 only")
-    r6 = QuadExtScalar.sqrt_d(6)
+    r6 = QuadExtScalar.sqrt_d()
     one = QuadExtScalar.of(1)
     three = QuadExtScalar.of(3)
-    return (LatticeClass(one, -(three - r6), ctx),
-            LatticeClass(-one, three + r6, ctx))
+    return (LatticeClass(one, -(three - r6)),
+            LatticeClass(-one, three + r6))
 
 
-def chamber_ray(j: int, ctx: GramContext = J12) -> LatticeClass:
+def chamber_ray(j: int) -> LatticeClass:
     """Wall ray s_j: alpha_j for j >= 1, alpha^v_{1-j} for j <= 0."""
     if j >= 1:
-        return orbit_classes("alpha", j, ctx)[j - 1]
-    return orbit_classes("alpha_dual", 1 - j, ctx)[-j]
+        return orbit_classes("alpha", j)[j - 1]
+    return orbit_classes("alpha_dual", 1 - j)[-j]
 
 
-def wall_class(j: int, ctx: GramContext = J12) -> LatticeClass:
+def wall_class(j: int) -> LatticeClass:
     """(-10)-class orthogonal to chamber_ray(j): rho_j or rho^v_{1-j}."""
     if j >= 1:
-        return orbit_classes("rho", j, ctx)[j - 1]
-    return orbit_classes("rho_dual", 1 - j, ctx)[-j]
+        return orbit_classes("rho", j)[j - 1]
+    return orbit_classes("rho_dual", 1 - j)[-j]
 
 
 def _coords_in_rays(v: LatticeClass, r1: LatticeClass, r2: LatticeClass):
@@ -398,7 +379,7 @@ def chamber_locate(v: LatticeClass) -> ChamberLocation:
     if not v.is_primitive():
         raise LatticeError("class must be primitive and integral")
 
-    a, b = _coords_in_rays(v, chamber_ray(0, v.ctx), chamber_ray(1, v.ctx))
+    a, b = _coords_in_rays(v, chamber_ray(0), chamber_ray(1))
     if a < 0:
         candidates = range(1, CHAMBER_WALK_LIMIT)
     elif b < 0:
@@ -408,7 +389,7 @@ def chamber_locate(v: LatticeClass) -> ChamberLocation:
     k = None
     coords = (a, b)
     for kk in candidates:
-        a, b = _coords_in_rays(v, chamber_ray(kk, v.ctx), chamber_ray(kk + 1, v.ctx))
+        a, b = _coords_in_rays(v, chamber_ray(kk), chamber_ray(kk + 1))
         if a >= 0 and b >= 0:
             k = kk
             coords = (a, b)
@@ -439,8 +420,8 @@ def chamber_locate(v: LatticeClass) -> ChamberLocation:
 def nef_test(v: LatticeClass, k: int = 0) -> bool:
     """Dual-cone test: v is nef for the model of chamber k iff it pairs
     nonnegatively with the two inward wall classes of that chamber."""
-    s_lo, s_hi = chamber_ray(k, v.ctx), chamber_ray(k + 1, v.ctx)
-    t_lo, t_hi = wall_class(k, v.ctx), wall_class(k + 1, v.ctx)
+    s_lo, s_hi = chamber_ray(k), chamber_ray(k + 1)
+    t_lo, t_hi = wall_class(k), wall_class(k + 1)
     n_lo = t_lo if _sign_of(eval_form(s_hi, t_lo)) > 0 else -t_lo
     n_hi = t_hi if _sign_of(eval_form(s_lo, t_hi)) > 0 else -t_hi
     return _sign_of(eval_form(v, n_lo)) >= 0 and _sign_of(eval_form(v, n_hi)) >= 0
@@ -461,40 +442,39 @@ class RepresentResult:
         return self.status == "witness"
 
 
-def represents(n: int, bound: int = 10_000, ctx: GramContext = J12) -> RepresentResult:
+def represents(n: int, bound: int = 10_000) -> RepresentResult:
     """Witness v with Q(v) = n, or a certificate of non-representation.
 
-    For J12 the form is Q(x,y) = 6x^2 + 12xy + 2y^2 = 2((y+3x)^2 - 6x^2), so
+    The form of J12 is Q(x,y) = 6x^2 + 12xy + 2y^2 = 2((y+3x)^2 - 6x^2), so
     completing the square reduces to the Pell form u^2 - 6x^2 = n/2 with
     congruence obstructions mod 3 and mod 8; n = 0 is excluded (apart from
     the zero class) because 6 is not a square.  Exhaustive search runs over
     max(|x|,|y|) <= bound; exhaustion without a certificate is reported as
     inconclusive, which is distinct from a certified NoneCertificate.
     """
-    if ctx == J12:
-        if n % 2 != 0:
-            return RepresentResult("none", None,
-                                   f"Q(x,y) = 2((y+3x)^2 - 6x^2) is even; {n} is odd", 0)
-        if n == 0:
-            return RepresentResult(
-                "none", None,
-                "only the zero class: (y+3x)^2 = 6x^2 forces x = 0 since the "
-                "discriminant 24 of 3x^2+6xy+y^2 is not a square", 0)
-        m = n // 2
-        if m % 3 == 2:
-            return RepresentResult(
-                "none", None,
-                f"u^2 - 6x^2 = {m} is insoluble: u^2 = {m % 3} (mod 3) has no solution", 0)
-        if m % 8 in (5, 7):
-            return RepresentResult(
-                "none", None,
-                f"u^2 - 6x^2 = {m} is insoluble mod 8 (value {m % 8} not attained)", 0)
+    if n % 2 != 0:
+        return RepresentResult("none", None,
+                               f"Q(x,y) = 2((y+3x)^2 - 6x^2) is even; {n} is odd", 0)
+    if n == 0:
+        return RepresentResult(
+            "none", None,
+            "only the zero class: (y+3x)^2 = 6x^2 forces x = 0 since the "
+            "discriminant 24 of 3x^2+6xy+y^2 is not a square", 0)
+    m = n // 2
+    if m % 3 == 2:
+        return RepresentResult(
+            "none", None,
+            f"u^2 - 6x^2 = {m} is insoluble: u^2 = {m % 3} (mod 3) has no solution", 0)
+    if m % 8 in (5, 7):
+        return RepresentResult(
+            "none", None,
+            f"u^2 - 6x^2 = {m} is insoluble mod 8 (value {m % 8} not attained)", 0)
 
     for radius in range(0, bound + 1):
         for x, y in _shell(radius):
-            v = LatticeClass(x, y, ctx)
+            v = LatticeClass(x, y)
             if square(v) == n:
-                if _sign_of(eval_form(v, g_class(ctx))) < 0:
+                if _sign_of(eval_form(v, g_class())) < 0:
                     v = -v
                 return RepresentResult("witness", v, None, radius)
     return RepresentResult("inconclusive", None, None, bound)

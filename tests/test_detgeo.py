@@ -767,6 +767,29 @@ def test_projline_validation():
         ProjLine((1, 0, 0, 0, 0), (2, 0, 0, 0, 0))
 
 
+def test_projline_containment_and_equality_against_rank():
+    # the echelon rows cleared once when the line is built answer as exact
+    # rank does, whatever the scale, sign and order of the spanning pair
+    rng = random.Random(5)
+
+    def rand(n):
+        return [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n)]
+
+    for _ in range(200):
+        p0, p1, pt = rand(4), rand(4), rand(4)
+        if rank([p0, p1]) != 2:
+            continue
+        line = ProjLine(p0, p1)
+        assert line.contains_point(pt) == (rank([p0, p1, pt]) == 2)
+        (a, b), (c, d) = rand(2), rand(2)
+        if a * d != b * c:
+            other = ProjLine(line.point_at(a, b), line.point_at(c, d))
+            assert line.same_line(other) and other.same_line(line)
+            assert line.contains_point(other.point_at(1, -5))
+        if rank([p0, p1, pt]) == 3:
+            assert not line.same_line(ProjLine(p0, pt))
+
+
 def test_projline_plucker_relations(inst1):
     # the three-term relations p_ij p_kl - p_ik p_jl + p_il p_jk = 0
     import itertools
