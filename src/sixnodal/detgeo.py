@@ -1342,12 +1342,14 @@ def direction_candidates(f: MPoly, y, prec: int = 256, chart_seed: int = 0,
     """Direction vectors of the lines on f through y, exact when rational.
 
     Returns (candidates, eliminant, multiplicities): each candidate is
-    (direction, exact_flag) with the direction in ambient coordinates, as
-    lifted by the same pass that lines_through_point uses.
+    (direction, exact_flag) with the direction in ambient coordinates, one
+    per root of poly.roots, probe included, each lifted by _lift_roots as
+    in lines_through_point.  fourfold.sample_line does not come here.
     """
-    cands, elim, root_list, _residual_max = _lift_eliminant(
-        direction_chart(f, y, chart_seed, _cut_through), prec)
-    return cands, elim, tuple(m for _, m in root_list)
+    chart_data = direction_chart(f, y, chart_seed, _cut_through)
+    root_list = _eliminant_roots(chart_data[3], prec)
+    return ([(d, exact) for d, exact, _ in _lift_roots(chart_data, root_list, prec)],
+            chart_data[3], tuple(m for _, m in root_list))
 
 
 def _eliminant_roots(elim: MPoly, prec: int, known=None):
@@ -1371,12 +1373,8 @@ def _eliminant_roots(elim: MPoly, prec: int, known=None):
             [(z, 1) for z in _checked_aberth_roots(core, rest, prec)]
     else:
         core_roots = roots(core, prec) if core.degree() >= 1 else []
-    for r, m in core_roots:
-        if isinstance(r, Fraction):
-            root_list.append(((r, Fraction(1)), m))
-        else:
-            root_list.append(((r.to_mpc(), 1), m))
-    return root_list
+    return root_list + [((r, Fraction(1)) if isinstance(r, Fraction) else (r.to_mpc(), 1), m)
+                        for r, m in core_roots]
 
 
 def _split_rational(core: UPoly, rational) -> UPoly | None:
@@ -1414,46 +1412,43 @@ def _split_rational(core: UPoly, rational) -> UPoly | None:
     return rest if irreducibility_prime(rest) is not None else None
 
 
-def _lift_eliminant(chart_data, prec, known=None):
-    """Lift every root of the eliminant to one direction on the chart.
+def _lift_roots(chart_data, roots, prec):
+    """Lift the roots of the eliminant, ((s, t), multiplicity) pairs as from
+    _eliminant_roots, to their directions, in order and each only when the
+    next is asked for, yielding (direction in ambient coordinates,
+    exact_flag, residual).
 
     chart_data is what direction_chart returns, whose (A, B) has A nonzero
     at every root (s : t), so (s, t, -B/A) is the one common zero of the
     conic and the cubic over it.  A rational root lifts exactly, by
-    MPoly.evaluate.  An irrational one lifts at prec + 32 bits by one
-    _numeric.evaluate_fixed call on the integer terms of A and B, and its
-    residual on the conic and on the cubic, relative to their coefficient
-    scales, must be within default_tolerance(prec), else DetGeoError.
-    Returns (candidates, eliminant, root_list, residual_max): each candidate
-    is (direction in ambient coordinates, exact_flag), one per root,
-    root_list is that of _eliminant_roots (given known), and residual_max
-    is the largest numeric residual.
+    MPoly.evaluate, with residual 0.  An irrational one lifts at prec + 32
+    bits by one _numeric.evaluate_fixed call on the integer terms of A and
+    B, and its residual on the conic and on the cubic, relative to their
+    coefficient scales, must be within default_tolerance(prec), else
+    DetGeoError.
     """
-    chart, q_chart, c_chart, elim, (a_form, b_form) = chart_data
-    root_list = _eliminant_roots(elim, prec, known)
+    chart, q_chart, c_chart, _elim, (a_form, b_form) = chart_data
     ab_terms = [_int_terms(a_form), _int_terms(b_form)]
     qc_terms = [_int_terms(q_chart), _int_terms(c_chart)]
     # ambient coordinate j of a chart direction d3 is sum_k d3[k] chart[k][j]
     to_ambient = Layout([transpose(chart)])
-    out = []
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
         scales = [_numeric.to_mpc(max(map(abs, f.terms.values()), default=1)).real
                   for f in (q_chart, c_chart)]
-        residual_max = mpmath.mpf(0)
-        for st, _mult in root_list:
-            if isinstance(st[0], Fraction):
-                d3 = st + (-b_form.evaluate(st) / a_form.evaluate(st),)
-                out.append((mat_vec(to_ambient[0], d3), True))
-                continue
+    for st, _mult in roots:
+        if isinstance(st[0], Fraction):
+            d3 = st + (-b_form.evaluate(st) / a_form.evaluate(st),)
+            yield mat_vec(to_ambient[0], d3), True, 0
+            continue
+        with mpmath.workprec(prec + 32):
             a_val, b_val = _numeric.evaluate_fixed(ab_terms, st, prec + 32)
             d3 = st + (-b_val / a_val,)
             resid = _lift_residual(qc_terms, scales, d3)
             if resid > tol:
                 raise DetGeoError(f"lift residual {mpmath.nstr(resid, 8)} above tolerance")
-            residual_max = max(residual_max, resid)
-            out.append((tuple(_numeric.linear_values(to_ambient, d3, prec)[0]), False))
-    return out, elim, root_list, residual_max
+            d = tuple(_numeric.linear_values(to_ambient, d3, prec)[0])
+        yield d, False, resid
 
 
 def _lift_residual(forms, scales, d3):
@@ -1540,13 +1535,14 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None) -> LinesThrough
         if rational is not None:
             rest = _split_rational(_binary_form_parts(chart_data[3])[2], rational)
             known = (rational, rest) if rest is not None else None
-    cands, elim, root_list, residual_max = _lift_eliminant(chart_data, prec, known)
+    root_list = _eliminant_roots(chart_data[3], prec, known)
+    lifts = list(_lift_roots(chart_data, root_list, prec))
 
     numeric = _numeric_backend(prec)
     y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
     found = []
     orbit_tag = None
-    for d, exact in cands:
+    for d, exact, _ in lifts:
         tag = None
         if exact:
             line = ProjLine(y, d)
@@ -1563,8 +1559,8 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None) -> LinesThrough
                     if known is not None:
                         orbit_tag = tag
         found.append((line, tag))
-    return LinesThroughPoint(tuple(found), elim,
-                             tuple(m for _, m in root_list), float(residual_max))
+    return LinesThroughPoint(tuple(found), chart_data[3], tuple(m for _, m in root_list),
+                             float(max((resid for _, _, resid in lifts), default=0)))
 
 
 def _tag_exact_line(inst, line: ProjLine, kv, kw) -> str:

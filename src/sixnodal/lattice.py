@@ -448,7 +448,11 @@ def represents(n: int, bound: int = 10_000) -> RepresentResult:
     The form of J12 is Q(x,y) = 6x^2 + 12xy + 2y^2 = 2((y+3x)^2 - 6x^2), so
     completing the square reduces to the Pell form u^2 - 6x^2 = n/2 with
     congruence obstructions mod 3 and mod 8; n = 0 is excluded (apart from
-    the zero class) because 6 is not a square.  Exhaustive search runs over
+    the zero class) because 6 is not a square.  u^2 - 6x^2 is the norm of
+    u + x sqrt 6 in Z[sqrt 6], and a prime p > 3 with (6/p) = -1 stays prime
+    there, with norm p^2, so it divides every norm to an even power: such a
+    p dividing n/2 to an odd power is a third certificate (_inert_prime,
+    which factors n/2 by trial division only).  Exhaustive search runs over
     max(|x|,|y|) <= bound; exhaustion without a certificate is reported as
     inconclusive, which is distinct from a certified NoneCertificate.
     """
@@ -469,6 +473,12 @@ def represents(n: int, bound: int = 10_000) -> RepresentResult:
         return RepresentResult(
             "none", None,
             f"u^2 - 6x^2 = {m} is insoluble mod 8 (value {m % 8} not attained)", 0)
+    p = _inert_prime(m)
+    if p is not None:
+        return RepresentResult(
+            "none", None,
+            f"u^2 - 6x^2 = {m} is insoluble: {p} is inert in Z[sqrt 6] ((6/{p}) = -1) "
+            f"and divides {m} to an odd power, but every norm to an even one", 0)
 
     for radius in range(0, bound + 1):
         for x, y in _shell(radius):
@@ -478,6 +488,27 @@ def represents(n: int, bound: int = 10_000) -> RepresentResult:
                     v = -v
                 return RepresentResult("witness", v, None, radius)
     return RepresentResult("inconclusive", None, None, bound)
+
+
+# trial divisors of n/2 in represents: a larger prime factor is left unread
+_TRIAL_DIVISION_BOUND = 10_000
+
+
+def _inert_prime(m: int) -> int | None:
+    """A prime p > 3 with (6/p) = -1 (Euler's criterion) dividing m to an
+    odd power, by trial division by 2, 3, ..., _TRIAL_DIVISION_BOUND; the
+    cofactor left is tested too when the division proved it prime."""
+    r, p = abs(m), 2
+    while p * p <= r and p <= _TRIAL_DIVISION_BOUND:
+        k = 0
+        while r % p == 0:
+            r, k = r // p, k + 1
+        if k % 2 and p > 3 and pow(6, (p - 1) // 2, p) == p - 1:
+            return p
+        p += 1
+    if r > 3 and p * p > r and pow(6, (r - 1) // 2, r) == r - 1:
+        return r
+    return None
 
 
 def _shell(r: int):

@@ -1171,8 +1171,10 @@ def _reference_chart_forms(f, y, chart):
 
 def _fourfold_charts(monkeypatch, seeds):
     """(f, y, direction_chart output) of every chart sample_line draws for
-    line seeds 1-3 on the fourfolds of the given instance seeds."""
-    from sixnodal.fourfold import extend_to_fourfold, sample_line
+    line seeds 1-3 on the fourfolds of the given instance seeds, recorded
+    through the name sample_line calls.  Each line seed draws at least one
+    chart, so a recorder that misses sample_line fails here."""
+    from sixnodal import fourfold
     real = detgeo.direction_chart
     out = []
 
@@ -1181,11 +1183,13 @@ def _fourfold_charts(monkeypatch, seeds):
         out.append((f, y, res))
         return res
 
-    monkeypatch.setattr(detgeo, "direction_chart", recording)
+    monkeypatch.setattr(fourfold, "direction_chart", recording)
     for seed in seeds:
-        four = extend_to_fourfold(make_instance(seed), seed=1)
+        four = fourfold.extend_to_fourfold(make_instance(seed), seed=1)
+        before = len(out)
         for line_seed in (1, 2, 3):
-            sample_line(four, seed=line_seed)
+            fourfold.sample_line(four, seed=line_seed)
+        assert len(out) - before >= 3, seed
     return out
 
 

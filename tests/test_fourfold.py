@@ -101,6 +101,95 @@ def test_sample_line_off_hyperplane(four):
         assert resid < mpmath.mpf(10) ** -40
 
 
+def _first_candidate_off_hyperplane(four, seed, prec):
+    """Reference for sample_line that shares no code with detgeo._lift_roots:
+    with sample_line's base points and chart seeds, every root of the
+    eliminant from detgeo._eliminant_roots (poly.roots, rational-root probe
+    included) is lifted to (s, t, -B/A) on the chart, exactly for a rational
+    root, and the first direction with |d5| > 2^-16 |d| is returned as a
+    numeric line, with the attempt and the root index that gave it.  It is
+    also the candidate of direction_candidates at that index."""
+    from sixnodal import _numeric
+    from sixnodal._qlinalg import Layout, mat_vec, transpose
+    from sixnodal.detgeo import (_eliminant_roots, direction_candidates, direction_chart,
+                                 sample_smooth_point)
+    from sixnodal.poly import _int_terms
+    rng = random.Random(f"{four.seed}:{seed}:line")
+    for attempt in range(32):
+        y = tuple(sample_smooth_point(four.inst, rng)) + (Fraction(0),)
+        chart, _q, _c, elim, (a_form, b_form) = direction_chart(
+            four.cubic, y, f"{seed}:{attempt}")
+        ab_terms = [_int_terms(a_form), _int_terms(b_form)]
+        to_ambient = Layout([transpose(chart)])
+        with mpmath.workprec(prec + 32):
+            for index, (st, _mult) in enumerate(_eliminant_roots(elim, prec)):
+                if isinstance(st[0], Fraction):
+                    d3 = st + (-b_form.evaluate(st) / a_form.evaluate(st),)
+                    d = tuple(_numeric.to_mpc(x, prec) for x in mat_vec(to_ambient[0], d3))
+                else:
+                    a_val, b_val = _numeric.evaluate_fixed(ab_terms, st, prec + 32)
+                    d = tuple(_numeric.linear_values(to_ambient, st + (-b_val / a_val,),
+                                                     prec)[0])
+                if abs(d[5]) > max(abs(x) for x in d) * mpmath.mpf(2) ** -16:
+                    cand, exact = direction_candidates(four.cubic, y, prec=prec,
+                                                       chart_seed=f"{seed}:{attempt}")[0][index]
+                    assert repr(d) == repr(tuple(_numeric.to_mpc(x, prec) if exact else x
+                                                 for x in cand))
+                    line = ProjLine(tuple(_numeric.to_mpc(x, prec) for x in y), d,
+                                    exact=False, prec=prec)
+                    return line, attempt, index
+    raise AssertionError("no candidate off the hyperplane")
+
+
+@pytest.mark.parametrize("inst_seed", range(1, 9))
+def test_sample_line_matches_the_first_candidate_off_the_hyperplane(inst_seed):
+    # the lazily lifted, probe-free sample_line returns the very line of the
+    # first root off the hyperplane, in the order of direction_candidates,
+    # repr for repr: the cores of these eliminants have no rational root
+    from sixnodal.detgeo import make_instance
+    four = extend_to_fourfold(make_instance(inst_seed), seed=1)
+    for prec in (64, 256):
+        for line_seed in (1, 2, 3):
+            want = _first_candidate_off_hyperplane(four, line_seed, prec)[0]
+            got = sample_line(four, seed=line_seed, prec=prec)
+            assert (repr(got.p0), repr(got.p1)) == (repr(want.p0), repr(want.p1))
+            assert got.prec == prec and not got.exact
+
+
+def test_sample_line_runs_no_rational_root_probe(four, monkeypatch):
+    from sixnodal import detgeo, poly
+
+    def no_probe(*args):
+        raise AssertionError("the rational-root probe ran")
+
+    for module in (poly, detgeo):
+        monkeypatch.setattr(module, "_rational_roots_of_squarefree", no_probe)
+    for line_seed in (1, 2, 3):
+        m = sample_line(four, seed=line_seed)
+        with mpmath.workprec(300):
+            assert _line_residual(four.cubic, m) < mpmath.mpf(10) ** -40
+
+
+def test_sample_line_lifts_roots_only_until_one_leaves_the_hyperplane(four, monkeypatch):
+    # each lift-residual check is one numeric lift; sample_line stops at the
+    # root it returns, where direction_candidates lifts all six roots
+    from sixnodal import detgeo
+    calls = []
+    real = detgeo._lift_residual
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(detgeo, "_lift_residual", counting)
+    for line_seed in (1, 2, 3):
+        _want, attempt, index = _first_candidate_off_hyperplane(four, line_seed, 256)
+        assert attempt == 0
+        calls.clear()
+        sample_line(four, seed=line_seed)
+        assert 1 <= len(calls) <= index + 1
+
+
 def _line_residual(cubic, line):
     # max scaled coefficient of the cubic restricted to the line
     coeffs = {}

@@ -83,13 +83,33 @@ def test_represents_6_and_parity():
 
 
 def test_represents_inconclusive_distinct_from_none():
-    # 66 = 2*33 passes both congruence filters (33 = 0 mod 3, 1 mod 8) but
-    # 11 is inert in the real quadratic order, so no witness exists; with a
-    # small bound the search must report inconclusive, not a certificate
-    res = represents(66, bound=50)
+    # 36 = 2*18 passes every certificate (18 = 0 mod 3, 2 mod 8, no prime
+    # factor above 3), yet no witness exists: u^2 - 6x^2 = 18 forces 3 | u,
+    # then 3 | x, and leaves a^2 - 6b^2 = 2, insoluble mod 3; with a small
+    # bound the search must report inconclusive, not a certificate
+    res = represents(36, bound=50)
     assert res.status == "inconclusive"
     assert res.witness is None and res.certificate is None
     assert res.bound == 50
+
+
+def test_represents_66_by_the_inert_prime_11():
+    # 66 = 2*33 passes both congruence filters (33 = 0 mod 3, 1 mod 8), but
+    # 11 is inert in Z[sqrt 6] and divides 33 once: answered with no search
+    res = represents(66)
+    assert res.status == "none" and res.bound == 0
+    assert "11" in res.certificate and "inert" in res.certificate
+
+
+def test_inert_prime_certificate_against_brute_force():
+    # every even n, |n| <= 2000, that the inert-prime certificate rules out
+    # has no vector of square n with max(|x|, |y|) <= 60
+    values = {6 * x * x + 12 * x * y + 2 * y * y
+              for x in range(-60, 61) for y in range(-60, 61)}
+    fired = [n for n in range(-2000, 2001, 2)
+             if "inert" in (represents(n, bound=0).certificate or "")]
+    assert 66 in fired and len(fired) > 300
+    assert not values.intersection(fired)
 
 
 def test_brute_force_represents_oracle():

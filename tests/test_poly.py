@@ -468,8 +468,9 @@ def test_rational_probe_finds_roots_beside_an_irreducible_cubic():
 
 
 def test_rational_probe_rules_out_roots_without_lifting(monkeypatch, inst1):
-    # x^2 + 1 has no root mod 10007 = 3 mod 4; the fourfold eliminant behind
-    # sample_line(four, seed=2) has 2 roots mod 10007 and 10009, none mod 10037
+    # x^2 + 1 has no root mod 10007 = 3 mod 4; the core of the first chart
+    # eliminant of sample_line(four, seed=2) has 2 roots mod 10007 and 10009,
+    # none mod 10037 (sample_line itself sends it to Aberth with no probe)
     eliminant = poly._primitive_int_coeffs(UPoly(_fourfold_eliminant(inst1, line_seed=2)))
     assert [len(poly._linear_part_mod(eliminant, q)) - 1
             for q in (10007, 10009, 10037)] == [2, 2, 0]
@@ -938,8 +939,9 @@ def test_package_has_one_root_finder():
 
 
 def _fourfold_eliminant(inst, line_seed=1):
-    # the degree-6 eliminant of the first line sample_line draws on the
-    # seed-1 fourfold (base point and chart as in sample_line(four, line_seed))
+    # the degree-6 core of the eliminant of the first chart sample_line draws
+    # on the seed-1 fourfold (base point and chart as in sample_line(four,
+    # line_seed)): a probe input here, though sample_line runs no probe on it
     from sixnodal.detgeo import _binary_form_parts, direction_chart, sample_smooth_point
     from sixnodal.fourfold import extend_to_fourfold
     four = extend_to_fourfold(inst, seed=1)
