@@ -14,7 +14,9 @@ lam_perp matrices of `iota` and of the sigma test, and there also the exact
 phi(y), so sigma phi(y) comes from one rounding per entry), and `kernel_numeric`
 eliminates this way, rounding each entry once per row update.  The
 multiprecision Aberth sweeps of `poly.aberth_roots` and the residual
-certificate of `poly.roots` run in the same Gaussian-integer fixed point.
+certificate of every root they give back (`poly._checked_aberth_roots`, on
+the one root stream of `poly.roots` and of every chart eliminant) run in the
+same Gaussian-integer fixed point.
 Products of numeric values run on mpc scalars: the lift u = -B/A of the line
 lift and the products of numeric matrices in sigma phi sigma.
 """

@@ -25,11 +25,11 @@ from ._qlinalg import (Q, Layout, _int_rref, clear_denominators, det as qdet, id
                        inverse, is_zero_vec, linear_terms, mat_mul, mat_vec, nullspace,
                        primitive_int_vector, projectively_equal, rank, rref,
                        solve, transpose, vec)
-from .poly import (MPoly, UPoly, _checked_aberth_roots, _int_accumulate, _int_jet,
-                   _int_poly_det, _int_product, _int_terms, _monomials_of_degree,
-                   _primitive_int_coeffs, _rational_roots_of_squarefree, gradient,
-                   irreducibility_prime, macaulay_matrix, macaulay_nonzero,
-                   poly_det, restrict_to_subspace, roots, sylvester_resultant)
+from .poly import (MPoly, UPoly, _deflate, _int_accumulate, _int_jet, _int_poly_det,
+                   _int_product, _int_terms, _monomials_of_degree, _primitive_int_coeffs,
+                   _rational_roots_of, _root_stream, gradient, irreducibility_prime,
+                   macaulay_matrix, macaulay_nonzero, poly_det, restrict_to_subspace,
+                   sylvester_resultant)
 
 
 class DetGeoError(ValueError):
@@ -244,14 +244,6 @@ def _binary_form_parts(f: MPoly):
     for (eu, _ev), c in f.terms.items():
         dense[eu - a] += c
     return a, d - b, UPoly(dense)
-
-
-def _rational_roots_of(u: UPoly) -> list[Fraction]:
-    out = []
-    for q, _m in u.squarefree_decomposition():
-        rs, _ = _rational_roots_of_squarefree(q)
-        out.extend(rs)
-    return out
 
 
 def _slice_lifts(forms, a, b) -> list[Fraction]:
@@ -932,13 +924,30 @@ def _sigma_matrix(inst, param):
     return m
 
 
+def _special_tag(inst, d, kv, kw) -> str | None:
+    """"P" or "Pdual" for the line through a point x and a direction d, or
+    None, where kv and kw span the kernel and cokernel of phi(x).  Off the
+    nodes phi(x) has rank 2, so kv is one vector, and phi(x) and phi(d)
+    have a common kernel vector exactly when phi(d) kv = 0: the integer
+    rows of the fromV line of kv vanish at d.  Likewise a common cokernel
+    functional is kw, with kw^T phi(d) = 0 on the rows of the fromVdual
+    line of kw."""
+    ds = clear_denominators(d)[0]
+    for kind, k, tag in (("fromV", kv, "P"), ("fromVdual", kw, "Pdual")):
+        if len(k) == 1 and not any(sum(map(mul, row, ds))
+                                   for row in _line_rows(inst, kind, k[0])):
+            return tag
+    return None
+
+
 def classify_line(inst: DeterminantalInstance, line: ProjLine) -> str:
     """Family tag of an exact line on the threefold.
 
     singular-locus: passes through a node.  P: common kernel vector.
-    Pdual: common cokernel functional.  Scomponent: a rank-2 sigma in lam
-    with sigma phi sigma vanishing along the line, found by _sigma_test on
-    the exact backend.
+    Pdual: common cokernel functional; with no node on the line, both are
+    read off the kernel and cokernel of phi(p0) by _special_tag.
+    Scomponent: a rank-2 sigma in lam with sigma phi sigma vanishing along
+    the line, found by _sigma_test on the exact backend.
     """
     if not line.exact:
         raise DetGeoError("classification is exact-path only")
@@ -947,13 +956,11 @@ def classify_line(inst: DeterminantalInstance, line: ProjLine) -> str:
     for node in inst.nodes:
         if line.contains_point(node.coords):
             return "singular-locus"
-    phi1 = inst.phi(line.p0)
-    phi2 = inst.phi(line.p1)
-    if nullspace([*phi1, *phi2]):
-        return "P"
-    if nullspace([*transpose(phi1), *transpose(phi2)]):
-        return "Pdual"
-    if _sigma_test(_EXACT, inst, phi1, line.p1):
+    phi_y = inst.phi(line.p0)
+    tag = _special_tag(inst, line.p1, nullspace(phi_y), nullspace(transpose(phi_y)))
+    if tag is not None:
+        return tag
+    if _sigma_test(_EXACT, inst, phi_y, line.p1):
         return "Scomponent"
     raise DetGeoError("line does not belong to any family (unexpected)")
 
@@ -1343,73 +1350,49 @@ def direction_candidates(f: MPoly, y, prec: int = 256, chart_seed: int = 0,
 
     Returns (candidates, eliminant, multiplicities): each candidate is
     (direction, exact_flag) with the direction in ambient coordinates, one
-    per root of poly.roots, probe included, each lifted by _lift_roots as
-    in lines_through_point.  fourfold.sample_line does not come here.
+    per root of _eliminant_roots, given the rational roots of the core that
+    the modular probe finds, each lifted by _lift_roots as in
+    lines_through_point.  fourfold.sample_line does not come here.
     """
     chart_data = direction_chart(f, y, chart_seed, _cut_through)
-    root_list = _eliminant_roots(chart_data[3], prec)
+    core = _binary_form_parts(chart_data[3])[2]
+    root_list = list(_eliminant_roots(chart_data[3], prec, _rational_roots_of(core)))
     return ([(d, exact) for d, exact, _ in _lift_roots(chart_data, root_list, prec)],
             chart_data[3], tuple(m for _, m in root_list))
 
 
-def _eliminant_roots(elim: MPoly, prec: int, known=None):
-    """Projective roots of the binary eliminant with multiplicities: (0:1)
-    and (1:0) split off, then those of its core by poly.roots (rational
-    roots by the modular probe, exact, in increasing order, then the
-    irrational ones by Aberth).  known, when given, is (rational, rest):
-    the core's rational roots in increasing order and the rest that
-    _split_rational certified irreducible, so every root is simple; then
-    the probe is skipped, and only the rest goes to Aberth and to the
-    residual check on the core (poly._checked_aberth_roots)."""
+def _eliminant_roots(elim: MPoly, prec: int, rational):
+    """Projective roots of the binary eliminant with multiplicities, each
+    only when the next is asked for: (0:1) and (1:0) split off, then those
+    of its core from poly._root_stream, factor by factor.  rational holds
+    the core's roots that come back exact, as given; the rest of each
+    squarefree factor comes from Aberth, checked on the core, as mpc
+    values.  Which roots are exact is the caller's data: the P and P-dual
+    roots or the probe's roots (lines_through_point), the probe's roots
+    (direction_candidates), or none (fourfold.sample_line)."""
     a0, inf_mult, core = _binary_form_parts(elim)
-    root_list = []
     if a0 > 0:
-        root_list.append(((Fraction(0), Fraction(1)), a0))
+        yield (Fraction(0), Fraction(1)), a0
     if inf_mult > 0:
-        root_list.append(((Fraction(1), Fraction(0)), inf_mult))
-    if known is not None:
-        rational, rest = known
-        core_roots = [(r, 1) for r in rational] + \
-            [(z, 1) for z in _checked_aberth_roots(core, rest, prec)]
-    else:
-        core_roots = roots(core, prec) if core.degree() >= 1 else []
-    return root_list + [((r, Fraction(1)) if isinstance(r, Fraction) else (r.to_mpc(), 1), m)
-                        for r, m in core_roots]
+        yield (Fraction(1), Fraction(0)), inf_mult
+    for r, m in _root_stream(core, prec, rational):
+        yield ((r, Fraction(1)) if isinstance(r, Fraction) else (r, 1)), m
 
 
-def _split_rational(core: UPoly, rational) -> UPoly | None:
-    """The core divided by b x - a for each r = a/b in rational, as a
-    primitive integer polynomial with positive leading coefficient, or None.
-
-    The division runs on the primitive integer coefficients of the core,
-    from the top; b x - a is primitive, so by Gauss's lemma the quotient by
-    an exact root is integral, and a division that is not exact, or a
-    remainder that is not 0, shows that r is not a root.  None unless the r
-    are distinct, each is an exact root, and the quotient has degree >= 2
-    and an irreducibility certificate (poly.irreducibility_prime).  That one
-    certificate proves that rational holds every rational root of the core,
-    each simple, and that the other roots are one Galois orbit over Q."""
+def _split_rational(core: UPoly, rational) -> bool:
+    """Whether one certificate proves that rational holds every rational
+    root of the core, each simple, and that the other roots are one Galois
+    orbit over Q: the r are distinct, each divides the primitive integer
+    core exactly (poly._deflate), and the quotient has degree >= 2 and an
+    irreducibility certificate (poly.irreducibility_prime)."""
     if len(set(rational)) != len(rational):
-        return None
+        return False
     ints = _primitive_int_coeffs(core)
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
     for r in rational:
-        a, b = r.numerator, r.denominator
-        quot, carry = [], 0
-        for c in reversed(ints[1:]):
-            q, rem = divmod(c + carry, b)
-            if rem:
-                return None
-            quot.append(q)
-            carry = a * q
-        if ints[0] + carry:
-            return None
-        ints = quot[::-1]
-    if len(ints) < 3:
-        return None
-    rest = UPoly(ints)
-    return rest if irreducibility_prime(rest) is not None else None
+        ints = _deflate(ints, r)
+        if ints is None:
+            return False
+    return len(ints) >= 3 and irreducibility_prime(UPoly(ints)) is not None
 
 
 def _lift_roots(chart_data, roots, prec):
@@ -1496,24 +1479,26 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None) -> LinesThrough
     against 2^(-prec/2) (a larger one raises DetGeoError).  The directions
     are those of direction_candidates.
 
-    With an instance attached, the rational roots come from phi(y): the P
-    and P-dual lines through y give two chart roots (_special_roots), and
-    the core of the eliminant divided by their linear factors, with the
-    remainder 0 as the exact check, has an irreducibility certificate mod a
-    prime (_split_rational).  That certificate proves there is no other
-    rational root, so only the irrational rest goes to Aberth.  Without an
-    instance, or when any of this fails (a kernel of another dimension, a
-    root that does not divide exactly, t = 0, coinciding roots, a rest of
-    degree < 2, no certificate), the core goes to poly.roots, whose modular
-    probe finds the rational roots.
+    The roots come from _eliminant_roots, given the core's rational roots.
+    With an instance attached, these come from phi(y): the P and P-dual
+    lines through y give two chart roots (_special_roots), and the core of
+    the eliminant divided by their linear factors, with the remainder 0 as
+    the exact check, has an irreducibility certificate mod a prime
+    (_split_rational).  That certificate proves there is no other rational
+    root, so only the irrational rest goes to Aberth.  Without an instance,
+    or when any of this fails (a kernel of another dimension, a root that
+    does not divide exactly, t = 0, coinciding roots, a rest of degree < 2,
+    no certificate), the modular probe finds the rational roots of the core
+    (poly._rational_roots_of).
 
     With an instance attached every line gets a family tag.  An exact line
     with direction d is P when phi(d) kills the kernel vector of phi(y),
-    P-dual when the cokernel functional of phi(y) kills phi(d), and else
-    takes classify_line's tag.  Numeric lines come only from irrational
-    eliminant roots, so they are never P or P-dual; they are Scomponent
-    when _sigma_test, the test of classify_line, passes on the numeric
-    backend at the working precision.
+    P-dual when the cokernel functional of phi(y) kills phi(d)
+    (_special_tag, as in classify_line), and else takes classify_line's
+    tag.  Numeric lines come only from irrational eliminant roots, so they
+    are never P or P-dual; they are Scomponent when _sigma_test, the test
+    of classify_line, passes on the numeric backend at the working
+    precision.
 
     The sigma test runs once per Galois orbit when it can.  y, lam,
     lam_perp and phi are rational, so the sigma conditions on a direction
@@ -1526,16 +1511,16 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None) -> LinesThrough
         raise DetGeoError("lines_through_point expects an ambient P^4")
     y = vec(y)
     chart_data = direction_chart(f, y)
-    known = None
+    core = _binary_form_parts(chart_data[3])[2]
+    rational = None
     if inst is not None:
         phi_y = inst.phi(y)
         kv = nullspace(phi_y)
         kw = nullspace(transpose(phi_y))
         rational = _special_roots(inst, chart_data[0], kv, kw)
-        if rational is not None:
-            rest = _split_rational(_binary_form_parts(chart_data[3])[2], rational)
-            known = (rational, rest) if rest is not None else None
-    root_list = _eliminant_roots(chart_data[3], prec, known)
+    certified = rational is not None and _split_rational(core, rational)
+    root_list = list(_eliminant_roots(chart_data[3], prec,
+                                      rational if certified else _rational_roots_of(core)))
     lifts = list(_lift_roots(chart_data, root_list, prec))
 
     numeric = _numeric_backend(prec)
@@ -1547,7 +1532,7 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None) -> LinesThrough
         if exact:
             line = ProjLine(y, d)
             if inst is not None:
-                tag = _tag_exact_line(inst, line, kv, kw)
+                tag = _special_tag(inst, line.p1, kv, kw) or classify_line(inst, line)
         else:
             line = ProjLine(y_num, d, exact=False, prec=prec)
             if inst is not None:
@@ -1556,23 +1541,11 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None) -> LinesThrough
                     with mpmath.workprec(prec + 32):
                         tag = ("Scomponent" if _sigma_test(numeric, inst, phi_y, d)
                                else "unclassified")
-                    if known is not None:
+                    if certified:
                         orbit_tag = tag
         found.append((line, tag))
     return LinesThroughPoint(tuple(found), chart_data[3], tuple(m for _, m in root_list),
                              float(max((resid for _, _, resid in lifts), default=0)))
-
-
-def _tag_exact_line(inst, line: ProjLine, kv, kw) -> str:
-    """Family tag of the exact line spanned by y = line.p0 and a direction
-    line.p1, where kv and kw are the kernel and cokernel of phi(y)."""
-    ds = clear_denominators(line.p1)[0]
-    for kind, k, tag in (("fromV", kv, "P"), ("fromVdual", kw, "Pdual")):
-        # each row at d is an entry of phi(d) kv, or of kw^T phi(d)
-        if len(k) == 1 and not any(sum(map(mul, row, ds))
-                                   for row in _line_rows(inst, kind, k[0])):
-            return tag
-    return classify_line(inst, line)
 
 
 # ---------------------------------------------------------------------------

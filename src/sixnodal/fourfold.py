@@ -12,9 +12,10 @@ conditions by `_numeric.linear_values`, the plane restriction, the scroll
 quadrics, the line lift behind `sample_line`) and in the small kernels, it
 runs in the Gaussian-integer fixed point of `_numeric`: exact integer sums,
 rounded once per value.  Products of numeric values run on mpc scalars.
-`sample_line` returns a numeric line, so it takes the roots of its chart
-eliminant from Aberth with no rational-root probe, and lifts them only until
-one leaves the hyperplane.
+`sample_line` returns a numeric line, so it asks the root stream of its
+chart eliminant (`detgeo._eliminant_roots`, the one path from a squarefree
+decomposition to Aberth) for no exact root: no rational-root probe runs, and
+the roots are lifted only until one leaves the hyperplane.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import mpmath
 from . import _numeric
 from ._qlinalg import is_zero_vec, primitive_int_vector
 from .detgeo import (DEFAULT_ENTRY_RANGE, DetGeoError, DeterminantalInstance,
-                     ProjLine, _binary_form_parts, _lift_roots, direction_chart,
+                     ProjLine, _eliminant_roots, _lift_roots, direction_chart,
                      ruling_of_scroll, sample_smooth_point, scroll_data)
-from .poly import MPoly, _checked_aberth_roots, _int_jet, _int_terms, gradient
+from .poly import MPoly, _int_jet, _int_terms, gradient
 
 
 class FourfoldError(ValueError):
@@ -144,13 +145,14 @@ def sample_line(four: CubicFourfold, seed: int = 1, prec: int = 256,
     through the point with |d5| > 2^-16 |d|.
 
     The line comes back numeric whatever its direction, so exact roots buy
-    nothing: the roots come from _numeric_roots, with no rational-root
-    probe, and detgeo._lift_roots lifts them one at a time, up to the first
-    direction off the hyperplane.  Where the core of the eliminant has no
-    rational root, poly.roots hands Aberth the same squarefree factors, so
-    the line is the first of direction_candidates off the hyperplane, to the
-    bit; where it has one, that root comes numeric and maybe at another
-    place in the order, so another valid line may be returned.
+    nothing: detgeo._eliminant_roots is given no exact root, so no
+    rational-root probe runs and every root of the core comes from Aberth,
+    one squarefree factor at a time; detgeo._lift_roots lifts them one at a
+    time, up to the first direction off the hyperplane.  Where the core has
+    no rational root, direction_candidates hands Aberth the same squarefree
+    factors, so the line is its first off the hyperplane, to the bit; where
+    it has one, that root comes numeric and maybe at another place in the
+    order, so another valid line may be returned.
     """
     rng = random.Random(f"{four.seed}:{seed}:line")
     for attempt in range(32):
@@ -158,8 +160,8 @@ def sample_line(four: CubicFourfold, seed: int = 1, prec: int = 256,
             sample_smooth_point(four.inst, rng)
         y = tuple(y5) + (Fraction(0),)
         chart_data = direction_chart(four.cubic, y, f"{seed}:{attempt}")
-        for d, exact, _resid in _lift_roots(chart_data, _numeric_roots(chart_data[3], prec),
-                                            prec):
+        roots = _eliminant_roots(chart_data[3], prec, ())
+        for d, exact, _resid in _lift_roots(chart_data, roots, prec):
             with mpmath.workprec(prec + 32):
                 d_num = tuple(_numeric.to_mpc(x, prec) if exact else x for x in d)
                 dnorm = max(abs(x) for x in d_num)
@@ -169,23 +171,6 @@ def sample_line(four: CubicFourfold, seed: int = 1, prec: int = 256,
         if base_point is not None:
             raise FourfoldError("all lines through the base point lie in the hyperplane")
     raise FourfoldError("no line found off the hyperplane")
-
-
-def _numeric_roots(elim, prec):
-    """The roots of a binary eliminant as ((s, t), multiplicity) pairs, in
-    the order of detgeo._eliminant_roots when the core has no rational root:
-    (0 : 1) and (1 : 0), then the roots of each squarefree factor of the
-    core by Aberth, each checked on the core as poly.roots checks them
-    (poly._checked_aberth_roots).  No root is sought exactly, and a factor
-    goes to Aberth only when the roots before it are used up."""
-    a0, inf_mult, core = _binary_form_parts(elim)
-    if a0:
-        yield (Fraction(0), Fraction(1)), a0
-    if inf_mult:
-        yield (Fraction(1), Fraction(0)), inf_mult
-    for q, mult in core.squarefree_decomposition():
-        for z in _checked_aberth_roots(core, q, prec):
-            yield (z.to_mpc(), 1), mult
 
 
 # ---------------------------------------------------------------------------

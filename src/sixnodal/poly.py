@@ -1337,41 +1337,59 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
                                                        prec) for zr, zi in zs])
 
 
-def _rational_roots_of_squarefree(p: UPoly) -> tuple[list[Fraction], UPoly]:
-    """Exactly find the rational roots of a squarefree p and deflate them.
+def _rational_roots_of_squarefree(p: UPoly) -> list[Fraction]:
+    """The rational roots of a squarefree p, exactly, in increasing order.
 
     The root 0 is read off the constant term, and what is left of degree 1
     has its root -c_0/c_1 read off, with no probe.  A rest of higher degree
     goes, with its denominators cleared to c_0..c_d, to the modular method
     of _int_rational_roots (Loos 1983): root counts mod up to four primes,
-    Hensel lifting with early exit, and an exact check of every root.  Roots
-    come back in increasing order with p divided by their linear factors.
+    Hensel lifting with early exit, and an exact check of every root.
     """
     found = []
-    remaining = p
-    if remaining.coeffs and remaining.coeffs[0] == 0:
+    if p.coeffs and p.coeffs[0] == 0:
         found.append(Fraction(0))
-        remaining = remaining.divmod(UPoly([0, 1]))[0]
-    if remaining.degree() == 1:
-        found.append(-remaining.coeffs[0] / remaining.coeffs[1])
-        remaining = UPoly([remaining.coeffs[1]])
-    elif remaining.degree() > 1:
-        for a, b in _int_rational_roots(_primitive_int_coeffs(remaining)):
-            found.append(Fraction(a, b))
-            remaining = remaining.divmod(UPoly([-found[-1], 1]))[0]
-    return sorted(found), remaining
+        p = UPoly(p.coeffs[1:])
+    if p.degree() == 1:
+        found.append(-p.coeffs[0] / p.coeffs[1])
+    elif p.degree() > 1:
+        found += [Fraction(a, b) for a, b in _int_rational_roots(_primitive_int_coeffs(p))]
+    return sorted(found)
 
 
-def _checked_aberth_roots(p: UPoly, rest: UPoly, prec: int) -> list:
-    """The roots of a squarefree factor `rest` of p by aberth_roots, as
-    ComplexMP values, each with its residual on p, |p(z)| by
-    `_numeric.evaluate_fixed` on the integer coefficients of p at prec + 64
-    bits, checked against 2^(-prec/2) relative to the coefficient magnitude
-    (RootFindingError above it)."""
-    zs = aberth_roots(list(rest.coeffs), prec)
+def _rational_roots_of(u: UPoly) -> list[Fraction]:
+    """The rational roots of u, each once: those of each squarefree factor,
+    in the order of u.squarefree_decomposition(), each factor's increasing."""
+    return [r for q, _m in u.squarefree_decomposition() for r in _rational_roots_of_squarefree(q)]
+
+
+def _deflate(ints: list[int], r: Fraction) -> list[int] | None:
+    """Integer coefficients, low degree first, divided by b x - a for the
+    root r = a/b, by synthetic division from the top; None when r is no root.
+
+    b x - a is primitive, so by Gauss's lemma the quotient by an exact root
+    is integral, and a division that is not exact, or a remainder that is
+    not 0, shows that r is not a root."""
+    a, b = r.numerator, r.denominator
+    quot, carry = [], 0
+    for c in reversed(ints[1:]):
+        q, rem = divmod(c + carry, b)
+        if rem:
+            return None
+        quot.append(q)
+        carry = a * q
+    return None if ints[0] + carry else quot[::-1]
+
+
+def _checked_aberth_roots(p: UPoly, rest: list[int], prec: int) -> list:
+    """The roots of a squarefree factor of p, given by its integer
+    coefficients rest, by aberth_roots, as mpc values, each with its
+    residual on p, |p(z)| by `_numeric.evaluate_fixed` on the integer
+    coefficients of p at prec + 64 bits, checked against 2^(-prec/2)
+    relative to the coefficient magnitude (RootFindingError above it)."""
+    zs = aberth_roots(rest, prec)
     ints, den = clear_denominators(p.coeffs)
     form = ({(k,): c for k, c in enumerate(ints) if c}, den)
-    out = []
     with mpmath.workprec(prec + 64):
         scale = max(abs(mpmath.mpf(c.numerator) / c.denominator) for c in p.coeffs)
         tol = mpmath.mpf(2) ** (-(prec // 2)) * max(1, scale)
@@ -1380,33 +1398,49 @@ def _checked_aberth_roots(p: UPoly, rest: UPoly, prec: int) -> list:
             if resid > tol * max(1, abs(z)) ** p.degree():
                 raise RootFindingError(f"residual {mpmath.nstr(resid, 8)} above tolerance",
                                        partial=[ComplexMP.from_mpc(w, prec) for w in zs])
-            out.append(ComplexMP.from_mpc(z, prec))
-    return out
+    return zs
+
+
+def _root_stream(p: UPoly, prec: int, exact):
+    """(root, multiplicity) pairs of p, one squarefree factor at a time, each
+    only when the roots before it are used up: the Fractions of exact that
+    are roots of the factor, as given, each divided out by _deflate, then
+    the roots of what is left by _checked_aberth_roots, as mpc values.  A
+    Fraction of exact that divides no factor, or one given twice, raises
+    PolyError first.  This is the one path from a squarefree decomposition
+    to Aberth."""
+    left, factors = list(exact), []
+    for q, mult in p.squarefree_decomposition():
+        ints, mine = _primitive_int_coeffs(q), []
+        for r in list(left):
+            quot = _deflate(ints, r)
+            if quot is not None:
+                ints = quot
+                mine.append(r)
+                left.remove(r)
+        factors.append((mine, ints, mult))
+    if left:
+        raise PolyError(f"{left[0]} is not a root, or given twice")
+    for mine, rest, mult in factors:
+        yield from ((r, mult) for r in mine)
+        if len(rest) > 1:
+            yield from ((z, mult) for z in _checked_aberth_roots(p, rest, prec))
 
 
 def roots(p: UPoly, prec: int = 256):
-    """All complex roots with multiplicities.
-
-    Rational roots come back as exact Fractions, found by the modular method
-    (root counts mod up to four primes, where a count of 0 proves there is
-    none; else Hensel lifting of the roots mod the prime with the fewest,
-    which ends at the first rational reconstruction that checks exactly, or
-    at the a-priori bound for a residue that is no rational root) and
-    deflated exactly; the rest are
-    ComplexMP values from the Aberth iteration, whose double-precision phase
-    also stops when it stalls at the rounding floor, each with its residual
-    on p checked by _checked_aberth_roots.
+    """All complex roots with multiplicities, from _root_stream: the rational
+    ones as exact Fractions, given it by the modular method of
+    _rational_roots_of (root counts mod up to four primes, where a count of
+    0 proves there is none, else Hensel lifting with early exit), the rest
+    as ComplexMP values from the Aberth iteration, each with its residual on
+    p checked.
     """
     if p.degree() < 1:
         raise PolyError("degree must be >= 1")
     if prec < 64:
         raise PolyError("precision below 64 bits")
-    out = []
-    for q, mult in p.squarefree_decomposition():
-        rational, rest = _rational_roots_of_squarefree(q)
-        out += [(r, mult) for r in rational]
-        if rest.degree() >= 1:
-            out += [(z, mult) for z in _checked_aberth_roots(p, rest, prec)]
+    out = [(r if isinstance(r, Fraction) else ComplexMP.from_mpc(r, prec), m)
+           for r, m in _root_stream(p, prec, _rational_roots_of(p))]
     total = sum(m for _, m in out)
     if total != p.degree():
         raise RootFindingError(f"found multiplicity total {total}, expected {p.degree()}",

@@ -204,7 +204,7 @@ def test_reproduce_seed1_output_is_pinned(capsys):
     assert capsys.readouterr().out.encode("utf-8") == golden
 
 
-@pytest.mark.parametrize("prec", [128, 512])
+@pytest.mark.parametrize("prec", [64, 128, 512])
 def test_reproduce_seed1_output_is_pinned_at_precision(capsys, prec):
     # the same contract away from the default precision, where the numeric
     # lines and the fourfold involution run at other working precisions

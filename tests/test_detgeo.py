@@ -1074,7 +1074,8 @@ def test_lift_residual_matches_fraction_evaluation(seed, prec):
     # agrees with an mpc evaluation of the Fraction forms at 2 prec + 64
     # bits, and every lift is within the tolerance
     from sixnodal._numeric import to_mpc
-    from sixnodal.detgeo import _eliminant_roots, _lift_residual, direction_chart
+    from sixnodal.detgeo import (_binary_form_parts, _eliminant_roots, _lift_residual,
+                                 _rational_roots_of, direction_chart)
     from sixnodal.poly import _int_terms
 
     def reference(f, d3, power):
@@ -1092,7 +1093,8 @@ def test_lift_residual_matches_fraction_evaluation(seed, prec):
         with mpmath.workprec(prec + 32):
             scales = [to_mpc(max(abs(c) for c in f.terms.values())).real
                       for f in (q_chart, c_chart)]
-            for st, _mult in _eliminant_roots(elim, prec):
+            probed = _rational_roots_of(_binary_form_parts(elim)[2])
+            for st, _mult in _eliminant_roots(elim, prec, probed):
                 if isinstance(st[0], Fraction):
                     continue
                 d3 = st + (-_form_value(b_form, st) / _form_value(a_form, st),)
@@ -1345,8 +1347,8 @@ def test_inexact_supplied_root_falls_back(monkeypatch):
     core = detgeo._binary_form_parts(plain.eliminant)[2]
     phi_y = inst.phi(y)
     kv, kw = nullspace(phi_y), nullspace(transpose(phi_y))
-    assert detgeo._split_rational(core, real(inst, chart, kv, kw)) is not None
-    assert detgeo._split_rational(core, moved(inst, chart, kv, kw)) is None
+    assert detgeo._split_rational(core, real(inst, chart, kv, kw))
+    assert not detgeo._split_rational(core, moved(inst, chart, kv, kw))
     monkeypatch.setattr(detgeo, "_special_roots", moved)
     probes = _counting_probe(monkeypatch)
     res = lines_through_point(inst.cubic_y, y, prec=256, inst=inst)
@@ -1366,7 +1368,8 @@ def _reference_lines(inst, y, prec):
     chart, q_chart, c_chart, elim, _lift = detgeo.direction_chart(inst.cubic_y, y)
     n = len(chart[0])
     out = []
-    for st, mult in _eliminant_roots(elim, prec):
+    core = detgeo._binary_form_parts(elim)[2]
+    for st, mult in _eliminant_roots(elim, prec, detgeo._rational_roots_of(core)):
         if isinstance(st[0], Fraction):
             (u,) = _slice_lifts((q_chart, c_chart), *st)
             line = ProjLine(y, [sum(c * chart[k][j] for k, c in enumerate(st + (u,)))

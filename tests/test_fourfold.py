@@ -104,16 +104,16 @@ def test_sample_line_off_hyperplane(four):
 def _first_candidate_off_hyperplane(four, seed, prec):
     """Reference for sample_line that shares no code with detgeo._lift_roots:
     with sample_line's base points and chart seeds, every root of the
-    eliminant from detgeo._eliminant_roots (poly.roots, rational-root probe
-    included) is lifted to (s, t, -B/A) on the chart, exactly for a rational
+    eliminant from detgeo._eliminant_roots, given the rational roots of the
+    core that the probe finds, is lifted to (s, t, -B/A) on the chart, exactly for a rational
     root, and the first direction with |d5| > 2^-16 |d| is returned as a
     numeric line, with the attempt and the root index that gave it.  It is
     also the candidate of direction_candidates at that index."""
     from sixnodal import _numeric
     from sixnodal._qlinalg import Layout, mat_vec, transpose
-    from sixnodal.detgeo import (_eliminant_roots, direction_candidates, direction_chart,
-                                 sample_smooth_point)
-    from sixnodal.poly import _int_terms
+    from sixnodal.detgeo import (_binary_form_parts, _eliminant_roots, direction_candidates,
+                                 direction_chart, sample_smooth_point)
+    from sixnodal.poly import _int_terms, _rational_roots_of
     rng = random.Random(f"{four.seed}:{seed}:line")
     for attempt in range(32):
         y = tuple(sample_smooth_point(four.inst, rng)) + (Fraction(0),)
@@ -122,7 +122,8 @@ def _first_candidate_off_hyperplane(four, seed, prec):
         ab_terms = [_int_terms(a_form), _int_terms(b_form)]
         to_ambient = Layout([transpose(chart)])
         with mpmath.workprec(prec + 32):
-            for index, (st, _mult) in enumerate(_eliminant_roots(elim, prec)):
+            probed = _rational_roots_of(_binary_form_parts(elim)[2])
+            for index, (st, _mult) in enumerate(_eliminant_roots(elim, prec, probed)):
                 if isinstance(st[0], Fraction):
                     d3 = st + (-b_form.evaluate(st) / a_form.evaluate(st),)
                     d = tuple(_numeric.to_mpc(x, prec) for x in mat_vec(to_ambient[0], d3))
@@ -162,8 +163,9 @@ def test_sample_line_runs_no_rational_root_probe(four, monkeypatch):
     def no_probe(*args):
         raise AssertionError("the rational-root probe ran")
 
-    for module in (poly, detgeo):
-        monkeypatch.setattr(module, "_rational_roots_of_squarefree", no_probe)
+    for module, name in ((poly, "_rational_roots_of_squarefree"), (poly, "_rational_roots_of"),
+                         (detgeo, "_rational_roots_of")):
+        monkeypatch.setattr(module, name, no_probe)
     for line_seed in (1, 2, 3):
         m = sample_line(four, seed=line_seed)
         with mpmath.workprec(300):

@@ -491,9 +491,7 @@ def test_linear_rational_root_skips_the_probe(monkeypatch):
     c0, c1 = 3 ** 190 + 7, -(2 ** 300 + 1)
     root = Fraction(-c0, c1)
     for p, expected in ((UPoly([c0, c1]), [root]), (UPoly([0, c0, c1]), [0, root])):
-        found, rest = poly._rational_roots_of_squarefree(p)
-        assert found == sorted(expected)
-        assert rest == UPoly([c1])
+        assert poly._rational_roots_of_squarefree(p) == sorted(expected)
 
 
 def test_rational_probe_matches_single_prime_reference():
@@ -649,7 +647,10 @@ def test_irreducibility_prime_certifies_seed1_lines_quartic(inst1):
     from sixnodal.detgeo import _binary_form_parts, direction_chart, sample_smooth_point
     y = sample_smooth_point(inst1, random.Random(501))
     core = _binary_form_parts(direction_chart(inst1.cubic_y, y)[3])[2]
-    _rational, quartic = poly._rational_roots_of_squarefree(core)
+    ints = poly._primitive_int_coeffs(core)
+    for r in poly._rational_roots_of_squarefree(core):
+        ints = poly._deflate(ints, r)
+    quartic = UPoly(ints)
     assert quartic.degree() == 4
     assert irreducibility_prime(quartic) is not None
 
@@ -936,6 +937,73 @@ def test_package_has_one_root_finder():
             elif isinstance(node, ast.alias):
                 names.add(node.name)
         assert "polyroots" not in names, path.name
+
+
+def _calls_and_loops(func):
+    """The names func calls, and whether it loops over a
+    squarefree_decomposition() call."""
+    calls, loops = set(), False
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            f = node.func
+            calls.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+        if isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.iter, ast.Call) \
+                and getattr(node.iter.func, "attr", None) == "squarefree_decomposition":
+            loops = True
+    return calls, loops
+
+
+def test_one_path_from_squarefree_factors_to_aberth():
+    # every eliminant takes its roots from one stream: one function hands a
+    # factor to Aberth with the residual check, one function loops over a
+    # squarefree decomposition and feeds Aberth, and fourfold imports
+    # neither the split of a binary form nor the hand-off
+    package = pathlib.Path(poly.__file__).parent
+    hand_off, feeding = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls, loops = _calls_and_loops(func)
+                if "_checked_aberth_roots" in calls:
+                    hand_off.append(func.name)
+                if loops and calls & {"aberth_roots", "_checked_aberth_roots"}:
+                    feeding.append(func.name)
+        if path.name == "fourfold.py":
+            imported = {a.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) for a in node.names}
+            assert not imported & {"_binary_form_parts", "_checked_aberth_roots"}
+    assert hand_off == ["_root_stream"]
+    assert feeding == ["_root_stream"]
+
+
+@pytest.mark.parametrize("prec", [64, 256])
+def test_root_stream_with_no_exact_root_matches_roots(prec):
+    # sample_line's case, which its eliminants never reach: no exact root
+    # given, on (3x - 2)^2 (x^2 - 3)^2 (x^3 - 2), with a rational root in a
+    # repeated factor.  Every root comes numeric, with the multiplicity of
+    # its factor, within 2^-prec of the root poly.roots gives
+    p = _product([UPoly([-2, 3]), UPoly([-2, 3]), UPoly([-3, 0, 1]), UPoly([-3, 0, 1]),
+                  UPoly([-2, 0, 0, 1])])
+    got = list(poly._root_stream(p, prec, ()))
+    want = roots(p, prec)
+    assert all(isinstance(z, mpmath.mpc) for z, _ in got)
+    assert sorted(m for _, m in got) == [1, 1, 1, 2, 2, 2]
+    assert sorted(m for _, m in want) == [1, 1, 1, 2, 2, 2]
+    with mpmath.workprec(prec + 64):
+        ref = [(mpmath.mpf(r.numerator) / r.denominator if isinstance(r, Fraction)
+                else r.to_mpc(), m) for r, m in want]
+        for z, m in got:
+            (match,) = [(w, k) for w, k in ref if abs(z - w) <= 2 ** -prec * max(1, abs(w))]
+            assert match[1] == m
+    # a given root comes back exact, first in its factor; one that is no
+    # root, or one given twice, raises before any root is given back
+    given = list(poly._root_stream(p, prec, [Fraction(2, 3)]))
+    assert given[3] == (Fraction(2, 3), 2)
+    assert [type(z) for z, _ in given].count(Fraction) == 1
+    for exact in ([Fraction(1, 2)], [Fraction(2, 3), Fraction(2, 3)], [Fraction(3)]):
+        with pytest.raises(PolyError, match="not a root"):
+            next(poly._root_stream(p, prec, exact))
 
 
 def _fourfold_eliminant(inst, line_seed=1):
