@@ -373,7 +373,7 @@ def cmd_fourfold_iota(args) -> int:
         report.check("iota is an involution", ok)
     if args.check_scroll:
         v = tuple(Fraction(x) for x in args.check_scroll.split(","))
-        si = ff.scroll_incidence_invariance(four, m, v, image=res.line)
+        si = ff.scroll_incidence_invariance(four, m, v)
         report.check("scroll incidence invariant", si.invariant,
                      before=si.meets_before, after=si.meets_after)
     return _emit(report, args)
@@ -463,9 +463,9 @@ def cmd_reproduce(args) -> int:
 
     four = ff.extend_to_fourfold(inst, seed=args.seed)
     m = ff.sample_line(four, seed=1, prec=args.precision)
-    ok, first, _ = ff.involution_check(four, m)
+    ok, _, _ = ff.involution_check(four, m)
     report.check("iota is an involution", ok)
-    si = ff.scroll_incidence_invariance(four, m, (2, 3, -1), image=first.line)
+    si = ff.scroll_incidence_invariance(four, m, (2, 3, -1))
     report.check("scroll incidence invariant under iota", si.invariant)
 
     report.data["cone_svg_chars"] = len(cone_svg(2))

@@ -11,7 +11,11 @@ exact forms meet numeric points (the gradient test, phi and the dual-line
 conditions by `_numeric.linear_values`, the plane restriction, the scroll
 quadrics, the line lift behind `sample_line`) and in the small kernels, it
 runs in the Gaussian-integer fixed point of `_numeric`: exact integer sums,
-rounded once per value.  Products of numeric values run on mpc scalars.
+rounded once per value.  `lines_close` compares exact Gaussian-integer
+Pluecker vectors there too.  Products of numeric values run on mpc scalars.
+A line remembers its image under iota on the fourfold object it was computed
+on, so the scroll incidence test after an `involution_check` reads iota(m)
+from m rather than computing it a third time.
 `sample_line` returns a numeric line, so it asks the root stream of its
 chart eliminant (`detgeo._eliminant_roots`, the one path from a squarefree
 decomposition to Aberth) for no exact root: no rational-root probe runs, and
@@ -73,18 +77,49 @@ class CubicFourfold:
 
 def lines_close(l1: ProjLine, l2: ProjLine, prec: int,
                 tol: float = 1e-30) -> bool:
-    """Coordinatewise comparison of the Pluecker vectors, both divided by
-    their entry at the coordinate where the first is largest in modulus, so
-    that two lines whose largest entries tie cannot be normalized at
-    different coordinates.  A second vector that is 0 there is far away."""
-    with mpmath.workprec(prec + 32):
-        a, b = l1._wedge(), l2._wedge()
-        k = max(range(len(a)), key=lambda i: abs(a[i]))
-        if abs(a[k]) == 0:
-            raise DetGeoError("degenerate line")
-        if abs(b[k]) == 0:
+    """Coordinatewise comparison of the Pluecker vectors a of l1 and b of l2,
+    both divided by their entry at the first coordinate k where a is largest
+    in modulus, so that two lines whose largest entries tie cannot be
+    normalized at different coordinates.  A second vector that is 0 there is
+    far away.
+
+    Runs on the Gaussian-integer fixed point of `_numeric`: the spanning
+    points go to fixed point at prec + 32 bits, the wedges are exact, and
+    max_i |a_i/a_k - b_i/b_k| < tol is decided exactly as
+    |a_i b_k - b_i a_k|^2 < tol^2 |a_k|^2 |b_k|^2."""
+    a, b = _fixed_wedge(l1, prec), _fixed_wedge(l2, prec)
+    norms = [x * x + y * y for x, y in a]
+    k = max(range(len(a)), key=norms.__getitem__)
+    (ar, ai), (br, bi) = a[k], b[k]
+    a2, b2 = norms[k], br * br + bi * bi
+    if a2 == 0:
+        raise DetGeoError("degenerate line")
+    if b2 == 0:
+        return False
+    tn, td = Fraction(tol).as_integer_ratio()
+    bound = tn * tn * a2 * b2
+    for (xr, xi), (yr, yi) in zip(a, b):
+        # x b_k - y a_k
+        dr = xr * br - xi * bi - yr * ar + yi * ai
+        di = xr * bi + xi * br - yr * ai - yi * ar
+        if (dr * dr + di * di) * td * td >= bound:
             return False
-        return max(abs(x / a[k] - y / b[k]) for x, y in zip(a, b)) < mpmath.mpf(tol)
+    return True
+
+
+def _fixed_wedge(line: ProjLine, prec: int) -> list:
+    """The Pluecker vector of a line as exact Gaussian integers, from its
+    spanning points in fixed point at prec + 32 bits (up to a positive power
+    of two, which the comparison of `lines_close` cancels)."""
+    p, _ = _numeric.to_fixed(line.p0, prec + 32)
+    q, _ = _numeric.to_fixed(line.p1, prec + 32)
+    out = []
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            # p_i q_j - p_j q_i
+            (a, b), (c, d), (e, f), (g, h) = p[i], q[j], p[j], q[i]
+            out.append((a * c - b * d - e * g + f * h, a * d + b * c - e * h - f * g))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +243,21 @@ def iota(four: CubicFourfold, m: ProjLine) -> IotaResult:
     divisible by t*u must vanish, their relative size is reported, and the
     residual line is {L = 0}.  It works at the line's own precision m.prec
     (256 bits for an exact m), and the residual line carries it too.
+
+    The result is remembered on m, as ProjLine caches its Pluecker vector,
+    together with the fourfold it was computed on: a later call on the same
+    line object and the same fourfold object returns it, any other call
+    computes afresh.  The memo lives as long as the line.
     """
+    memo = getattr(m, "_iota", None)
+    if memo is not None and memo[0] is four:
+        return memo[1]
+    result = _iota(four, m)
+    object.__setattr__(m, "_iota", (four, result))
+    return result
+
+
+def _iota(four: CubicFourfold, m: ProjLine) -> IotaResult:
     prec = m.prec or 256
     with mpmath.workprec(prec + 32):
         tol = _numeric.default_tolerance(prec)
@@ -331,7 +380,9 @@ def _plane_restriction(cubic: MPoly, basis3, prec):
 def involution_check(four: CubicFourfold, m: ProjLine, tol: float | None = None):
     """Apply iota twice and compare with the input line, at the line's own
     precision prec = m.prec (256 bits for an exact m) and by default within
-    check_tolerance(prec, 1e-30)."""
+    check_tolerance(prec, 1e-30).  iota(m) stays remembered on m and
+    iota(iota(m)) on the image, so a later iota or scroll incidence test of
+    m reads them."""
     prec = m.prec or 256
     if tol is None:
         tol = _numeric.check_tolerance(prec, 1e-30)
@@ -356,15 +407,15 @@ class ScrollIncidence:
         return self.meets_before == self.meets_after
 
 
-def _meets_scroll(four: CubicFourfold, line: ProjLine, quadrics, prec):
-    """Incidence of a fourfold line with a scroll inside the hyperplane: the
-    unique hyperplane point of the line must satisfy the three quadrics,
-    relative to their coefficient scales.  The quadrics are evaluated in one
-    fixed-point pass at the ambient precision."""
+def _meets_scroll(y, quadrics, prec):
+    """Incidence of a fourfold line with a scroll inside the hyperplane,
+    given the line's unique hyperplane point y (of `_hyperplane_point`): y
+    must satisfy the three quadrics, relative to their coefficient scales.
+    The quadrics are evaluated in one fixed-point pass at the ambient
+    precision, prec + 32 bits."""
     with mpmath.workprec(prec + 32):
         tol = _numeric.check_tolerance(prec, _SCROLL_TOL_AT_256)
-        y5 = _hyperplane_point(line, prec)[2][:5]
-        values = _numeric.evaluate_fixed([_int_terms(q) for q in quadrics], y5,
+        values = _numeric.evaluate_fixed([_int_terms(q) for q in quadrics], y[:5],
                                          mpmath.mp.prec)
         margin = mpmath.mpf(0)
         for q, value in zip(quadrics, values):
@@ -373,18 +424,19 @@ def _meets_scroll(four: CubicFourfold, line: ProjLine, quadrics, prec):
         return bool(margin <= tol), float(margin)
 
 
-def scroll_incidence_invariance(four: CubicFourfold, m: ProjLine, v,
-                                image: ProjLine | None = None) -> ScrollIncidence:
-    """Does iota preserve incidence with the scroll of v?  `image` is iota(m)
-    when the caller already has it; otherwise it is computed here.  Both
-    incidences are tested at the line's own precision m.prec (256 bits for
-    an exact m)."""
+def scroll_incidence_invariance(four: CubicFourfold, m: ProjLine, v) -> ScrollIncidence:
+    """Does iota preserve incidence with the scroll of v?  Both incidences
+    are tested at the line's own precision m.prec (256 bits for an exact m).
+    The hyperplane point of m is the base point of iota(m), which m
+    remembers after an `involution_check`; that of the image comes from
+    `_hyperplane_point` alone, as its own iota is not needed."""
     prec = m.prec or 256
     sd = scroll_data(four.inst, v)
-    before, margin_b = _meets_scroll(four, m, sd.quadrics_v, prec)
-    if image is None:
-        image = iota(four, m).line
-    after, margin_a = _meets_scroll(four, image, sd.quadrics_v, prec)
+    first = iota(four, m)
+    before, margin_b = _meets_scroll(first.base_point, sd.quadrics_v, prec)
+    with mpmath.workprec(prec + 32):
+        y_after = _hyperplane_point(first.line, prec)[2]
+    after, margin_a = _meets_scroll(y_after, sd.quadrics_v, prec)
     return ScrollIncidence(before, after, margin_b, margin_a)
 
 

@@ -318,6 +318,9 @@ class MPoly:
         for e, c in self.terms.items():
             terms, den = product(e) if any(e) else ({(0,) * n_out: 1}, 1)
             parts.append((c.numerator, c.denominator * den, terms))
+        # product reaches itself through its closure cell: clearing the cell
+        # frees it, powers and prefixes here rather than in the cyclic collector
+        del product
         common = lcm(*(den for _, den, _ in parts))
         out: dict = {}
         for num, den, terms in parts:

@@ -278,15 +278,64 @@ def test_scroll_invariance_planted_incidence(four):
     assert si.margin_before < 1e-40 and si.margin_after < 1e-40
 
 
-def test_scroll_invariance_reuses_given_image(four):
+def _scroll_test_lines(four, v):
+    return [sample_line(four, seed=s) for s in (1, 2, 3)] + \
+        [sample_line_through_scroll(four, v, seed=5)]
+
+
+def test_scroll_invariance_same_with_and_without_involution_check(four):
+    # the same four lines sampled twice: one copy of each goes through
+    # involution_check first, so its iota is remembered, the other not
     v = (2, 3, -1)
-    lines = [sample_line(four, seed=s) for s in (1, 2, 3)]
-    lines.append(sample_line_through_scroll(four, v, seed=5))
-    for m in lines:
-        _, first, _ = involution_check(four, m)
-        given = scroll_incidence_invariance(four, m, v, image=first.line)
-        assert given == scroll_incidence_invariance(four, m, v)
-    assert given.meets_before and given.meets_after
+    for m, fresh in zip(_scroll_test_lines(four, v), _scroll_test_lines(four, v)):
+        assert m == fresh and m is not fresh
+        involution_check(four, m)
+        after_check = scroll_incidence_invariance(four, m, v)
+        assert after_check == scroll_incidence_invariance(four, fresh, v)
+    assert after_check.meets_before and after_check.meets_after
+
+
+def _count_plane_restrictions(monkeypatch):
+    from sixnodal import fourfold
+    calls = []
+    real = fourfold._plane_restriction
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fourfold, "_plane_restriction", counting)
+    return calls
+
+
+def test_involution_and_scroll_check_run_iota_twice(four, monkeypatch):
+    # involution_check computes iota(m) and iota(iota(m)); the scroll
+    # incidence test then reads iota(m) from m and takes the image's
+    # hyperplane point without a third iota
+    calls = _count_plane_restrictions(monkeypatch)
+    for seed in (1, 2):
+        m = sample_line(four, seed=seed)
+        calls.clear()
+        ok, first, _ = involution_check(four, m)
+        assert ok and len(calls) == 2
+        scroll_incidence_invariance(four, m, (2, 3, -1))
+        assert len(calls) == 2
+        assert iota(four, m) is first
+
+
+def test_iota_memo_is_per_fourfold_object(four, inst1, monkeypatch):
+    # a line remembers iota on the fourfold object it was computed on; an
+    # equal fourfold built apart computes afresh and gets an equal result
+    other = extend_to_fourfold(inst1, seed=1)
+    assert other == four and other is not four
+    calls = _count_plane_restrictions(monkeypatch)
+    m = sample_line(four, seed=1)
+    on_other = iota(other, m)
+    assert len(calls) == 1
+    on_four = iota(four, m)
+    assert len(calls) == 2 and on_four == on_other and on_four is not on_other
+    assert iota(four, m) is on_four and len(calls) == 2
+    assert iota(other, m) == on_other and len(calls) == 3
 
 
 @pytest.mark.parametrize("prec", [128, 256])
@@ -301,10 +350,10 @@ def test_scroll_margin_matches_per_quadric_evaluation(four, prec):
     lines.append(sample_line_through_scroll(four, v, seed=5, prec=prec))
     for m in lines:
         with mpmath.workprec(prec + 32):
-            y5 = _hyperplane_point(m, prec)[2][:5]
-            ref = max(abs(q.evaluate(y5)) / _numeric.to_mpc(max(map(abs, q.terms.values()))).real
+            y = _hyperplane_point(m, prec)[2]
+            ref = max(abs(q.evaluate(y[:5])) / _numeric.to_mpc(max(map(abs, q.terms.values()))).real
                       for q in quadrics)
-        assert repr(_meets_scroll(four, m, quadrics, prec)[1]) == repr(float(ref))
+        assert repr(_meets_scroll(y, quadrics, prec)[1]) == repr(float(ref))
 
 
 @pytest.mark.parametrize("prec", [128, 256])
@@ -377,6 +426,47 @@ def test_lines_close_normalizes_ties_at_one_coordinate():
         assert lines_close(line(1, 0, 1 + eps, 0, 0, 0), a, prec)
         assert not lines_close(a, line(1, 0, 2, 0, 0, 0), prec)
         assert not lines_close(a, line(0, 0, 1, 0, 0, 0), prec)
+
+
+def _reference_gap(l1, l2, prec):
+    # max_i |a_i/a_k - b_i/b_k| in mpc at prec + 96 bits, k the first
+    # coordinate where |a_i| is largest
+    with mpmath.workprec(prec + 96):
+        a, b = l1._wedge(), l2._wedge()
+        k = max(range(len(a)), key=lambda i: abs(a[i]))
+        if abs(b[k]) == 0:
+            return mpmath.inf
+        return max(abs(x / a[k] - y / b[k]) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+def test_lines_close_agrees_with_mpc_reference(four, prec):
+    # sampled lines with one spanning coordinate moved by 2^-k (and by small
+    # multiples of tol) relative to the largest: the fixed-point verdict is
+    # the one of the mpc reference wherever that gap is clear of the tolerance
+    from sixnodal._numeric import check_tolerance
+    tol = check_tolerance(prec, 1e-30)
+    verdicts = set()
+    for seed in (1, 2):
+        m = sample_line(four, seed=seed, prec=prec)
+        with mpmath.workprec(prec + 96):
+            size = max(abs(x) for x in m.p0)
+            steps = [mpmath.mpf(2) ** -k for k in range(2, prec + 48, max(1, prec // 32))]
+            steps += [mpmath.mpf(tol) * r for r in (0.25, 0.4, 3, 5)]
+            moved = []
+            for n, step in enumerate(steps):
+                p0 = list(m.p0)
+                p0[n % 6] += step * size * mpmath.mpc(1, (-1) ** n)
+                moved.append(ProjLine(tuple(p0), m.p1, exact=False, prec=prec))
+        for other in moved:
+            for l1, l2 in ((m, other), (other, m)):
+                gap = _reference_gap(l1, l2, prec)
+                if tol / 2 <= gap <= 2 * tol:
+                    continue
+                want = bool(gap < tol)
+                assert lines_close(l1, l2, prec, tol) == want, (float(gap), tol)
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_iota_builds_the_threefold_gradient_once(inst1, monkeypatch):

@@ -857,6 +857,23 @@ def test_resultant_rejects_double_constants():
         resultant_bivariate(f, f, 0)
 
 
+def test_restrict_to_subspace_leaves_no_cyclic_garbage():
+    # compose's memoized product closure must not outlive the call in a
+    # reference cycle
+    import gc
+    x = [MPoly.var(3, i) for i in range(3)]
+    f = x[0] ** 3 + x[1] * x[2] * x[0] * 5 - x[2] ** 2 * x[1] * Fraction(2, 7)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        restrict_to_subspace(f, [(1, Fraction(1, 2), 0), (0, 1, Fraction(2, 3))])
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_restrict_to_subspace():
     x = MPoly.variables(3)
     r = restrict_to_subspace(x[0], [(0, 1, 0), (0, 0, 1)])
