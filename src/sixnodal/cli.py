@@ -101,14 +101,15 @@ def cmd_lattice_chamber(args) -> int:
 
 def cmd_lattice_represent(args) -> int:
     report = RunReport("lattice represent", args.seed, args.precision)
-    res = lattice.represents(args.n, bound=args.bound)
+    res = lattice.represents(args.n)
     report.data["status"] = res.status
-    if res.witness is not None:
+    if res.is_witness():
         report.data["witness"] = [int(res.witness.x), int(res.witness.y)]
         report.data["square"] = int(lattice.square(res.witness))
-    if res.certificate:
+        report.check("witness squares to n", report.data["square"] == args.n)
+    else:
         report.data["certificate"] = res.certificate
-    report.check("conclusive", res.status != "inconclusive")
+        report.check("certificate of non-representation", bool(res.certificate))
     return _emit(report, args)
 
 
@@ -124,13 +125,14 @@ def cmd_lattice_transfer(args) -> int:
     return _emit(report, args)
 
 
-def cone_svg(k: int, size: int = 640) -> str:
+def cone_svg(k: int) -> str:
     """Standalone SVG of the chamber fan in the (x, y) coordinate plane.
 
     Draws the wall rays s_j for j in [-k, k] (that is, the alpha classes and
     their duals out to index k+1 on the dual side), so 2k chambers appear:
     k = 1 shows the two nef cones of the starting model and its first flop.
     """
+    size = 640              # width and height in pixels
     cx = cy = size / 2
     radius = size * 0.44
 
@@ -505,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice_chamber)
     p = lat.add_parser("represent")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10_000)
     common(p)
     p.set_defaults(func=cmd_lattice_represent)
     p = lat.add_parser("transfer")

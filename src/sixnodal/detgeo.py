@@ -1113,7 +1113,7 @@ def scroll_data(inst: DeterminantalInstance, v, vdual=None) -> ScrollData:
                       tuple(tuple(col) for col in columns))
 
 
-def ruling_of_scroll(inst, v, index: int = 0) -> ProjLine:
+def ruling_of_scroll(inst, v, index: int) -> ProjLine:
     """A ruling of T_v: the fromVdual-line of a functional vanishing on v,
     drawn from random.Random(index)."""
     others = nullspace([v])

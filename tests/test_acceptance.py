@@ -57,11 +57,11 @@ def test_criterion_01_lattice_tables():
 
 def test_criterion_02_non_representation():
     t0 = time.time()
-    res2 = lattice.represents(-2, bound=10_000)
+    res2 = lattice.represents(-2)
     assert res2.status == "none" and res2.certificate
-    res0 = lattice.represents(0, bound=10_000)
+    res0 = lattice.represents(0)
     assert res0.status == "none" and res0.certificate
-    res10 = lattice.represents(-10, bound=10_000)
+    res10 = lattice.represents(-10)
     assert res10.is_witness()
     assert lattice.square(res10.witness) == -10
     assert lattice.divisibility(res10.witness) == 2

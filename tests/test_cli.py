@@ -49,6 +49,18 @@ def test_represent_subcommand():
     assert data["data"]["square"] == -10
 
 
+def test_represent_certifies_none_that_passes_the_congruences():
+    # 12 = 2*6 passes every congruence and inert-prime certificate; the
+    # search up to Nagell's bound answers none, and the run passes
+    code, out, _ = run_cli(["lattice", "represent", "--n", "12", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["data"]["status"] == "none"
+    assert "no x <= 1 " in data["data"]["certificate"]
+    assert data["checks"] == [{"name": "certificate of non-representation",
+                               "pass": True}]
+
+
 def test_chamber_subcommand():
     code, out, _ = run_cli(["lattice", "chamber", "--x", "12", "--y", "-5",
                             "--json"])

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,22 +82,32 @@ def test_represents_6_and_parity():
     assert odd.status == "none" and "odd" in odd.certificate
 
 
-def test_represents_inconclusive_distinct_from_none():
+def test_represents_12_and_36_certified_none():
     # 36 = 2*18 passes every certificate (18 = 0 mod 3, 2 mod 8, no prime
     # factor above 3), yet no witness exists: u^2 - 6x^2 = 18 forces 3 | u,
-    # then 3 | x, and leaves a^2 - 6b^2 = 2, insoluble mod 3; with a small
-    # bound the search must report inconclusive, not a certificate
-    res = represents(36, bound=50)
-    assert res.status == "inconclusive"
-    assert res.witness is None and res.certificate is None
-    assert res.bound == 50
+    # then 3 | x, and leaves a^2 - 6b^2 = 2, insoluble mod 3.  The search
+    # up to Nagell's bound certifies none, naming m and the bound
+    for n, m, bound in ((12, 6, 1), (36, 18, 2)):
+        res = represents(n)
+        assert res.status == "none" and res.witness is None
+        assert f"u^2 - 6x^2 = {m} is insoluble" in res.certificate
+        assert f"no x <= {bound} " in res.certificate
+        assert "Nagell" in res.certificate
+
+
+def test_represents_at_the_nagell_bound():
+    # m = -968: the bound is sqrt(968/2) = 22 and the least solution,
+    # (u, x) = (44, 22), sits on it, so a bound of 21 or 11 would answer none
+    res = represents(-1936)
+    assert res.is_witness() and res.witness.coords() == (-22, 22)
+    assert square(res.witness) == -1936
 
 
 def test_represents_66_by_the_inert_prime_11():
     # 66 = 2*33 passes both congruence filters (33 = 0 mod 3, 1 mod 8), but
     # 11 is inert in Z[sqrt 6] and divides 33 once: answered with no search
     res = represents(66)
-    assert res.status == "none" and res.bound == 0
+    assert res.status == "none"
     assert "11" in res.certificate and "inert" in res.certificate
 
 
@@ -107,9 +117,23 @@ def test_inert_prime_certificate_against_brute_force():
     values = {6 * x * x + 12 * x * y + 2 * y * y
               for x in range(-60, 61) for y in range(-60, 61)}
     fired = [n for n in range(-2000, 2001, 2)
-             if "inert" in (represents(n, bound=0).certificate or "")]
+             if "inert" in (represents(n).certificate or "")]
     assert 66 in fired and len(fired) > 300
     assert not values.intersection(fired)
+
+
+def _shell(r):
+    """The vectors with max(|x|, |y|) = r: the columns x = -r and x = r by
+    y, then the rows y = -r and y = r by x."""
+    if r == 0:
+        yield (0, 0)
+        return
+    for x in (-r, r):
+        for y in range(-r, r + 1):
+            yield (x, y)
+    for y in (-r, r):
+        for x in range(-r + 1, r):
+            yield (x, y)
 
 
 def test_brute_force_represents_oracle():
@@ -122,6 +146,30 @@ def test_brute_force_represents_oracle():
     assert 0 in values              # only the zero class
     assert -10 in values
     assert all(v % 2 == 0 for v in values)
+
+    # the verdict for every even n, 0 < |n| <= 2000, against u^2 - 6x^2 = n/2
+    # searched directly over 0 <= x < 3000, with u near sqrt(6x^2) by isqrt
+    soluble = set()
+    for x in range(3000):
+        for u in range(isqrt(max(6 * x * x - 1000, 0)), isqrt(6 * x * x + 1000) + 1):
+            if abs(u * u - 6 * x * x) <= 1000 and (x, u) != (0, 0):
+                soluble.add(u * u - 6 * x * x)
+    # the witness against the first vector of its square in shell order,
+    # turned to pair nonnegatively with g
+    first = {}
+    for r in range(200):
+        for x, y in _shell(r):
+            first.setdefault(6 * x * x + 12 * x * y + 2 * y * y,
+                             (x, y) if x + y >= 0 else (-x, -y))
+    for n in range(-2000, 2001, 2):
+        if n == 0:
+            continue
+        res = represents(n)
+        assert res.is_witness() == (n // 2 in soluble), n
+        if res.is_witness():
+            assert res.witness.coords() == first[n], n
+        else:
+            assert res.status == "none" and res.certificate, n
 
 
 def test_named_isometries():
