@@ -18,8 +18,6 @@ from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
-import mpmath
-
 from . import _numeric
 from ._qlinalg import (Q, Layout, _int_rref, clear_denominators, det as qdet, identity,
                        inverse, is_zero_vec, linear_terms, mat_mul, mat_vec, nullspace,
@@ -968,16 +966,21 @@ def classify_line(inst: DeterminantalInstance, line: ProjLine) -> str:
 @dataclass(frozen=True)
 class _Backend:
     """The arithmetic of the sigma test: kernel(rows), a kernel basis of a
-    matrix; values(forms, v), the matrix of the exact linear forms with the
-    coefficient lists forms[i][j] at the vector v; negligible(x, scale),
-    whether x counts as zero against scale."""
+    matrix; values(forms, v), the matrix of the exact linear forms of the
+    Layout forms at the vector v; mat_mul(a, b), a matrix product; and
+    negligible(m, sigma, phi), whether the product m of sigma, phi and sigma
+    counts as zero against the largest entry moduli of sigma and phi.  On
+    the exact backend the values are Fractions; on the numeric one they are
+    _numeric.Fixed rows, and no mpc is made."""
 
     kernel: Callable
     values: Callable
+    mat_mul: Callable
     negligible: Callable
 
 
-_EXACT = _Backend(nullspace, _values, lambda x, scale: x == 0)
+_EXACT = _Backend(nullspace, _values, mat_mul,
+                  lambda m, sigma, phi: not any(x for row in m for x in row))
 
 # multiple of default_tolerance(prec) in the numeric sigma phi sigma = 0
 # check; absorbs the nine-term sums per entry and the error sigma inherits
@@ -986,13 +989,21 @@ _SIGMA_SLACK = 64
 
 
 def _numeric_backend(prec: int) -> _Backend:
-    """Kernels and exact-times-numeric values at prec + 32 bits, through the
-    fixed-point layer of _numeric; the sigma test runs on it inside
-    mpmath.workprec(prec + 32)."""
-    tol = _numeric.default_tolerance(prec) * _SIGMA_SLACK
+    """Kernels, exact-times-numeric values and matrix products at prec + 32
+    bits on the Gaussian-integer fixed point of _numeric.  A product counts
+    as zero when max|m| <= _SIGMA_SLACK 2^-(prec//2) max|sigma|^2 max|phi|,
+    compared exactly on squared moduli."""
+    bits = prec + 32
+
+    def negligible(m, sigma, phi):
+        (x, ex), (s, es), (p, ep) = (_numeric.norm2(a, bits) for a in (m, sigma, phi))
+        return _numeric.at_most(x << 2 * (prec // 2), _SIGMA_SLACK ** 2 * s * s * p,
+                                ex - 2 * es - ep)
+
     return _Backend(lambda rows: _numeric.kernel_numeric(rows, prec),
                     lambda forms, v: _numeric.linear_values(forms, v, prec),
-                    lambda x, scale: abs(x) <= tol * scale)
+                    lambda a, b: _numeric.mat_mul(a, b, prec),
+                    negligible)
 
 
 def _sigma_test(backend: _Backend, inst, phi_y, d) -> bool:
@@ -1008,12 +1019,12 @@ def _sigma_test(backend: _Backend, inst, phi_y, d) -> bool:
     sigma phi(d) sigma = 0 puts im sigma, the preimage plane of phi(y),
     inside that of phi(d).
     """
-    kernel, values = backend.kernel, backend.values
-    lam = inst.lam
+    kernel, values, product = backend.kernel, backend.values, backend.mat_mul
+    lam, perp = inst.lam, inst.lam_perp
     # the row c phi_y, linear in c, cleared once for every row it is applied to
     row_times_phi_y = Layout([[[phi_y[i][j] for i in range(3)] for j in range(3)]])
-    phi_d = values(inst.lam_perp.forms, d)
-    ann_y, ann_d = (kernel(transpose(phi)) for phi in (phi_y, phi_d))
+    phi_d = values(perp.forms, d)
+    ann_y, ann_d = kernel(transpose(phi_y)), kernel(values(perp.forms_t, d))
     if len(ann_y) != 1 or len(ann_d) != 1:
         return False
     meet = kernel([ann_y[0], ann_d[0]])
@@ -1025,17 +1036,14 @@ def _sigma_test(backend: _Backend, inst, phi_y, d) -> bool:
         return False
     # sigma u0 = 0, and a sigma = 0 for the covector a of the preimage plane
     conditions = values(lam.image, u0) + values(lam.image_t, kernel(pre)[0])
-    pnorm_y, pnorm_d = (max(abs(x) for row in phi for x in row) for phi in (phi_y, phi_d))
     for s in kernel(conditions):
         sigma = values(lam.forms, s)
         if len(kernel(sigma)) != 1:
             continue
-        snorm2 = max(abs(x) for row in sigma for x in row) ** 2
         # sigma phi(y) from the exact phi(y), sigma phi(d) from the values
-        products = ((snorm2 * pnorm_y, [values(row_times_phi_y, row)[0] for row in sigma]),
-                    (snorm2 * pnorm_d, mat_mul(sigma, phi_d)))
-        if all(backend.negligible(x, scale) for scale, sp in products
-               for row in mat_mul(sp, sigma) for x in row):
+        products = ((phi_y, [values(row_times_phi_y, row)[0] for row in sigma]),
+                    (phi_d, product(sigma, phi_d)))
+        if all(backend.negligible(product(sp, sigma), sigma, phi) for phi, sp in products):
             return True
     return False
 
@@ -1366,17 +1374,21 @@ def _eliminant_roots(elim: MPoly, prec: int, rational):
     only when the next is asked for: (0:1) and (1:0) split off, then those
     of its core from poly._root_stream, factor by factor.  rational holds
     the core's roots that come back exact, as given; the rest of each
-    squarefree factor comes from Aberth, checked on the core, as mpc
-    values.  Which roots are exact is the caller's data: the P and P-dual
-    roots or the probe's roots (lines_through_point), the probe's roots
-    (direction_candidates), or none (fourfold.sample_line)."""
+    squarefree factor comes from Aberth, checked on the core, as a
+    _numeric.Fixed (s, t) = (z, 1) at the unit of its root.  Which roots
+    are exact is the caller's data: the P and P-dual roots or the probe's
+    roots (lines_through_point), the probe's roots (direction_candidates),
+    or none (fourfold.sample_line)."""
     a0, inf_mult, core = _binary_form_parts(elim)
     if a0 > 0:
         yield (Fraction(0), Fraction(1)), a0
     if inf_mult > 0:
         yield (Fraction(1), Fraction(0)), inf_mult
     for r, m in _root_stream(core, prec, rational):
-        yield ((r, Fraction(1)) if isinstance(r, Fraction) else (r, 1)), m
+        if isinstance(r, Fraction):
+            yield (r, Fraction(1)), m
+        else:
+            yield _numeric.Fixed([r.pairs[0], (1 << r.shift, 0)], r.shift), m
 
 
 def _split_rational(core: UPoly, rational) -> bool:
@@ -1404,45 +1416,59 @@ def _lift_roots(chart_data, roots, prec):
     chart_data is what direction_chart returns, whose (A, B) has A nonzero
     at every root (s : t), so (s, t, -B/A) is the one common zero of the
     conic and the cubic over it.  A rational root lifts exactly, by
-    MPoly.evaluate, with residual 0.  An irrational one lifts at prec + 32
-    bits by one _numeric.evaluate_fixed call on the integer terms of A and
-    B, and its residual on the conic and on the cubic, relative to their
-    coefficient scales, must be within default_tolerance(prec), else
-    DetGeoError.
+    MPoly.evaluate, with residual 0.  An irrational one, a _numeric.Fixed
+    (s, t), lifts on Gaussian integers at its unit: A and B exactly
+    (_numeric.exact_values on their integer terms), u = -B/A rounded once to
+    that unit, and the residual of (s, t, u) on the conic and on the cubic,
+    relative to their coefficient scales, compared exactly with
+    default_tolerance(prec) on squares (DetGeoError above it) and reported
+    as a float.  The ambient direction is the exact integer image of
+    (s, t, u), rounded once per coordinate to an mpc at prec + 32 bits.
     """
     chart, q_chart, c_chart, _elim, (a_form, b_form) = chart_data
     ab_terms = [_int_terms(a_form), _int_terms(b_form)]
     qc_terms = [_int_terms(q_chart), _int_terms(c_chart)]
     # ambient coordinate j of a chart direction d3 is sum_k d3[k] chart[k][j]
     to_ambient = Layout([transpose(chart)])
-    with mpmath.workprec(prec + 32):
-        tol = _numeric.default_tolerance(prec)
-        scales = [_numeric.to_mpc(max(map(abs, f.terms.values()), default=1)).real
-                  for f in (q_chart, c_chart)]
+    scales = [max(map(abs, terms.values()), default=1) for terms, _den in qc_terms]
     for st, _mult in roots:
-        if isinstance(st[0], Fraction):
+        if not isinstance(st, _numeric.Fixed):
             d3 = st + (-b_form.evaluate(st) / a_form.evaluate(st),)
             yield mat_vec(to_ambient[0], d3), True, 0
             continue
-        with mpmath.workprec(prec + 32):
-            a_val, b_val = _numeric.evaluate_fixed(ab_terms, st, prec + 32)
-            d3 = st + (-b_val / a_val,)
-            resid = _lift_residual(qc_terms, scales, d3)
-            if resid > tol:
-                raise DetGeoError(f"lift residual {mpmath.nstr(resid, 8)} above tolerance")
-            d = tuple(_numeric.linear_values(to_ambient, d3, prec)[0])
-        yield d, False, resid
+        (ar, ai, ae, ad), (br, bi, be, bd) = _numeric.exact_values(ab_terms, st)
+        # u 2^shift = -B conj(A) / |A|^2, rounded to the nearest integer
+        num, den = _numeric.over(ad, be - ae + st.shift, bd * (ar * ar + ai * ai))
+        u = tuple((2 * -x * num + den) // (2 * den)
+                  for x in (br * ar + bi * ai, bi * ar - br * ai))
+        d3 = _numeric.Fixed(st.pairs + [u], st.shift)
+        num, den = _lift_residual(qc_terms, scales, d3)
+        if num << 2 * (prec // 2) > den:
+            raise DetGeoError(f"lift residual {_numeric.sqrt_ratio(num, den):.8g} "
+                              "above tolerance")
+        res, ims = zip(*d3.pairs)
+        d = tuple(_numeric.from_fixed(sum(map(mul, row, res)), sum(map(mul, row, ims)),
+                                      -st.shift, prec + 32, to_ambient.den)
+                  for row in to_ambient.ints)
+        yield d, False, _numeric.sqrt_ratio(num, den)
 
 
-def _lift_residual(forms, scales, d3):
-    """Residual of a numeric lift d3 on the conic and the cubic of the chart,
-    given as their _int_terms, relative to scales, their largest coefficient
-    moduli, at the ambient precision."""
-    dnorm = max(1, max(abs(x) for x in d3))
-    value_q, value_c = _numeric.evaluate_fixed(forms, d3, mpmath.mp.prec)
-    scale_q, scale_c = scales
-    return max(abs(value_q) / (scale_q * dnorm ** 2),
-               abs(value_c) / (scale_c * dnorm ** 3))
+def _lift_residual(forms, scales, d3) -> tuple[int, int]:
+    """The squared residual (num, den) of a numeric lift d3, a
+    _numeric.Fixed, on the conic and the cubic of the chart, given as their
+    _int_terms: the larger of |f(d3)|^2 / (scale^2 max(1, |d3|)^(2 deg f)),
+    scale the largest modulus of the integer terms of f, as an exact ratio
+    for the Gaussian integers of d3."""
+    one2 = 1 << 2 * d3.shift
+    dn2 = max(one2, max(re * re + im * im for re, im in d3.pairs))
+    best = (0, 1)
+    for (re, im, exp, _den), scale, deg in zip(_numeric.exact_values(forms, d3), scales, (2, 3)):
+        # |f(d3)| / scale = |re + i im| 2^exp / scale, max(1, |d3|)^2 = dn2 / one2
+        num, den = _numeric.over(re * re + im * im, 2 * (exp + deg * d3.shift),
+                                  scale * scale * dn2 ** deg)
+        if num * best[1] > best[0] * den:
+            best = (num, den)
+    return best
 
 
 def _special_roots(inst, chart, kv, kw) -> list | None:
@@ -1538,9 +1564,8 @@ def lines_through_point(f: MPoly, y, prec: int = 256, inst=None) -> LinesThrough
             if inst is not None:
                 tag = orbit_tag
                 if tag is None:
-                    with mpmath.workprec(prec + 32):
-                        tag = ("Scomponent" if _sigma_test(numeric, inst, phi_y, d)
-                               else "unclassified")
+                    tag = ("Scomponent" if _sigma_test(numeric, inst, phi_y, d)
+                           else "unclassified")
                     if certified:
                         orbit_tag = tag
         found.append((line, tag))

@@ -6,13 +6,16 @@ the new coordinate.  A line not inside the hyperplane meets the threefold
 in one smooth point; the plane it spans with the unique dual-family line
 through that point cuts the fourfold in three lines, and swapping the first
 and third is the involution.  Fourfold-level computation runs on the
-numeric path at an explicit working precision of prec + 32 bits.  Where
-exact forms meet numeric points (the gradient test, phi and the dual-line
-conditions by `_numeric.linear_values`, the plane restriction, the scroll
-quadrics, the line lift behind `sample_line`) and in the small kernels, it
-runs in the Gaussian-integer fixed point of `_numeric`: exact integer sums,
-rounded once per value.  `lines_close` compares exact Gaussian-integer
-Pluecker vectors there too.  Products of numeric values run on mpc scalars.
+numeric path at an explicit working precision of prec + 32 bits, all of it
+in the Gaussian-integer fixed point of `_numeric`: the hyperplane point, the
+gradient test, phi and the dual-line conditions by `_numeric.linear_values`,
+the small kernels, the plane restriction, the residual line, the scroll
+quadrics and the line lift behind `sample_line` pass `_numeric.Fixed`
+values from one step to the next, with exact integer sums rounded once per
+step, and every tolerance decided exactly on squares.  Only the spanning
+points of a returned line and the reported residuals and margins are made
+mpc or float.  `lines_close` compares exact Gaussian-integer Pluecker
+vectors there too.
 A line remembers its image under iota on the fourfold object it was computed
 on, so the scroll incidence test after an `involution_check` reads iota(m)
 from m rather than computing it a third time.
@@ -28,8 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import mpmath
+from math import isqrt
 
 from . import _numeric
 from ._qlinalg import is_zero_vec, primitive_int_vector
@@ -46,10 +48,10 @@ class FourfoldError(ValueError):
 # multiples of default_tolerance(prec) in the numeric checks of iota:
 # near-zero guard; absorbs the cancellation in forming y = m cap {x5 = 0}
 # from two points of m, and in the gradient evaluated at y
-_NEAR_ZERO_SLACK = 1e6
+_NEAR_ZERO_SLACK = 10 ** 6
 # residual bound of the plane factoring and scroll incidence; absorbs the
 # error of the numeric kernels (cokernel, dual line, residual factor) before it
-_KERNEL_CHAIN_SLACK = 1e8
+_KERNEL_CHAIN_SLACK = 10 ** 8
 # scroll-incidence bound at 256 bits, scaled like the other checks: a fixed
 # multiple of default_tolerance(prec) is 0.023 at 64 bits, above the margin
 # of a line that misses the scroll
@@ -197,12 +199,12 @@ def sample_line(four: CubicFourfold, seed: int = 1, prec: int = 256,
         chart_data = direction_chart(four.cubic, y, f"{seed}:{attempt}")
         roots = _eliminant_roots(chart_data[3], prec, ())
         for d, exact, _resid in _lift_roots(chart_data, roots, prec):
-            with mpmath.workprec(prec + 32):
-                d_num = tuple(_numeric.to_mpc(x, prec) if exact else x for x in d)
-                dnorm = max(abs(x) for x in d_num)
-                if abs(d_num[5]) > dnorm * mpmath.mpf(2) ** (-16):
-                    y_num = tuple(_numeric.to_mpc(x, prec) for x in y)
-                    return ProjLine(y_num, d_num, exact=False, prec=prec)
+            # |d5| > 2^-16 |d|, on squares
+            norms = [re * re + im * im for re, im in _numeric.to_fixed(d, prec + 32).pairs]
+            if norms[5] << 32 > max(norms):
+                return ProjLine(tuple(_numeric.to_mpc(x, prec) for x in y),
+                                tuple(_numeric.to_mpc(x, prec) if exact else x for x in d),
+                                exact=False, prec=prec)
         if base_point is not None:
             raise FourfoldError("all lines through the base point lie in the hyperplane")
     raise FourfoldError("no line found off the hyperplane")
@@ -215,24 +217,31 @@ def sample_line(four: CubicFourfold, seed: int = 1, prec: int = 256,
 @dataclass(frozen=True)
 class IotaResult:
     line: ProjLine
-    base_point: tuple          # y = m cap {x5 = 0}
-    dual_line_point: tuple     # second spanning point of the dual-family line
-    factor_residual: float     # relative size of the forbidden coefficients
+    base_point: _numeric.Fixed        # y = m cap {x5 = 0}, of largest modulus 1
+    dual_line_point: _numeric.Fixed   # second spanning point of the dual-family line
+    factor_residual: float            # relative size of the forbidden coefficients
 
 
 def _hyperplane_point(line: ProjLine, prec):
-    """(p0, p1, y): the spanning points of the line as mpc vectors and its
-    point y = p1[5] p0 - p0[5] p1 on {x5 = 0}, scaled to largest modulus 1.
-    Runs at the ambient precision, prec + 32 bits in its callers."""
-    p0 = tuple(_numeric.to_mpc(x, prec) for x in line.p0)
-    p1 = tuple(_numeric.to_mpc(x, prec) for x in line.p1)
-    # y is bilinear in (p0, p1), so its size is judged against both norms
-    scale = max(abs(x) for x in p0) * max(abs(x) for x in p1)
-    y = tuple(p1[5] * a - p0[5] * b for a, b in zip(p0, p1))
-    ynorm = max(abs(x) for x in y)
-    if ynorm <= _numeric.default_tolerance(prec) * scale * _NEAR_ZERO_SLACK:
+    """(p0, p1, y): the spanning points of the line in fixed point at
+    prec + 32 bits and its point y = p1[5] p0 - p0[5] p1 on {x5 = 0},
+    scaled to largest modulus 1, all _numeric.Fixed vectors."""
+    bits = prec + 32
+    p0, p1 = _numeric.to_fixed(line.p0, bits), _numeric.to_fixed(line.p1, bits)
+    (ar, ai), (br, bi) = p1.pairs[5], p0.pairs[5]
+    y = [(ar * xr - ai * xi - br * zr + bi * zi, ar * xi + ai * xr - br * zi - bi * zr)
+         for (xr, xi), (zr, zi) in zip(p0.pairs, p1.pairs)]
+    y2 = max(re * re + im * im for re, im in y)
+    # y is bilinear in (p0, p1), so its size is judged against both norms:
+    # |y| <= default_tolerance(prec) |p0| |p1| _NEAR_ZERO_SLACK, on squares
+    if y2 << 2 * (prec // 2) <= _NEAR_ZERO_SLACK ** 2 * _max_norm2(p0) * _max_norm2(p1):
         raise FourfoldError("line lies in the hyperplane section")
-    return p0, p1, tuple(x / ynorm for x in y)
+    ynorm = isqrt(y2)
+    return p0, p1, _numeric.from_ratios([((re, ynorm), (im, ynorm)) for re, im in y], bits)
+
+
+def _max_norm2(v: _numeric.Fixed) -> int:
+    return max(re * re + im * im for re, im in v.pairs)
 
 
 def iota(four: CubicFourfold, m: ProjLine) -> IotaResult:
@@ -242,7 +251,10 @@ def iota(four: CubicFourfold, m: ProjLine) -> IotaResult:
     The plane restriction factors as t * u * L; the seven coefficients not
     divisible by t*u must vanish, their relative size is reported, and the
     residual line is {L = 0}.  It works at the line's own precision m.prec
-    (256 bits for an exact m), and the residual line carries it too.
+    (256 bits for an exact m), and the residual line carries it too.  Every
+    step runs on the Gaussian-integer fixed point of `_numeric`, each
+    tolerance is decided exactly on squares, and only the spanning points of
+    the residual line and the reported residual leave it.
 
     The result is remembered on m, as ProjLine caches its Pluecker vector,
     together with the fourfold it was computed on: a later call on the same
@@ -259,72 +271,83 @@ def iota(four: CubicFourfold, m: ProjLine) -> IotaResult:
 
 def _iota(four: CubicFourfold, m: ProjLine) -> IotaResult:
     prec = m.prec or 256
-    with mpmath.workprec(prec + 32):
-        tol = _numeric.default_tolerance(prec)
-        p0, p1, y = _hyperplane_point(m, prec)
+    bits, half = prec + 32, 2 * (prec // 2)     # tol^2 = 2^-half
+    p0, p1, y = _hyperplane_point(m, prec)
 
-        # smoothness of the threefold at y and the unique dual-family line
-        y5 = y[:5]
-        cubic_y = four.inst.cubic_y
-        grads = _numeric.evaluate_fixed(four._threefold_gradient, y5, prec + 32)
-        gscale = _numeric.to_mpc(max(map(abs, cubic_y.terms.values()))).real
-        if max(abs(x) for x in grads) <= tol * gscale * _NEAR_ZERO_SLACK:
-            raise FourfoldError("hyperplane point is singular on the threefold")
-        perp = four.inst.lam_perp
-        phi_t = _numeric.linear_values(perp.forms_t, y5, prec)
-        coker = _numeric.kernel_numeric(phi_t, prec)
-        if len(coker) != 1:
-            raise FourfoldError("hyperplane point has no unique dual line")
-        vdual = coker[0]
+    # smoothness of the threefold at y and the unique dual-family line
+    y5 = _numeric.Fixed(y.pairs[:5], y.shift)
+    grads = _numeric.evaluate_fixed(four._threefold_gradient, y5, bits)
+    gscale = Fraction(max(map(abs, four.inst.cubic_y.terms.values())))
+    # |grad| <= tol gscale _NEAR_ZERO_SLACK at |y| = 1, on squares
+    if _numeric.at_most(_max_norm2(grads) * gscale.denominator ** 2 << half,
+                        (gscale.numerator * _NEAR_ZERO_SLACK) ** 2, 2 * grads.shift):
+        raise FourfoldError("hyperplane point is singular on the threefold")
+    perp = four.inst.lam_perp
+    coker = _numeric.kernel_numeric(_numeric.linear_values(perp.forms_t, y5, prec), prec)
+    if len(coker) != 1:
+        raise FourfoldError("hyperplane point has no unique dual line")
 
-        # the dual line: y-coordinates with phi^T vdual = 0
-        cond = _numeric.linear_values(perp.image_t, vdual, prec)
-        kern = _numeric.kernel_numeric(cond, prec)
-        if len(kern) != 2:
-            raise FourfoldError("dual-family line is degenerate")
-        # spanning point of the dual line independent from y
-        b_pt = _independent_point(kern, y5, prec)
-        b6 = tuple(b_pt) + (mpmath.mpc(0),)
+    # the dual line: y-coordinates with phi^T vdual = 0
+    kern = _numeric.kernel_numeric(_numeric.linear_values(perp.image_t, coker[0], prec), prec)
+    if len(kern) != 2:
+        raise FourfoldError("dual-family line is degenerate")
+    # spanning point of the dual line independent from y
+    b_pt = _independent_point(kern, y5)
+    b6 = _numeric.Fixed(b_pt.pairs + [(0, 0)], b_pt.shift)
 
-        a6 = p0 if abs(p0[5]) >= abs(p1[5]) else p1
-        if _numeric.rank_numeric([list(y), list(a6), list(b6)], prec) != 3:
-            raise FourfoldError("plane through m and the dual line is degenerate")
+    # the spanning point of m with the larger |x5|, compared on squares
+    n0, n1 = (re * re + im * im for re, im in (p0.pairs[5], p1.pairs[5]))
+    a6 = p0 if _numeric.at_most(n1, n0, 2 * (p1.shift - p0.shift)) else p1
+    if _numeric.rank_numeric([y, a6, b6], prec) != 3:
+        raise FourfoldError("plane through m and the dual line is degenerate")
 
-        coeffs = _plane_restriction(four.cubic, (y, a6, b6), prec)
-        # of t u L: the coefficients of s t u, t^2 u and t u^2 are those of L
-        allowed = ((1, 1, 1), (0, 2, 1), (0, 1, 2))
-        cmax = max(abs(c) for c in coeffs.values())
-        bad = max((abs(c) for e, c in coeffs.items() if e not in allowed),
-                  default=mpmath.mpf(0))
-        if cmax == 0 or bad > tol * cmax * _KERNEL_CHAIN_SLACK:
-            raise FourfoldError("plane restriction does not factor (residual "
-                                f"{mpmath.nstr(bad / max(cmax, 1), 6)})")
-        kern_l = _numeric.kernel_numeric([[coeffs.get(e, mpmath.mpc(0)) for e in allowed]],
-                                         prec)
-        if len(kern_l) != 2:
-            raise FourfoldError("residual factor is not a line")
-        pts = [tuple(k[0] * y[j] + k[1] * a6[j] + k[2] * b6[j] for j in range(6))
-               for k in kern_l]
-        out = ProjLine(pts[0], pts[1], exact=False, prec=prec)
-        return IotaResult(out, y, b6, float(bad / cmax))
+    coeffs = _plane_restriction(four.cubic, (y, a6, b6), prec)
+    norms = [re * re + im * im for re, im in coeffs.pairs]
+    cmax2 = max(norms)
+    bad2 = max(n for key, n in zip(_PLANE_KEYS, norms) if key not in _FACTOR_KEYS)
+    # bad <= tol cmax _KERNEL_CHAIN_SLACK, on squares
+    if cmax2 == 0 or bad2 << half > cmax2 * _KERNEL_CHAIN_SLACK ** 2:
+        raise FourfoldError("plane restriction does not factor (residual "
+                            f"{_numeric.sqrt_ratio(bad2, max(cmax2, 1)):.6g})")
+    # of t u L: the coefficients of s t u, t^2 u and t u^2 are those of L
+    kern_l = _numeric.kernel_numeric(
+        [_numeric.Fixed([coeffs.pairs[_PLANE_KEYS.index(e)] for e in _FACTOR_KEYS],
+                        coeffs.shift)], prec)
+    if len(kern_l) != 2:
+        raise FourfoldError("residual factor is not a line")
+    # k0 y + k1 a6 + k2 b6, exact over the finest unit, rounded once per part
+    top = max(v.shift for v in (y, a6, b6))
+    basis = [[(re << (top - v.shift), im << (top - v.shift)) for re, im in v.pairs]
+             for v in (y, a6, b6)]
+    pts = []
+    for k in kern_l:
+        pts.append(tuple(_numeric.from_fixed(
+            sum(kr * xr - ki * xi for (kr, ki), (xr, xi) in zip(k.pairs, col)),
+            sum(kr * xi + ki * xr for (kr, ki), (xr, xi) in zip(k.pairs, col)),
+            -(k.shift + top), bits) for col in zip(*basis)))
+    out = ProjLine(pts[0], pts[1], exact=False, prec=prec)
+    return IotaResult(out, y, b6, _numeric.sqrt_ratio(bad2, cmax2))
 
 
-def _independent_point(kernel_pair, y5, prec):
-    """Point of the numeric plane span(kernel_pair) least aligned with y5: the
-    least squared cosine |<c, y5>|^2 / (|c|^2 |y5|^2), compared exactly on
-    fixed-point vectors, where the shifts cancel."""
-    with mpmath.workprec(prec + 32):
-        cands = (*kernel_pair, tuple(a + b for a, b in zip(*kernel_pair)))
-    ys, _ = _numeric.to_fixed(y5, prec + 32)
-    y2 = sum(a * a + b * b for a, b in ys)
+def _independent_point(kernel_pair, y5):
+    """Point of the numeric plane span(kernel_pair) least aligned with y5,
+    among the pair and their sum, all _numeric.Fixed: the least squared
+    cosine |<c, y5>|^2 / (|c|^2 |y5|^2), compared exactly as
+    |<c, y5>|^2 / |c|^2, as |y5|^2 and the shifts are common to all."""
+    (a, sa), (b, sb) = kernel_pair
+    top = max(sa, sb)
+    total = _numeric.Fixed([((ar << (top - sa)) + (br << (top - sb)),
+                             (ai << (top - sa)) + (bi << (top - sb)))
+                            for (ar, ai), (br, bi) in zip(a, b)], top)
+    ys = y5.pairs
 
     def cosine2(cand):
-        cs, _ = _numeric.to_fixed(cand, prec + 32)
+        cs = cand.pairs
         re = sum(a * c + b * d for (a, b), (c, d) in zip(cs, ys))
         im = sum(b * c - a * d for (a, b), (c, d) in zip(cs, ys))
-        return Fraction(re * re + im * im, sum(a * a + b * b for a, b in cs) * y2)
+        return Fraction(re * re + im * im, sum(a * a + b * b for a, b in cs))
 
-    return min(cands, key=cosine2)
+    return min((*kernel_pair, total), key=cosine2)
 
 
 def _plane_exponent(*idx):
@@ -338,18 +361,23 @@ def _plane_exponent(*idx):
 # exponents of s_m s_n s_p for p = 0, 1, 2
 _PLANE_QUADRATIC = [(m, n, [_plane_exponent(m, n, p) for p in range(3)])
                     for m in range(3) for n in range(m, 3)]
+# the cubic monomials in the plane coordinates (s, t, u), in the order of
+# _plane_restriction, and those of s t u, t^2 u and t u^2, divisible by t u
+_PLANE_KEYS = sorted({key for _m, _n, keys in _PLANE_QUADRATIC for key in keys})
+_FACTOR_KEYS = ((1, 1, 1), (0, 2, 1), (0, 1, 2))
 
 
-def _plane_restriction(cubic: MPoly, basis3, prec):
+def _plane_restriction(cubic: MPoly, basis3, prec) -> _numeric.Fixed:
     """Coefficients of a cubic restricted to span(basis3) in plane
-    coordinates.
+    coordinates, in the order of _PLANE_KEYS.
 
     The cubic, in integers over one denominator, is the sum over i <= j of
     x_i x_j L_ij.  Each L_ij is restricted once and multiplied by the
     quadratic l_i l_j, where l_i = (basis3[0][i], basis3[1][i],
-    basis3[2][i]) is the restriction of x_i.  The basis vectors are
-    fixed-point vectors with shifts s_m, so the coefficient of s^a t^b u^c is
-    an exact sum over 2^(a s_0 + b s_1 + c s_2), rounded once.
+    basis3[2][i]) is the restriction of x_i.  The basis vectors go to fixed
+    point with shifts s_m, so the coefficient of s^a t^b u^c is an exact sum
+    over 2^(a s_0 + b s_1 + c s_2); the coefficients are rounded once
+    together at prec + 32 bits.
     """
     ints, den = _int_terms(cubic)
     linear: dict = {}
@@ -357,7 +385,7 @@ def _plane_restriction(cubic: MPoly, basis3, prec):
         i, j, k = [v for v in range(cubic.nvars) for _ in range(e[v])]
         linear.setdefault((i, j), []).append((k, c))
     fixed = [_numeric.to_fixed(b, prec + 32) for b in basis3]
-    pts = [f[0] for f in fixed]
+    pts = [f.pairs for f in fixed]
     out: dict = {}
     for (i, j), terms in linear.items():
         form = [(sum(c * pts[m][k][0] for k, c in terms),
@@ -371,10 +399,12 @@ def _plane_restriction(cubic: MPoly, basis3, prec):
             for key, (lr, li) in zip(keys, form):
                 re, im = out.get(key, (0, 0))
                 out[key] = (re + qr * lr - qi * li, im + qr * li + qi * lr)
-    return {key: _numeric.from_fixed(re, im,
-                                     -sum(k * f[1] for k, f in zip(key, fixed)),
-                                     prec + 32, den)
-            for key, (re, im) in out.items()}
+    parts = []
+    for key in _PLANE_KEYS:
+        re, im = out.get(key, (0, 0))
+        exp = -sum(k * f.shift for k, f in zip(key, fixed))
+        parts.append((_numeric.over(re, exp, den), _numeric.over(im, exp, den)))
+    return _numeric.from_ratios(parts, prec + 32)
 
 
 def involution_check(four: CubicFourfold, m: ProjLine, tol: float | None = None):
@@ -411,17 +441,15 @@ def _meets_scroll(y, quadrics, prec):
     """Incidence of a fourfold line with a scroll inside the hyperplane,
     given the line's unique hyperplane point y (of `_hyperplane_point`): y
     must satisfy the three quadrics, relative to their coefficient scales.
-    The quadrics are evaluated in one fixed-point pass at the ambient
-    precision, prec + 32 bits."""
-    with mpmath.workprec(prec + 32):
-        tol = _numeric.check_tolerance(prec, _SCROLL_TOL_AT_256)
-        values = _numeric.evaluate_fixed([_int_terms(q) for q in quadrics], y[:5],
-                                         mpmath.mp.prec)
-        margin = mpmath.mpf(0)
-        for q, value in zip(quadrics, values):
-            qscale = _numeric.to_mpc(max(map(abs, q.terms.values()))).real
-            margin = max(margin, abs(value) / qscale)
-        return bool(margin <= tol), float(margin)
+    The quadrics are evaluated in one fixed-point pass at prec + 32 bits,
+    and the margin is compared exactly with the tolerance on squares."""
+    tol = Fraction(_numeric.check_tolerance(prec, _SCROLL_TOL_AT_256))
+    values = _numeric.evaluate_fixed([_int_terms(q) for q in quadrics],
+                                     _numeric.Fixed(y.pairs[:5], y.shift), prec + 32)
+    # |q(y)|^2 / qscale^2, with the values over 2^shift
+    margin2 = max(Fraction(re * re + im * im) / max(map(abs, q.terms.values())) ** 2
+                  for q, (re, im) in zip(quadrics, values.pairs)) * Fraction(4) ** -values.shift
+    return margin2 <= tol * tol, _numeric.sqrt_ratio(margin2.numerator, margin2.denominator)
 
 
 def scroll_incidence_invariance(four: CubicFourfold, m: ProjLine, v) -> ScrollIncidence:
@@ -434,9 +462,7 @@ def scroll_incidence_invariance(four: CubicFourfold, m: ProjLine, v) -> ScrollIn
     sd = scroll_data(four.inst, v)
     first = iota(four, m)
     before, margin_b = _meets_scroll(first.base_point, sd.quadrics_v, prec)
-    with mpmath.workprec(prec + 32):
-        y_after = _hyperplane_point(first.line, prec)[2]
-    after, margin_a = _meets_scroll(y_after, sd.quadrics_v, prec)
+    after, margin_a = _meets_scroll(_hyperplane_point(first.line, prec)[2], sd.quadrics_v, prec)
     return ScrollIncidence(before, after, margin_b, margin_a)
 
 

@@ -452,7 +452,10 @@ def represents(n: int) -> RepresentResult:
     class of solutions has one with 0 <= x <= sqrt(m/3) if m > 0, sqrt(|m|/2)
     if m < 0.  Time grows as sqrt |n|: 0.16 s for a none at |n| = 2*10^12,
     an hour near 10^21 (CPython 3.11, 2-vCPU VM).  The witness is the first
-    vector of square n in shell order, turned to pair nonnegatively with g.
+    vector of square n in shell order, turned to pair nonnegatively with g:
+    one pass over |x| = 0, 1, 2, ... keeps the first in shell order so far,
+    and stops at Nagell's bound with none found, or once |x| passes the
+    radius of the one it keeps, beyond which every vector lies further out.
     """
     if n % 2 != 0:
         return RepresentResult("none", None,
@@ -479,27 +482,30 @@ def represents(n: int) -> RepresentResult:
             f"and divides {m} to an odd power, but every norm to an even one")
 
     bound = isqrt(m // 3 if m > 0 else -m // 2)
-    first = next(_pell_points(m, range(bound + 1)), None)
-    if first is None:
+    best, limit, x = None, bound, 0
+    while x <= limit:
+        t = m + 6 * x * x
+        if t >= 0 and isqrt(t) ** 2 == t:
+            for v in _pell_points(m, x):
+                if best is None or _shell_key(v) < _shell_key(best):
+                    best, limit = v, max(map(abs, v))
+        x += 1
+    if best is None:
         return RepresentResult(
             "none", None,
             f"u^2 - 6x^2 = {m} is insoluble: no x <= {bound} makes {m} + 6x^2 a "
             f"square, and by Nagell's bound every class of solutions has one there")
-    r = max(map(abs, first))      # the first vector in shell order is no further out
-    v = LatticeClass(*min(_pell_points(m, range(-r, r + 1)), key=_shell_key))
+    v = LatticeClass(*best)
     if _sign_of(eval_form(v, g_class())) < 0:
         v = -v
     return RepresentResult("witness", v)
 
 
-def _pell_points(m: int, xs):
-    """Each (x, y) with x in xs and Q(x, y) = 2m: u = y + 3x squares to m + 6x^2."""
-    for x in xs:
-        t = m + 6 * x * x
-        u = isqrt(max(t, 0))
-        if u * u == t:
-            yield x, u - 3 * x
-            yield x, -u - 3 * x
+def _pell_points(m: int, x: int) -> set:
+    """Each (+-x, y) with Q(+-x, y) = 2m, where m + 6x^2 is the square of
+    u = y + 3x: for -x, y = +-u + 3x."""
+    u = isqrt(m + 6 * x * x)
+    return {(x, u - 3 * x), (x, -u - 3 * x), (-x, u + 3 * x), (-x, -u + 3 * x)}
 
 
 def _shell_key(v) -> tuple:

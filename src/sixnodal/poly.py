@@ -266,7 +266,7 @@ class MPoly:
         At a rational point the value is an exact Fraction, summed on
         integers by `_int_value`.  At any other point the integer coefficients
         meet the point in Gaussian-integer fixed point
-        (`_numeric.evaluate_fixed`), and the value is an mpc rounded once at
+        (`_numeric.evaluate_mpc`), and the value is an mpc rounded once at
         the ambient mpmath precision.
         """
         if len(point) != self.nvars:
@@ -275,7 +275,7 @@ class MPoly:
             xs, dx = clear_denominators(point)
             terms, den = _int_terms(self)
             return Fraction(_int_value(terms, xs, dx), den * dx ** max(self.degree(), 0))
-        return _numeric.evaluate_fixed([_int_terms(self)], point, mpmath.mp.prec)[0]
+        return _numeric.evaluate_mpc(_int_terms(self), point, mpmath.mp.prec)
 
     def compose(self, substitutions: list["MPoly"]) -> "MPoly":
         """Substitute substitutions[i] for variable i.
@@ -1311,7 +1311,8 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
     relative.  F = prec + 64 plus a bound on log2 max(1, max|z|) and on
     log2 max(1, 1/min|z|) over the start, so that neither the largest values
     nor the relative precision of the smallest roots fall outside the unit.
-    The roots come back as mpc values rounded once to prec + 64 bits.
+    The roots come back as Gaussian integers at that unit, one Fixed: root k
+    is (re + i im) 2^-F for (re, im) = pairs[k].
     """
     deg = len(coeffs) - 1
     ints = primitive(clear_denominators(coeffs)[0])
@@ -1334,10 +1335,15 @@ def aberth_roots(coeffs, prec: int, max_iter: int = 400):
     dcs = [k * ints[k] for k in range(1, deg + 1)]
     for _ in range(max_iter):
         if _fixed_sweep(ints, dcs, zs, unit, prec + 16):
-            return [_numeric.from_fixed(zr, zi, -unit, prec + 64) for zr, zi in zs]
+            return _numeric.Fixed(zs, unit)
     raise RootFindingError("Aberth iteration did not converge",
-                           partial=[ComplexMP.from_mpc(_numeric.from_fixed(zr, zi, -unit, prec + 64),
-                                                       prec) for zr, zi in zs])
+                           partial=_complexmp_roots(_numeric.Fixed(zs, unit), prec))
+
+
+def _complexmp_roots(zs, prec: int) -> list:
+    """The roots of a Fixed as ComplexMP values, each part rounded once to
+    prec + 64 bits."""
+    return [ComplexMP.from_mpc(z, prec) for z in zs.to_mpc(prec + 64)]
 
 
 def _rational_roots_of_squarefree(p: UPoly) -> list[Fraction]:
@@ -1386,29 +1392,37 @@ def _deflate(ints: list[int], r: Fraction) -> list[int] | None:
 
 def _checked_aberth_roots(p: UPoly, rest: list[int], prec: int) -> list:
     """The roots of a squarefree factor of p, given by its integer
-    coefficients rest, by aberth_roots, as mpc values, each with its
-    residual on p, |p(z)| by `_numeric.evaluate_fixed` on the integer
-    coefficients of p at prec + 64 bits, checked against 2^(-prec/2)
-    relative to the coefficient magnitude (RootFindingError above it)."""
+    coefficients rest, by aberth_roots, each a Fixed scalar at its unit,
+    with its residual on p checked: |p(z)| by _horner_fixed on the integer
+    coefficients of p at that unit, against 2^(-prec/2) relative to the
+    coefficient magnitude, max(1, max|c|) max(1, |z|)^deg, compared exactly
+    on squares (RootFindingError above it)."""
     zs = aberth_roots(rest, prec)
+    unit = zs.shift
     ints, den = clear_denominators(p.coeffs)
-    form = ({(k,): c for k, c in enumerate(ints) if c}, den)
-    with mpmath.workprec(prec + 64):
-        scale = max(abs(mpmath.mpf(c.numerator) / c.denominator) for c in p.coeffs)
-        tol = mpmath.mpf(2) ** (-(prec // 2)) * max(1, scale)
-        for z in zs:
-            resid = abs(_numeric.evaluate_fixed([form], [z], prec + 64)[0])
-            if resid > tol * max(1, abs(z)) ** p.degree():
-                raise RootFindingError(f"residual {mpmath.nstr(resid, 8)} above tolerance",
-                                       partial=[ComplexMP.from_mpc(w, prec) for w in zs])
-    return zs
+    deg = p.degree()
+    one2 = 1 << 2 * unit
+    # |p(z)| = |h| / (den 2^unit) for h = _horner_fixed(ints, z), and the
+    # bound is 2^-(prec // 2) max(den, max|int|) / den max(1, |z|)^deg:
+    # squared, and both sides times den^2 2^(2 unit (deg + 1) + 2 (prec // 2))
+    # (at |z| <= 1 the factor max(1, |z|)^deg is 1 and one2^deg cancels)
+    scale2 = max(den, max(map(abs, ints))) ** 2 * one2
+    for zr, zi in zs.pairs:
+        hr, hi = _horner_fixed(ints, zr, zi, unit)
+        z2 = zr * zr + zi * zi
+        h2 = (hr * hr + hi * hi) << 2 * (prec // 2)
+        if (h2 > scale2 if z2 <= one2 else h2 * one2 ** deg > scale2 * z2 ** deg):
+            resid = _numeric.sqrt_ratio(hr * hr + hi * hi, den * den * one2)
+            raise RootFindingError(f"residual {resid:.8g} above tolerance",
+                                   partial=_complexmp_roots(zs, prec))
+    return [_numeric.Fixed([z], unit) for z in zs.pairs]
 
 
 def _root_stream(p: UPoly, prec: int, exact):
     """(root, multiplicity) pairs of p, one squarefree factor at a time, each
     only when the roots before it are used up: the Fractions of exact that
     are roots of the factor, as given, each divided out by _deflate, then
-    the roots of what is left by _checked_aberth_roots, as mpc values.  A
+    the roots of what is left by _checked_aberth_roots, as Fixed scalars.  A
     Fraction of exact that divides no factor, or one given twice, raises
     PolyError first.  This is the one path from a squarefree decomposition
     to Aberth."""
@@ -1442,7 +1456,7 @@ def roots(p: UPoly, prec: int = 256):
         raise PolyError("degree must be >= 1")
     if prec < 64:
         raise PolyError("precision below 64 bits")
-    out = [(r if isinstance(r, Fraction) else ComplexMP.from_mpc(r, prec), m)
+    out = [(r if isinstance(r, Fraction) else _complexmp_roots(r, prec)[0], m)
            for r, m in _root_stream(p, prec, _rational_roots_of(p))]
     total = sum(m for _, m in out)
     if total != p.degree():

@@ -88,7 +88,8 @@ def test_endo_subspace_layouts_are_the_explicit_products(seed):
         # relative to sum_k |coefficient_k v_k|, the size of the exact sum
         with mpmath.workprec(160):
             for layout, v in cases:
-                num = linear_values(layout, [to_mpc(x, 128) for x in v], 128)
+                num = [row.to_mpc(160)
+                       for row in linear_values(layout, [to_mpc(x, 128) for x in v], 128)]
                 for coeff_row, exact, approx in zip(layout, detgeo._values(layout, v), num):
                     for coeffs, x, y in zip(coeff_row, exact, approx):
                         scale = to_mpc(sum(abs(a * b) for a, b in zip(coeffs, v))).real
@@ -101,7 +102,7 @@ def test_endo_subspace_layouts_are_cleared_once(seed, monkeypatch):
     # bit-identical numeric values to the term-dict evaluator on the
     # cleared coefficients, and the Fraction sums exactly
     from sixnodal import _qlinalg
-    from sixnodal._numeric import evaluate_fixed, linear_values
+    from sixnodal._numeric import Fixed, evaluate_fixed, linear_values
     from sixnodal._qlinalg import clear_denominators, linear_terms
     names = ("forms", "forms_t", "image", "image_t")
     inst = make_instance(seed)
@@ -122,7 +123,8 @@ def test_endo_subspace_layouts_are_cleared_once(seed, monkeypatch):
         vals = evaluate_fixed([(linear_terms(ints[i:i + n]), den)
                                for i in range(0, len(ints), n)], point, prec + 32)
         width = len(layout[0])
-        return [vals[i:i + width] for i in range(0, len(vals), width)]
+        return [Fixed(vals.pairs[i:i + width], vals.shift)
+                for i in range(0, len(vals.pairs), width)]
 
     rng = random.Random(seed + 77)
     for space in (inst.lam, inst.lam_perp):
@@ -139,9 +141,7 @@ def test_endo_subspace_layouts_are_cleared_once(seed, monkeypatch):
                 with mpmath.workprec(2 * prec):
                     point = [mpmath.mpc(mpmath.rand() - 0.5, mpmath.rand() - 0.5)
                              for _ in range(n)]
-                got, ref = linear_values(layout, point, prec), reference(layout, point, prec)
-                assert [[x._mpc_ for x in row] for row in got] == \
-                    [[x._mpc_ for x in row] for row in ref]
+                assert linear_values(layout, point, prec) == reference(layout, point, prec)
     assert len(built) == 8
 
 
@@ -1070,10 +1070,11 @@ def _form_value(f, point):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_lift_residual_matches_fraction_evaluation(seed, prec):
     # first three criterion-09 points: the residual of each numeric lift
-    # (s, t, -B/A), on the integer terms through the fixed-point evaluator,
-    # agrees with an mpc evaluation of the Fraction forms at 2 prec + 64
-    # bits, and every lift is within the tolerance
-    from sixnodal._numeric import to_mpc
+    # (s, t, -B/A), a Fixed with u rounded to the unit of (s, t), from the
+    # exact integer sums of the residual, agrees with an mpc evaluation of
+    # the Fraction forms at that point at 2 prec + 64 bits, and every lift is
+    # within the tolerance
+    from sixnodal._numeric import Fixed, to_mpc
     from sixnodal.detgeo import (_binary_form_parts, _eliminant_roots, _lift_residual,
                                  _rational_roots_of, direction_chart)
     from sixnodal.poly import _int_terms
@@ -1089,21 +1090,26 @@ def test_lift_residual_matches_fraction_evaluation(seed, prec):
         y = sample_smooth_point(inst, rng)
         _chart, q_chart, c_chart, elim, (a_form, b_form) = direction_chart(inst.cubic_y, y)
         forms = [_int_terms(q_chart), _int_terms(c_chart)]
+        scales = [max(map(abs, terms.values())) for terms, _den in forms]
         lifted = 0
-        with mpmath.workprec(prec + 32):
-            scales = [to_mpc(max(abs(c) for c in f.terms.values())).real
-                      for f in (q_chart, c_chart)]
-            probed = _rational_roots_of(_binary_form_parts(elim)[2])
-            for st, _mult in _eliminant_roots(elim, prec, probed):
-                if isinstance(st[0], Fraction):
-                    continue
-                d3 = st + (-_form_value(b_form, st) / _form_value(a_form, st),)
-                got = _lift_residual(forms, scales, d3)
-                with mpmath.workprec(2 * prec + 64):
-                    ref = max(reference(q_chart, d3, 2), reference(c_chart, d3, 3))
-                assert abs(got - ref) <= mpmath.mpf(2) ** -prec
-                assert ref <= tol
-                lifted += 1
+        probed = _rational_roots_of(_binary_form_parts(elim)[2])
+        for st, _mult in _eliminant_roots(elim, prec, probed):
+            if not isinstance(st, Fixed):
+                continue
+            with mpmath.workprec(4 * prec):
+                s, t = st.to_mpc(4 * prec)
+                u = -_form_value(b_form, (s, t)) / _form_value(a_form, (s, t))
+                u_pair = tuple(int(mpmath.nint(mpmath.ldexp(x, st.shift)))
+                               for x in (u.real, u.imag))
+                d3 = Fixed(st.pairs + [u_pair], st.shift)
+                num, den = _lift_residual(forms, scales, d3)
+                got = mpmath.sqrt(mpmath.mpf(num) / den)
+                point = d3.to_mpc(4 * prec)
+            with mpmath.workprec(2 * prec + 64):
+                ref = max(reference(q_chart, point, 2), reference(c_chart, point, 3))
+            assert abs(got - ref) <= mpmath.mpf(2) ** -prec
+            assert ref <= tol
+            lifted += 1
         assert lifted == 4
 
 
@@ -1363,13 +1369,15 @@ def _reference_lines(inst, y, prec):
     by the quadratic formula at 2 prec + 64 bits, at which the cubic is
     smaller.  Exact lines are tagged by classify_line, numeric ones by their
     own sigma test."""
-    from sixnodal._numeric import to_mpc
+    from sixnodal._numeric import Fixed, to_mpc
     from sixnodal.detgeo import _coeffs_in_var, _eliminant_roots, _slice_lifts
     chart, q_chart, c_chart, elim, _lift = detgeo.direction_chart(inst.cubic_y, y)
     n = len(chart[0])
     out = []
     core = detgeo._binary_form_parts(elim)[2]
     for st, mult in _eliminant_roots(elim, prec, detgeo._rational_roots_of(core)):
+        if isinstance(st, Fixed):
+            st = st.to_mpc(2 * prec + 64)
         if isinstance(st[0], Fraction):
             (u,) = _slice_lifts((q_chart, c_chart), *st)
             line = ProjLine(y, [sum(c * chart[k][j] for k, c in enumerate(st + (u,)))
@@ -1491,6 +1499,142 @@ def test_sigma_test_backends_agree_with_classify_line(seed):
         for prec in (64, 256):
             d_num = tuple(to_mpc(x, prec) for x in d)
             assert _numeric_sigma_test(inst, y, d_num, prec) == expected
+
+
+def _criterion07_lines(seed):
+    """The exact lines of criterion 07 for the seed, drawn as its test draws
+    them: fromV and fromVdual lines of node-free directions, then the fromS
+    line of a surface point, with the family each must carry."""
+    inst = make_instance(seed)
+    rng = random.Random(seed)
+
+    def node_free():
+        while True:
+            v = tuple(Fraction(rng.randrange(-9, 10)) for _ in range(3))
+            if any(v) and all(sum(map(mul, n.w, v)) and sum(map(mul, n.v, v))
+                              for n in inst.nodes):
+                return v
+
+    params = (("fromV", node_free()), ("fromVdual", node_free()),
+              ("fromS", sample_surface_point(inst, rng)))
+    return inst, [(special_line(inst, kind, param), kind) for kind, param in params]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_fixed_point_sigma_test_gives_the_exact_verdict(seed):
+    # on the criterion-07 lines the numeric backend, on an mpc copy of the
+    # second point at 64-512 bits, gives the exact backend's verdict; moved
+    # off the S line by 2^-(prec/4) relative, the direction fails the test
+    from sixnodal._numeric import to_mpc
+    inst, lines = _criterion07_lines(seed)
+    for line, kind in lines:
+        y, d = line.p0, line.p1
+        expected = detgeo._sigma_test(detgeo._EXACT, inst, inst.phi(y), d)
+        assert expected == (kind == "fromS")
+        scale = max(map(abs, d))
+        off = next(w for w in itertools.product(range(-2, 3), repeat=5)
+                   if rank([y, d, w]) == 3)
+        for prec in (64, 128, 256, 512):
+            assert _numeric_sigma_test(inst, y, tuple(to_mpc(x, prec) for x in d), prec) \
+                == expected
+            if kind == "fromS":
+                eps = Fraction(1, 2 ** (prec // 4)) * scale
+                moved = tuple(to_mpc(x + eps * e, prec) for x, e in zip(d, off))
+                assert not _numeric_sigma_test(inst, y, moved, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 256])
+def test_numeric_lift_and_sigma_test_make_no_mpc_arithmetic(prec, monkeypatch):
+    # the numeric lifts of _lift_roots and the numeric sigma test run on
+    # Gaussian integers: with every mpc operator disabled they give the
+    # directions and tags they give otherwise; an mpc is only built, for the
+    # returned direction
+    inst, (y,) = _criterion09_points(1, count=1)
+    chart_data = detgeo.direction_chart(inst.cubic_y, y)
+    core = detgeo._binary_form_parts(chart_data[3])[2]
+    roots = list(detgeo._eliminant_roots(chart_data[3], prec, detgeo._rational_roots_of(core)))
+    numeric = [r for r in roots if not isinstance(r[0][0], Fraction)]
+    assert len(numeric) == 4
+    want = list(detgeo._lift_roots(chart_data, numeric, prec))
+    want_tags = [_numeric_sigma_test(inst, y, d, prec) for d, _, _ in want]
+    assert want_tags == [True] * 4
+
+    def no_arithmetic(*args):
+        raise AssertionError("mpc arithmetic on the fixed-point path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__", "__abs__", "__neg__"):
+        monkeypatch.setattr(mpmath.mpc, name, no_arithmetic)
+    got = list(detgeo._lift_roots(chart_data, numeric, prec))
+    assert [(repr(d), resid) for d, _, resid in got] == [(repr(d), resid) for d, _, resid in want]
+    backend = detgeo._numeric_backend(prec)
+    assert [detgeo._sigma_test(backend, inst, inst.phi(y), d) for d, _, _ in got] == want_tags
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+def test_numeric_lift_matches_a_double_precision_reference(prec):
+    # each numeric lift of the criterion-09 points of seeds 1-3, against
+    # (s, t, -B/A) on the chart in mpc at 2 prec bits from the same root:
+    # within 2^-prec relative, and its residual within the tolerance
+    from sixnodal._numeric import Fixed, to_mpc
+    for seed in (1, 2, 3):
+        inst, points = _criterion09_points(seed)
+        for y in points:
+            chart_data = detgeo.direction_chart(inst.cubic_y, y)
+            chart, _q, _c, elim, (a_form, b_form) = chart_data
+            core = detgeo._binary_form_parts(elim)[2]
+            roots = [r for r in detgeo._eliminant_roots(elim, prec,
+                                                        detgeo._rational_roots_of(core))
+                     if isinstance(r[0], Fixed)]
+            lifts = list(detgeo._lift_roots(chart_data, roots, prec))
+            assert len(lifts) == len(roots) == 4
+            for (st, _mult), (d, exact, resid) in zip(roots, lifts):
+                assert not exact and resid <= default_tolerance(prec)
+                with mpmath.workprec(2 * prec):
+                    s, t = st.to_mpc(2 * prec)
+                    u = -_form_value(b_form, (s, t)) / _form_value(a_form, (s, t))
+                    ref = [sum(to_mpc(chart[k][j]) * x for k, x in enumerate((s, t, u)))
+                           for j in range(len(chart[0]))]
+                    err = max(abs(a - b) for a, b in zip(d, ref))
+                    assert err <= mpmath.mpf(2) ** -prec * max(map(abs, ref))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+@pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(2)])
+def test_numeric_sigma_product_negligible_at_the_threshold(prec, factor):
+    # a product counts as zero up to _SIGMA_SLACK 2^-(prec//2) times the
+    # largest entry moduli max|sigma|^2 max|phi|, whatever the scales and
+    # whether the rows are Fixed or exact
+    from sixnodal._numeric import to_fixed, to_mpc
+    negligible = detgeo._numeric_backend(prec).negligible
+    sigma = [to_fixed(row, prec + 32) for row in ([3, 0, 1], [0, -1, 0], [1, 0, Fraction(1, 3)])]
+    phi = [[Fraction(5, 2), 0, 0], [0, 1, 0], [0, 0, Fraction(-1, 7)]]
+    bound = detgeo._SIGMA_SLACK * Fraction(1, 2 ** (prec // 2)) * 9 * Fraction(5, 2)
+    for entry in (factor * bound, mpmath.mpc(0, to_mpc(factor * bound).real)):
+        m = [[0, 0, 0], [0, entry, 0], [0, 0, 0]]
+        assert negligible(m, sigma, phi) == (factor < 1)
+        assert negligible([to_fixed(row, prec + 32) for row in m], sigma, phi) == (factor < 1)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+def test_lift_refuses_a_root_moved_off_the_eliminant(prec):
+    # a root of the eliminant moved by 2^-(prec/4) relative lifts to a
+    # direction whose residual on the chart conic and cubic is far above
+    # default_tolerance(prec): DetGeoError, compared on squares
+    from sixnodal._numeric import Fixed
+    inst, (y,) = _criterion09_points(1, count=1)
+    chart_data = detgeo.direction_chart(inst.cubic_y, y)
+    core = detgeo._binary_form_parts(chart_data[3])[2]
+    roots = [r for r in detgeo._eliminant_roots(chart_data[3], prec,
+                                                detgeo._rational_roots_of(core))
+             if isinstance(r[0], Fixed)]
+    assert len(list(detgeo._lift_roots(chart_data, roots, prec))) == 4
+    for st, mult in roots:
+        (sr, si), t = st.pairs
+        size = max(abs(sr), abs(si), t[0])
+        moved = Fixed([(sr + (size >> (prec // 4)), si), t], st.shift)
+        with pytest.raises(DetGeoError, match="lift residual"):
+            list(detgeo._lift_roots(chart_data, [(moved, mult)], prec))
 
 
 def test_lines_through_point_contains_planted(inst1):

@@ -105,32 +105,64 @@ def _first_candidate_off_hyperplane(four, seed, prec):
     """Reference for sample_line that shares no code with detgeo._lift_roots:
     with sample_line's base points and chart seeds, every root of the
     eliminant from detgeo._eliminant_roots, given the rational roots of the
-    core that the probe finds, is lifted to (s, t, -B/A) on the chart, exactly for a rational
-    root, and the first direction with |d5| > 2^-16 |d| is returned as a
-    numeric line, with the attempt and the root index that gave it.  It is
+    core that the probe finds, is lifted to (s, t, -B/A) on the chart, exactly
+    for a rational root, and for an irrational one, a Fixed (s, t), in
+    complex Fractions with u rounded half up to the unit of (s, t) and each
+    ambient coordinate rounded to nearest at prec + 32 bits by mpmath's
+    from_rational.  The first direction with |d5| > 2^-16 |d| is returned as
+    a numeric line, with the attempt and the root index that gave it.  It is
     also the candidate of direction_candidates at that index."""
+    import math
+
+    from mpmath.libmp import from_rational, round_nearest
+
     from sixnodal import _numeric
     from sixnodal._qlinalg import Layout, mat_vec, transpose
     from sixnodal.detgeo import (_binary_form_parts, _eliminant_roots, direction_candidates,
                                  direction_chart, sample_smooth_point)
-    from sixnodal.poly import _int_terms, _rational_roots_of
+    from sixnodal.poly import _rational_roots_of
+
+    def cmul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def form_value(f, point):
+        total = (Fraction(0), Fraction(0))
+        for e, c in f.terms.items():
+            term = (Fraction(c), Fraction(0))
+            for x, k in zip(point, e):
+                for _ in range(k):
+                    term = cmul(term, x)
+            total = (total[0] + term[0], total[1] + term[1])
+        return total
+
+    def to_mpc(x, bits):
+        return mpmath.mp.make_mpc(tuple(from_rational(p.numerator, p.denominator, bits,
+                                                      round_nearest) for p in x))
+
     rng = random.Random(f"{four.seed}:{seed}:line")
     for attempt in range(32):
         y = tuple(sample_smooth_point(four.inst, rng)) + (Fraction(0),)
         chart, _q, _c, elim, (a_form, b_form) = direction_chart(
             four.cubic, y, f"{seed}:{attempt}")
-        ab_terms = [_int_terms(a_form), _int_terms(b_form)]
         to_ambient = Layout([transpose(chart)])
         with mpmath.workprec(prec + 32):
             probed = _rational_roots_of(_binary_form_parts(elim)[2])
             for index, (st, _mult) in enumerate(_eliminant_roots(elim, prec, probed)):
-                if isinstance(st[0], Fraction):
+                if isinstance(st, _numeric.Fixed):
+                    unit = Fraction(1, 2 ** st.shift)
+                    s, t = [(re * unit, im * unit) for re, im in st.pairs]
+                    (br, bi), (ar, ai) = form_value(b_form, (s, t)), form_value(a_form, (s, t))
+                    norm = ar * ar + ai * ai
+                    # u = -B/A, rounded half up to the unit
+                    u = tuple(math.floor(x / unit + Fraction(1, 2)) * unit
+                              for x in (-(br * ar + bi * ai) / norm, -(bi * ar - br * ai) / norm))
+                    d3 = (s, t, u)
+                    d = tuple(to_mpc((sum(c * x[0] for c, x in zip(col, d3)),
+                                      sum(c * x[1] for c, x in zip(col, d3))), prec + 32)
+                              for col in to_ambient[0])
+                else:
                     d3 = st + (-b_form.evaluate(st) / a_form.evaluate(st),)
                     d = tuple(_numeric.to_mpc(x, prec) for x in mat_vec(to_ambient[0], d3))
-                else:
-                    a_val, b_val = _numeric.evaluate_fixed(ab_terms, st, prec + 32)
-                    d = tuple(_numeric.linear_values(to_ambient, st + (-b_val / a_val,),
-                                                     prec)[0])
                 if abs(d[5]) > max(abs(x) for x in d) * mpmath.mpf(2) ** -16:
                     cand, exact = direction_candidates(four.cubic, y, prec=prec,
                                                        chart_seed=f"{seed}:{attempt}")[0][index]
@@ -230,8 +262,7 @@ def test_iota_image_meets_dual_line(four):
     # the image line is coplanar with the dual line by construction: it meets
     # the base plane spanned by y and the dual point
     from sixnodal._numeric import rank_numeric
-    rows = [list(res.line.p0), list(res.line.p1), list(res.base_point),
-            list(res.dual_line_point)]
+    rows = [list(res.line.p0), list(res.line.p1), res.base_point, res.dual_line_point]
     assert rank_numeric(rows, 256) <= 3
 
 
@@ -341,19 +372,67 @@ def test_iota_memo_is_per_fourfold_object(four, inst1, monkeypatch):
 @pytest.mark.parametrize("prec", [128, 256])
 def test_scroll_margin_matches_per_quadric_evaluation(four, prec):
     # one fixed-point pass over the three quadrics gives the margin that
-    # MPoly.evaluate gives quadric by quadric, to the bit
+    # MPoly.evaluate gives quadric by quadric at the same point at 2 prec + 64
+    # bits, to 2^-50 relative, and the verdict of that margin
     from sixnodal import _numeric
-    from sixnodal.fourfold import _hyperplane_point, _meets_scroll
+    from sixnodal.fourfold import _SCROLL_TOL_AT_256, _hyperplane_point, _meets_scroll
     v = (2, 3, -1)
     quadrics = scroll_data(four.inst, v).quadrics_v
     lines = [sample_line(four, seed=s, prec=prec) for s in (1, 2)]
     lines.append(sample_line_through_scroll(four, v, seed=5, prec=prec))
     for m in lines:
-        with mpmath.workprec(prec + 32):
-            y = _hyperplane_point(m, prec)[2]
-            ref = max(abs(q.evaluate(y[:5])) / _numeric.to_mpc(max(map(abs, q.terms.values()))).real
+        y = _hyperplane_point(m, prec)[2]
+        with mpmath.workprec(2 * prec + 64):
+            point = y.to_mpc(2 * prec + 64)[:5]
+            ref = max(abs(q.evaluate(point)) / _numeric.to_mpc(max(map(abs, q.terms.values()))).real
                       for q in quadrics)
-        assert repr(_meets_scroll(y, quadrics, prec)[1]) == repr(float(ref))
+            meets, margin = _meets_scroll(y, quadrics, prec)
+            assert abs(margin - ref) <= mpmath.mpf(2) ** -50 * ref
+        assert meets == (ref <= _numeric.check_tolerance(prec, _SCROLL_TOL_AT_256))
+
+
+@pytest.mark.parametrize("prec", [128, 256, 512])
+def test_iota_refuses_a_line_moved_off_the_fourfold(four, prec):
+    # the direction of a sample line moved by 2^-(prec/4) relative keeps its
+    # hyperplane point, so the dual line is found, but the plane restriction
+    # no longer factors: its forbidden coefficients are far above
+    # default_tolerance(prec) _KERNEL_CHAIN_SLACK relative, on squares
+    from sixnodal import _numeric
+    m = sample_line(four, seed=1, prec=prec)
+    assert iota(four, m).factor_residual < _numeric.check_tolerance(prec, 1e-30)
+    with mpmath.workprec(prec + 32):
+        eps = max(abs(x) for x in m.p1) * mpmath.mpf(2) ** -(prec // 4)
+        moved = tuple(x + eps * k for x, k in zip(m.p1, (1, -2, 0, 3, 1, 2)))
+    with pytest.raises(FourfoldError, match="does not factor"):
+        iota(four, ProjLine(m.p0, moved, exact=False, prec=prec))
+
+
+@pytest.mark.parametrize("prec", [64, 256])
+def test_scroll_verdict_at_the_threshold(four, prec):
+    # a rational point of the scroll moved along a coordinate so that its
+    # exact margin is half and twice the tolerance: the fixed-point verdict
+    # follows the exact one, compared on squares
+    from sixnodal import _numeric
+    from sixnodal.fourfold import _SCROLL_TOL_AT_256, _meets_scroll
+    from sixnodal.poly import _int_jet, _int_terms
+    v = (2, 3, -1)
+    quadrics = scroll_data(four.inst, v).quadrics_v
+    tol = Fraction(_numeric.check_tolerance(prec, _SCROLL_TOL_AT_256))
+    z = ruling_of_scroll(four.inst, v, index=3).point_at(Fraction(2), Fraction(5))
+
+    def margin(y):
+        return max(abs(q.evaluate(y)) / max(map(abs, q.terms.values())) for q in quadrics)
+
+    assert margin(z) == 0
+    e = (0, 1, 0, 0, 0)
+    slope = margin(tuple(a + tol * b for a, b in zip(z, e))) / tol
+    for factor in (Fraction(1, 2), Fraction(2)):
+        y = tuple(a + factor * tol / slope * b for a, b in zip(z, e))
+        exact = margin(y)
+        assert exact / tol < 1 if factor < 1 else exact / tol > 1
+        meets, got = _meets_scroll(_numeric.to_fixed(y, prec + 32), quadrics, prec)
+        assert meets == (exact <= tol)
+        assert abs(Fraction(got) - exact) <= exact / 2 ** 40
 
 
 @pytest.mark.parametrize("prec", [128, 256])
@@ -363,7 +442,7 @@ def test_plane_restriction_matches_exact(four, inst1, prec):
     # of a tangent line at the last point (the other two intersections sit
     # at the point of tangency); the last one leaves the hyperplane x5 = 0
     from sixnodal._numeric import default_tolerance, to_mpc
-    from sixnodal.fourfold import _plane_restriction
+    from sixnodal.fourfold import _PLANE_KEYS, _plane_restriction
     from sixnodal.poly import restrict_to_subspace
     grads = gradient(four.cubic)
     rng = random.Random(7)
@@ -383,7 +462,8 @@ def test_plane_restriction_matches_exact(four, inst1, prec):
     exact = restrict_to_subspace(four.cubic, pts)
     with mpmath.workprec(prec + 32):
         basis3 = [tuple(to_mpc(x, prec) for x in q) for q in pts]
-        coeffs = _plane_restriction(four.cubic, basis3, prec)
+        coeffs = dict(zip(_PLANE_KEYS, _plane_restriction(four.cubic, basis3, prec)
+                          .to_mpc(prec + 32)))
         cmax = max(abs(to_mpc(c, prec)) for c in exact.terms.values())
         assert set(exact.terms) <= set(coeffs)
         for e, c in coeffs.items():

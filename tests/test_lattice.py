@@ -172,6 +172,61 @@ def test_brute_force_represents_oracle():
             assert res.status == "none" and res.certificate, n
 
 
+def _full_pass_witness(n):
+    """The witness of represents(n) by the search it replaced, or None: the
+    first x >= 0 with m + 6x^2 a square, m = n/2, up to Nagell's bound, sets
+    the radius r of a second pass over every |x| <= r, which takes the first
+    vector of square n in shell order (columns x = -r, x = r by y, then rows
+    y = -r, y = r by x), turned to pair nonnegatively with g."""
+    m = n // 2
+    bound = isqrt(m // 3 if m > 0 else -m // 2)
+
+    def points(xs):
+        for x in xs:
+            t = m + 6 * x * x
+            u = isqrt(max(t, 0))
+            if u * u == t:
+                yield x, u - 3 * x
+                yield x, -u - 3 * x
+
+    def key(v):
+        x, y = v
+        r = max(abs(x), abs(y))
+        if x == -r:
+            return (r, 0, y)
+        if x == r:
+            return (r, 1, y)
+        return (r, 2 if y == -r else 3, x)
+
+    first = next(points(range(bound + 1)), None)
+    if first is None:
+        return None
+    r = max(map(abs, first))
+    x, y = min(points(range(-r, r + 1)), key=key)
+    return (x, y) if x + y >= 0 else (-x, -y)
+
+
+def test_represents_witness_matches_the_full_pass():
+    # the outward pass that stops once |x| passes the radius of the best
+    # vector so far returns the witness of the full pass over |x| <= r, for
+    # every even n with 0 < |n| <= 2000 (sign flip towards g included: g
+    # pairs with (x, y) to 6(x + y) here)
+    for n in range(-2000, 2001, 2):
+        if n == 0 or n // 2 % 3 == 2 or n // 2 % 8 in (5, 7):
+            continue
+        want = _full_pass_witness(n)
+        res = represents(n)
+        assert (res.witness.coords() if res.is_witness() else None) == want, n
+
+
+def test_represents_2e12_stops_at_the_witness_radius():
+    # the smallest-x solution (0, 10^6) has radius 10^6; the witness has
+    # radius 391744, where the outward pass stops
+    res = represents(2 * 10 ** 12)
+    assert res.witness.coords() == (268288, 391744)
+    assert _full_pass_witness(2 * 10 ** 12) == (268288, 391744)
+
+
 def test_named_isometries():
     assert is_isometry(((1, 2), (0, -1)))
     assert is_isometry(((1, 0), (0, 1)))

@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sixnodal._numeric import (_GUARD_BITS, default_tolerance, from_fixed,
+from sixnodal._numeric import (_GUARD_BITS, Fixed, default_tolerance, from_fixed,
                                kernel_numeric, linear_values, rank_numeric,
                                to_fixed, to_mpc)
 from sixnodal._qlinalg import Layout
@@ -75,6 +75,58 @@ def test_to_fixed_of_zeros():
     assert to_fixed([], 128) == ([], 0)
     with pytest.raises(ValueError):
         to_fixed([mpmath.inf], 128)
+
+
+def _to_mpc_by_workprec(x, prec=None):
+    """to_mpc as it was: every input rounded again at prec + 32 bits (the
+    ambient precision for prec None) inside mpmath.workprec."""
+    with mpmath.workprec(prec + 32 if prec is not None else mpmath.mp.prec):
+        if isinstance(x, Fraction):
+            return mpmath.mpc(x.numerator) / x.denominator
+        return mpmath.mpc(x)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512, 1024])
+def test_to_mpc_is_bit_identical_to_rounding_in_workprec(prec):
+    # an mpc whose mantissas fit prec + 32 bits comes back as it is, one that
+    # does not, a Fraction, an int or an mpf is rounded as before; at the
+    # ambient precision too
+    rng = random.Random(prec + 11)
+    values = []
+    for width in (prec // 2, prec, prec + 32, prec + 33, 2 * prec):
+        with mpmath.workprec(width):
+            values += [mpmath.mpc(mpmath.rand() - 0.5, mpmath.rand() * 2 ** rng.randrange(-40, 40)),
+                       mpmath.mpc(mpmath.rand(), 0), mpmath.mpf(mpmath.rand())]
+    values += [Fraction(rng.randrange(-10 ** 40, 10 ** 40), rng.randrange(1, 10 ** 40)),
+               Fraction(rng.getrandbits(2 * prec), 3), 7, mpmath.mpc(0), mpmath.mpc(mpmath.inf)]
+    for x in values:
+        assert to_mpc(x, prec)._mpc_ == _to_mpc_by_workprec(x, prec)._mpc_
+        with mpmath.workprec(prec):
+            assert to_mpc(x)._mpc_ == _to_mpc_by_workprec(x)._mpc_
+    fits = mpmath.mpc(1, 2)
+    assert to_mpc(fits, prec) is fits
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_to_fixed_passes_a_fixed_through_as_its_exact_values(prec):
+    # a Fixed at any unit, wider or narrower than bits, positive or negative
+    # shift, goes to the pairs and shift that its exact Fraction values give
+    rng = random.Random(prec + 3)
+    bits = prec + 32
+    for width in (8, bits - 20, bits + _GUARD_BITS, bits + _GUARD_BITS + 1, 2 * bits):
+        for shift in (-700, -3, 0, 5, bits, 3 * bits):
+            pairs = [(rng.getrandbits(width) * rng.choice((1, -1)),
+                      rng.getrandbits(width) * rng.choice((1, -1))) for _ in range(5)]
+            pairs[2] = (0, 0)
+            got = to_fixed(Fixed(pairs, shift), bits)
+            # the real parts, then the imaginary parts, as ten exact real
+            # values, which share one shift as the five complex ones do
+            parts = [Fraction(x) * Fraction(2) ** -shift for pair in zip(*pairs) for x in pair]
+            want = to_fixed(parts, bits)
+            assert got.shift == want.shift
+            assert got.pairs == [(re, im) for (re, _), (im, _) in
+                                 zip(want.pairs[:5], want.pairs[5:])]
+    assert to_fixed(Fixed([(0, 0)] * 3, 17), 128) == ([(0, 0)] * 3, 0)
 
 
 @pytest.mark.parametrize("prec", PRECISIONS)
@@ -186,8 +238,9 @@ def test_evaluate_zero_form_and_rational_point():
 def test_linear_values_match_high_precision(prec):
     # a 2 x 3 matrix of linear forms in 4 variables with mixed denominators
     # (ints, small and large Fractions, a zero list), at Fraction, real mpf,
-    # complex mpc and mixed points and at the zero point: the same bounds as
-    # the evaluator
+    # complex mpc and mixed points and at the zero point: the values share
+    # one unit 2^-shift, and each is within one unit, plus the rounding of
+    # the point, of the exact value; the first bound is the evaluator's
     rng = random.Random(5 * prec)
     bits = prec + 32
     rows = [[[Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**9))
@@ -200,19 +253,20 @@ def test_linear_values_match_high_precision(prec):
     points += evaluation_points(rng, 2 * bits, 4)
     for pt in points:
         got = linear_values(Layout(rows), pt, prec)
-        assert [len(r) for r in got] == [3, 3]
+        assert all(isinstance(r, Fixed) for r in got) and len({r.shift for r in got}) == 1
+        assert [len(r.pairs) for r in got] == [3, 3]
+        shift = got[0].shift
         for row, got_row in zip(rows, got):
-            for coeffs, value in zip(row, got_row):
-                assert isinstance(value, mpmath.mpc)
+            for coeffs, (re, im) in zip(row, got_row.pairs):
                 with mpmath.workprec(2 * prec + 64):
+                    value = mpmath.mpc(mpmath.ldexp(re, -shift), mpmath.ldexp(im, -shift))
                     xs = [to_mpc(x) for x in pt]
                     ref = sum((to_mpc(c) * x for c, x in zip(coeffs, xs)), mpmath.mpc(0))
                     size = sum(abs(to_mpc(c)) for c in coeffs) * max(abs(x) for x in xs)
                     err = abs(value - ref)
                     assert err <= mpmath.mpf(2) ** -prec * size
-                    assert err <= mpmath.mpf(2) ** -bits * abs(ref) \
-                        + mpmath.mpf(2) ** -(bits + 4) * size
-    assert linear_values(Layout(rows), [0] * 4, prec) == [[0] * 3] * 2
+                    assert err <= mpmath.mpf(2) ** -shift + mpmath.mpf(2) ** -(bits + 4) * size
+    assert linear_values(Layout(rows), [0] * 4, prec) == [Fixed([(0, 0)] * 3, 0)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +322,10 @@ def assert_same_kernel(rows, prec):
     got = kernel_numeric(rows, prec)
     want = kernel_mpc(rows, prec)
     assert len(got) == len(want)
+    assert all(isinstance(v, Fixed) for v in got)
+    got = [v.to_mpc(prec + 32) for v in got]
     with mpmath.workprec(prec + 32):
         for a, b in zip(got, want):
-            assert all(isinstance(x, mpmath.mpc) for x in a)
             assert max(abs(x - y) for x, y in zip(a, b)) \
                 <= mpmath.mpf(2) ** -prec * max(abs(y) for y in b)
     return got
@@ -307,8 +362,9 @@ def test_kernel_matches_mpc_elimination(prec):
 
 def test_kernel_of_zero_matrix_is_mpc_identity():
     got = kernel_numeric([[0, 0, 0], [mpmath.mpc(0), Fraction(0), mpmath.mpf(0)]], 128)
-    assert got == [tuple(mpmath.mpc(int(i == j)) for j in range(3)) for i in range(3)]
-    assert all(isinstance(x, mpmath.mpc) for v in got for x in v)
+    assert [v.to_mpc(160) for v in got] == \
+        [tuple(mpmath.mpc(int(i == j)) for j in range(3)) for i in range(3)]
+    assert all(isinstance(x, mpmath.mpc) for v in got for x in v.to_mpc(160))
     assert kernel_numeric([], 128) == []
 
 

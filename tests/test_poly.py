@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from sixnodal import poly
+from sixnodal._numeric import Fixed
 from sixnodal._qlinalg import rank
 from sixnodal.poly import (ComplexMP, MPoly, PolyError, UPoly, divide_exact,
                            gradient, irreducibility_prime, macaulay_nonzero,
@@ -1004,7 +1005,8 @@ def test_root_stream_with_no_exact_root_matches_roots(prec):
                   UPoly([-2, 0, 0, 1])])
     got = list(poly._root_stream(p, prec, ()))
     want = roots(p, prec)
-    assert all(isinstance(z, mpmath.mpc) for z, _ in got)
+    assert all(isinstance(z, Fixed) and len(z.pairs) == 1 for z, _ in got)
+    got = [(z.to_mpc(prec + 64)[0], m) for z, m in got]
     assert sorted(m for _, m in got) == [1, 1, 1, 2, 2, 2]
     assert sorted(m for _, m in want) == [1, 1, 1, 2, 2, 2]
     with mpmath.workprec(prec + 64):
@@ -1021,6 +1023,38 @@ def test_root_stream_with_no_exact_root_matches_roots(prec):
     for exact in ([Fraction(1, 2)], [Fraction(2, 3), Fraction(2, 3)], [Fraction(3)]):
         with pytest.raises(PolyError, match="not a root"):
             next(poly._root_stream(p, prec, exact))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+def test_root_certificate_is_exact_on_the_aberth_integers(prec, monkeypatch):
+    # _checked_aberth_roots certifies each root by Horner on the Gaussian
+    # integers aberth_roots returns, with no call to the evaluator; a root
+    # moved by 2^-(prec/4) relative is refused
+    from sixnodal import _numeric
+
+    def no_evaluator(*args):
+        raise AssertionError("the root certificate ran the form evaluator")
+
+    for name in ("evaluate_fixed", "exact_values", "evaluate_mpc"):
+        monkeypatch.setattr(_numeric, name, no_evaluator)
+    p = _product([UPoly([-2, 0, 0, 1]), UPoly([1, 3, 0, 0, 5])])
+    ints = poly._primitive_int_coeffs(p)
+    zs = poly._checked_aberth_roots(p, ints, prec)
+    assert len(zs) == 7 and all(isinstance(z, Fixed) and len(z.pairs) == 1 for z in zs)
+    real = poly.aberth_roots
+    for k in range(7):
+        def moved(coeffs, prec_, k=k):
+            got = real(coeffs, prec_)
+            (zr, zi), unit = got.pairs[k], got.shift
+            size = max(abs(zr), abs(zi), 1 << unit)
+            pairs = list(got.pairs)
+            pairs[k] = (zr + (size >> (prec // 4)), zi)
+            return Fixed(pairs, unit)
+
+        monkeypatch.setattr(poly, "aberth_roots", moved)
+        with pytest.raises(poly.RootFindingError, match="above tolerance") as excinfo:
+            poly._checked_aberth_roots(p, ints, prec)
+        assert len(excinfo.value.partial) == 7
 
 
 def _fourfold_eliminant(inst, line_seed=1):
@@ -1079,6 +1113,8 @@ def test_aberth_matches_polyroots(case, float_start, prec, inst1, monkeypatch):
     monkeypatch.setattr(poly, "_float_start", recording_start)
     monkeypatch.setattr(poly, "_aberth_sweep", recording_sweep)
     got = poly.aberth_roots(coeffs, prec)
+    assert isinstance(got, Fixed)
+    got = got.to_mpc(prec + 64)
     assert len(starts) == 1
     if float_start is not None:
         assert (starts[0] is not None) == float_start
